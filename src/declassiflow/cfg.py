@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import Block, Function, Instruction
+from .ir import Block, Function, Instruction, dominator_sets
 
 ENTRY = "@entry"
 EXIT = "@exit"
@@ -138,78 +138,22 @@ def prune_dead_blocks(f: Function) -> Function:
 @dataclass
 class DomInfo:
     dom_sets: dict[str, set[str]]
-    pdom_sets: dict[str, set[str]]
-    idom: dict[str, str | None]
 
     def dom(self, a: str, b: str) -> bool:
         return a in self.dom_sets[b]
-
-    def pdom(self, a: str, b: str) -> bool:
-        return a in self.pdom_sets[b]
 
     def dominated_by(self, a: str) -> set[str]:
         return {b for b, ds in self.dom_sets.items() if a in ds}
 
     def depth(self, b: str) -> int:
-        d = 0
-        cur = self.idom.get(b)
-        while cur is not None:
-            d += 1
-            cur = self.idom.get(cur)
-        return d
+        return len(self.dom_sets[b]) - 1
 
 
 def dominators(cfg: Cfg) -> DomInfo:
-    """Dominator and post-dominator sets by iteration to a fixpoint."""
+    """Dominator sets of a CFG whose blocks are all reachable."""
     if cfg.dead_blocks:
         raise CfgError(f"unreachable blocks: {sorted(cfg.dead_blocks)}")
-    labels = cfg.labels
-    entry = cfg.entry
-    universe = set(labels)
-
-    dom: dict[str, set[str]] = {l: set(universe) for l in labels}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for l in labels:
-            if l == entry:
-                continue
-            ps = cfg.preds(l)
-            new = set.intersection(*(dom[p] for p in ps)) if ps else set()
-            new.add(l)
-            if new != dom[l]:
-                dom[l] = new
-                changed = True
-
-    exits = {e.src for e in cfg.in_edges.get(EXIT, ())}
-    pdom: dict[str, set[str]] = {l: set(universe) for l in labels}
-    for x in exits:
-        pdom[x] = {x}
-    changed = True
-    while changed:
-        changed = False
-        for l in labels:
-            if l in exits:
-                continue
-            ss = cfg.succs(l)
-            new = set.intersection(*(pdom[s] for s in ss)) if ss else set()
-            new.add(l)
-            if new != pdom[l]:
-                pdom[l] = new
-                changed = True
-
-    idom: dict[str, str | None] = {entry: None}
-    for l in labels:
-        if l == entry:
-            continue
-        strict = dom[l] - {l}
-        best = None
-        for c in strict:
-            if best is None or len(dom[c]) > len(dom[best]):
-                best = c
-        idom[l] = best
-    return DomInfo(dom, pdom, idom)
+    return DomInfo(dominator_sets({l: cfg.succs(l) for l in cfg.labels}, cfg.entry))
 
 
 def brute_force_dominates(cfg: Cfg, a: str, b: str) -> bool:
@@ -304,13 +248,9 @@ def natural_loops(cfg: Cfg, dom: DomInfo) -> list[NaturalLoop]:
     return loops
 
 
-def loop_depth(cfg: Cfg, dom: DomInfo) -> int:
-    loops = natural_loops(cfg, dom)
-    depth = 0
-    for lp in loops:
-        d = 1 + sum(1 for other in loops if other is not lp and lp.body < other.body)
-        depth = max(depth, d)
-    return depth
+def loop_depth(loops: list[NaturalLoop]) -> int:
+    return max((1 + sum(1 for other in loops if other is not lp and lp.body < other.body)
+                for lp in loops), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +375,6 @@ class ExpandedFunction:
     def representative(self, var: str, edge_key: tuple[str, str]) -> str:
         return self.edge_subst.get(edge_key, {}).get(var, var)
 
-    @property
-    def copy_index(self) -> dict[str, tuple[str, int | None]]:
-        return {v: (o, path[0] if path else None) for v, (o, path) in self.var_origin.items()}
-
 
 def _identity_expansion(work: Function, original: Function) -> ExpandedFunction:
     cfg = build_cfg(work)
@@ -456,21 +392,19 @@ def expand_loops(f: Function) -> ExpandedFunction:
     Nesting deeper than MAX_LOOP_DEPTH is rejected.
     """
     g = simplify_loops(f)
-    cfg = build_cfg(g)
-    dom = dominators(cfg)
-    if loop_depth(cfg, dom) > MAX_LOOP_DEPTH:
-        raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
-
     result = _identity_expansion(g.copy(), g)
     while True:
         cfg = build_cfg(result.function)
         dom = dominators(cfg)
         loops = natural_loops(cfg, dom)
+        # checked before the first step; expansion never deepens the nesting
+        if loop_depth(loops) > MAX_LOOP_DEPTH:
+            raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
         if not loops:
             return result
         inner = next(lp for lp in loops
                      if not any(other.body < lp.body for other in loops if other is not lp))
-        step = _expand_one(result.function, cfg, inner)
+        step = _expand_one(result.function, cfg, dom, inner)
         result = _compose(result, step)
 
 
@@ -503,9 +437,10 @@ def _compose(base: ExpandedFunction, step: ExpandedFunction) -> ExpandedFunction
     return ExpandedFunction(step.function, base.original, var_origin, edge_origin, edge_subst)
 
 
-def _expand_one(f: Function, cfg: Cfg, lp: NaturalLoop) -> ExpandedFunction:
-    """Expand one simple innermost loop of f, mutating non-loop blocks of f in
-    place (phi arms, post-loop uses) and returning the rebuilt function."""
+def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop) -> ExpandedFunction:
+    """Expand one simple innermost loop of f (cfg and dom are f's), mutating
+    non-loop blocks of f in place (phi arms, post-loop uses) and returning the
+    rebuilt function."""
     if len(lp.latches) != 1:
         raise CfgError(f"loop at '{lp.header}' is not simple (latches: {lp.latches})")
     latch = lp.latches[0]
@@ -593,7 +528,6 @@ def _expand_one(f: Function, cfg: Cfg, lp: NaturalLoop) -> ExpandedFunction:
     # arm's definition dominates that arm's predecessor) or when code after
     # the loop actually uses it; in the latter case SSA of the input already
     # guarantees the real exit arms are dominated.
-    dom = dominators(cfg)
     def_block: dict[str, str] = {}
     for lab in body:
         for v in f.block(lab).defined_vars():
@@ -633,7 +567,7 @@ def _expand_one(f: Function, cfg: Cfg, lp: NaturalLoop) -> ExpandedFunction:
             _retarget(b, lp.header, block_rename[1][lp.header])
 
     if not single_merge and exit_targets:
-        _rewrite_multi_merge_uses(f, cfg, lp, loop_defs, merge_of, merged_name)
+        _rewrite_multi_merge_uses(f, dom, lp, loop_defs, merge_of, merged_name)
 
     # exit-target phis: arms from exiting blocks collapse into one merge arm
     for b in f.blocks:
@@ -696,6 +630,8 @@ def _expand_one(f: Function, cfg: Cfg, lp: NaturalLoop) -> ExpandedFunction:
     edge_origin: dict[tuple[str, str], set[tuple[str, str]]] = {}
     edge_subst: dict[tuple[str, str], dict[str, str]] = {}
     ncfg = build_cfg(nf)
+    # below several merge blocks, an edge uses the names of the one dominating it
+    ndom = dominators(ncfg) if not single_merge and exit_targets else None
     for e in ncfg.edges:
         src, dst = e.key
         sc = copy_of_block.get(src)
@@ -723,31 +659,17 @@ def _expand_one(f: Function, cfg: Cfg, lp: NaturalLoop) -> ExpandedFunction:
             edge_origin[e.key] = {(src, inv_block[dst])}
         else:
             edge_origin[e.key] = {e.key}
-            if not single_merge and exit_targets:
-                doms = _post_merge_subst(ncfg, src, merge_labels, merged_name)
-                if doms:
-                    edge_subst[e.key] = doms
+            if ndom is not None and src != ENTRY:
+                which = [m for m in merge_labels if ndom.dom(m, src)]
+                if len(which) == 1 and merged_name[which[0]]:
+                    edge_subst[e.key] = dict(merged_name[which[0]])
     return ExpandedFunction(nf, f, var_origin, edge_origin, edge_subst)
 
 
-def _post_merge_subst(ncfg: Cfg, src: str,
-                      merge_labels: set[str], merged_name) -> dict[str, str]:
-    """Subst for an edge below exactly one merge block, if any dominates it."""
-    if src == ENTRY:
-        return {}
-    dom = dominators(ncfg)
-    which = [m for m in merge_labels if dom.dom(m, src)]
-    if len(which) == 1:
-        return dict(merged_name[which[0]])
-    return {}
-
-
-def _rewrite_multi_merge_uses(f: Function, cfg: Cfg, lp: NaturalLoop, loop_defs,
+def _rewrite_multi_merge_uses(f: Function, dom: DomInfo, lp: NaturalLoop, loop_defs,
                               merge_of, merged_name):
     """With several exit targets, loop definitions get per-merge names; uses
     after the loop must name the merge output that dominates them."""
-    dom = dominators(cfg)
-
     def pick(use_block: str, var: str) -> str:
         candidates = [x for x in merge_of if x != "@none" and dom.dom(x, use_block)]
         if len(candidates) != 1:

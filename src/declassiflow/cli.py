@@ -31,44 +31,44 @@ def _parse_domain(text: str) -> range:
         raise argparse.ArgumentTypeError(f"bad domain '{text}' (expected LO..HI)")
 
 
-def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]], dict]:
-    """Minimal TOML-like reader: [section] headers and key = value lines;
-    values are integers, quoted strings or bare words."""
+def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
+    """Minimal TOML-like reader: [limits] and [constraints] sections of
+    key = value lines, values optionally quoted. Anything else, and any value
+    that does not parse, raises AnalysisError("path:line: ...")."""
     limits = Limits()
     constraints: dict[str, list[Constraint]] = {}
-    extras: dict = {}
-    section = ""
+    section = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                continue
-            if "=" not in line:
-                raise AnalysisError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if val.startswith('"') and val.endswith('"'):
-                val = val[1:-1]
-            elif val.lstrip("-").isdigit():
-                val = int(val)
-            if section == "limits":
-                if key == "domain" and isinstance(val, str):
+            try:
+                if line.startswith("[") and line.endswith("]"):
+                    section = line[1:-1].strip()
+                    if section not in ("limits", "constraints"):
+                        raise AnalysisError(f"unknown section [{section}]")
+                    continue
+                if "=" not in line:
+                    raise AnalysisError("expected key = value")
+                key, _, val = line.partition("=")
+                key, val = key.strip(), val.strip()
+                if len(val) > 1 and val.startswith('"') and val.endswith('"'):
+                    val = val[1:-1]
+                if section == "constraints":
+                    constraints[key] = [parse_constraint(p.strip())
+                                        for p in val.split(";") if p.strip()]
+                elif section == "limits" and key == "domain":
                     r = _parse_domain(val)
                     limits.domain_min, limits.domain_max = r.start, r.stop - 1
-                elif hasattr(limits, key):
+                elif section == "limits" and key in vars(limits):
                     setattr(limits, key, int(val))
                 else:
-                    extras[key] = val
-            elif section == "constraints":
-                parts = [p.strip() for p in str(val).split(";") if p.strip()]
-                constraints[key] = [parse_constraint(p) for p in parts]
-            else:
-                extras[f"{section}.{key}" if section else key] = val
-    return limits, constraints, extras
+                    raise AnalysisError(f"unknown key '{key}'"
+                                        + (f" in [{section}]" if section else ""))
+            except (AnalysisError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise AnalysisError(f"{path}:{lineno}: {exc}") from None
+    return limits, constraints
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
         limits, constraints = Limits(), {}
         if args.config:
-            limits, constraints, _ = load_config(args.config)
+            limits, constraints = load_config(args.config)
 
         if args.dump_cfg:
             sys.stdout.write(dump_cfgs(program))

@@ -63,15 +63,6 @@ def all_frontiers(kb: BlockKnowledge, cfg: Cfg | None = None) -> dict[str, set[s
     return {v: compute_frontier(kb, v, cfg) for v in sorted(cfg.function.defined_vars())}
 
 
-def full_declassification(f, frontiers: dict[str, set[str]],
-                          public: set[str] | None = None) -> set[str]:
-    """Variables whose frontier is exactly the entry block, plus any that are
-    derivable from the program text alone (public before the body runs)."""
-    entry = f.entry_block
-    public = public or set()
-    return {v for v, fr in frontiers.items() if fr == {entry} or v in public}
-
-
 def frontier_covers(kb: BlockKnowledge, var: str, frontier: set[str], cfg: Cfg) -> bool:
     """Path oracle: every entry-to-knowing-block path crosses the frontier.
 

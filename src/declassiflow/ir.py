@@ -139,10 +139,6 @@ class Function:
     def entry_block(self) -> str:
         return self.blocks[0].label
 
-    @property
-    def exit_blocks(self) -> list[str]:
-        return [b.label for b in self.blocks if b.terminator is not None and b.terminator.opcode == "ret"]
-
     def block(self, label: str) -> Block:
         for b in self.blocks:
             if b.label == label:
@@ -512,14 +508,10 @@ class ValidationReport:
         self.issues.append(ValidationIssue(kind, message, function, block, line))
 
 
-def _local_dominators(succs: dict[str, list[str]], entry: str) -> dict[str, set[str]]:
-    """Dominator sets by iteration; unreachable blocks get empty sets."""
+def dominator_sets(succs: dict[str, list[str]], entry: str) -> dict[str, set[str]]:
+    """Dominator sets by iteration to a fixpoint over the graph `succs` (block
+    -> successor blocks, in block order); unreachable blocks get empty sets."""
     labels = list(succs)
-    preds: dict[str, list[str]] = {l: [] for l in labels}
-    for l, ss in succs.items():
-        for s in ss:
-            if s in preds:
-                preds[s].append(l)
     reachable = {entry}
     work = [entry]
     while work:
@@ -528,6 +520,11 @@ def _local_dominators(succs: dict[str, list[str]], entry: str) -> dict[str, set[
             if s not in reachable:
                 reachable.add(s)
                 work.append(s)
+    preds: dict[str, list[str]] = {l: [] for l in labels}  # reachable ones only
+    for l, ss in succs.items():
+        for s in ss:
+            if s in preds and l in reachable:
+                preds[s].append(l)
     dom = {l: (set(labels) if l in reachable else set()) for l in labels}
     dom[entry] = {entry}
     changed = True
@@ -536,14 +533,51 @@ def _local_dominators(succs: dict[str, list[str]], entry: str) -> dict[str, set[
         for l in labels:
             if l == entry or l not in reachable:
                 continue
-            ps = [p for p in preds[l] if p in reachable]
+            ps = preds[l]
             new = set.intersection(*(dom[p] for p in ps)) if ps else set()
-            new &= set(labels)
             new.add(l)
             if new != dom[l]:
                 dom[l] = new
                 changed = True
     return dom
+
+
+def callees_first(program: Program,
+                  roots: list[str] | None = None) -> tuple[list[str], str | None]:
+    """Iterative depth-first walk of the call graph from `roots` (default: every
+    function, in program order), listing each function after its callees.
+
+    Calls to unknown functions are skipped. Returns the order and, if a cycle
+    is reachable, the root whose walk found it (the order is then partial).
+    """
+    calls: dict[str, list[str]] = {}
+    for f in program.functions:
+        outs = calls.setdefault(f.name, [])
+        for _, ins in f.instructions():
+            if ins.opcode == "call" and ins.callee not in outs:
+                outs.append(ins.callee)
+    order: list[str] = []
+    done: set[str] = set()
+    for root in (calls if roots is None else roots):
+        if root in done:
+            continue
+        on_path = {root}
+        stack = [(root, iter(calls[root]))]
+        while stack:
+            name, pending = stack[-1]
+            for c in pending:
+                if c in on_path:
+                    return order, root
+                if c in calls and c not in done:
+                    on_path.add(c)
+                    stack.append((c, iter(calls[c])))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(name)
+                done.add(name)
+                order.append(name)
+    return order, None
 
 
 def validate_ssa(program: Program) -> ValidationReport:
@@ -557,14 +591,12 @@ def validate_ssa(program: Program) -> ValidationReport:
         seen_fn.add(f.name)
 
     names = {f.name for f in program.functions}
-    call_edges: set[tuple[str, str]] = set()
     for f in program.functions:
         for _, ins in f.instructions():
             if ins.opcode == "call":
                 if ins.callee not in names:
                     report.add("unknown-callee", f"unknown callee '{ins.callee}'", f.name, line=ins.line)
                 else:
-                    call_edges.add((f.name, ins.callee))
                     callee = program.function(ins.callee)
                     if len(ins.operands) != len(callee.params):
                         report.add("call-arity",
@@ -572,26 +604,9 @@ def validate_ssa(program: Program) -> ValidationReport:
                                    f"expected {len(callee.params)}", f.name, line=ins.line)
 
     # call graph must be acyclic (no recursion)
-    adj: dict[str, set[str]] = {}
-    for a, b in call_edges:
-        adj.setdefault(a, set()).add(b)
-    state: dict[str, int] = {}
-
-    def dfs(node: str) -> bool:
-        state[node] = 1
-        for m in adj.get(node, ()):
-            if state.get(m) == 1:
-                return True
-            if state.get(m, 0) == 0 and dfs(m):
-                return True
-        state[node] = 2
-        return False
-
-    for f in program.functions:
-        if state.get(f.name, 0) == 0 and dfs(f.name):
-            report.add("recursion",
-                       "call graph has a cycle (recursion is rejected)", f.name)
-            break
+    cyclic = callees_first(program)[1]
+    if cyclic is not None:
+        report.add("recursion", "call graph has a cycle (recursion is rejected)", cyclic)
 
     for f in program.functions:
         _validate_function(f, report)
@@ -640,7 +655,7 @@ def _validate_function(f: Function, report: ValidationReport):
         report.add("entry-has-preds", f"entry block '{entry}' has predecessors {sorted(set(preds[entry]))}",
                    f.name, entry)
 
-    dom = _local_dominators(succs, entry)
+    dom = dominator_sets(succs, entry)
 
     # phi placement: only as a prefix of the block
     for b in f.blocks:

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cfg import ENTRY, EXIT, Cfg, ExpandedFunction, build_cfg
-from .ir import Function, solvability, transmissions
+from .ir import DETERMINISTIC, Function, solvability, transmissions
 
 
 class AnalysisError(Exception):
@@ -105,32 +105,49 @@ def init_knowledge(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
 
 
 @dataclass
-class _Equation:
+class Equation:
     output: str
     var_inputs: tuple[str, ...]
-    is_phi: bool
     backward: tuple[tuple[str, tuple[str, ...]], ...]  # (recoverable input, other var inputs)
 
 
-def _equations(f: Function) -> list[_Equation]:
-    eqs: list[_Equation] = []
+def equations(f: Function) -> list[Equation]:
+    """R2/R3 equations of f's deterministic instructions; a phi counts as
+    forward solvable and has no backward positions."""
+    eqs: list[Equation] = []
     for _, ins in f.instructions():
         if ins.opcode == "phi":
-            eqs.append(_Equation(ins.output, tuple(ins.var_operands()), True, ()))
+            eqs.append(Equation(ins.output, tuple(ins.var_operands()), ()))
             continue
-        try:
-            sc = solvability(ins.opcode)
-        except Exception:
+        if ins.opcode not in DETERMINISTIC:
             continue
-        var_inputs = tuple(ins.var_operands())
+        sc = solvability(ins.opcode)
         backward = []
         for pos in sorted(sc.backward_operands):
             if pos < len(ins.operands) and isinstance(ins.operands[pos], str):
                 others = tuple(o for i, o in enumerate(ins.operands)
                                if i != pos and isinstance(o, str))
                 backward.append((ins.operands[pos], others))
-        eqs.append(_Equation(ins.output, var_inputs, False, tuple(backward)))
+        eqs.append(Equation(ins.output, tuple(ins.var_operands()), tuple(backward)))
     return eqs
+
+
+def close(known: set[str], eqs: list[Equation]) -> bool:
+    """Close one edge's set under R2/R3 in place; True if it grew."""
+    grew = False
+    changed = True
+    while changed:
+        changed = False
+        for eq in eqs:
+            if eq.output not in known and all(v in known for v in eq.var_inputs):
+                known.add(eq.output)
+                changed = grew = True
+            if eq.output in known:
+                for target, others in eq.backward:
+                    if target not in known and all(v in known for v in others):
+                        known.add(target)
+                        changed = grew = True
+    return grew
 
 
 def propagate(km: KnowledgeMap, ef: ExpandedFunction,
@@ -143,7 +160,7 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
     f = ef.function
     cfg = km.cfg
     known = km.known
-    eqs = _equations(f)
+    eqs = equations(f)
 
     phi_arms: dict[str, list[tuple[str, list[tuple[str | int, int]]]]] = {}
     for b in f.blocks:
@@ -165,28 +182,11 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
         eqs = list(eqs)
         rng.shuffle(eqs)
 
-    def close_edge(idx: int) -> bool:
-        s = known[idx]
-        grew = False
-        changed = True
-        while changed:
-            changed = False
-            for eq in eqs:
-                if eq.output not in s and all(v in s for v in eq.var_inputs):
-                    s.add(eq.output)
-                    changed = grew = True
-                if not eq.is_phi and eq.output in s:
-                    for target, others in eq.backward:
-                        if target not in s and all(v in s for v in others):
-                            s.add(target)
-                            changed = grew = True
-        return grew
-
     changed = True
     while changed:
         changed = False
         for e in edge_order:
-            if close_edge(e.index):
+            if close(known[e.index], eqs):
                 changed = True
         for b in block_order:
             ins_e = cfg.in_edges[b.label]
@@ -348,8 +348,6 @@ def summarize(f: Function, ef: ExpandedFunction, kb: "dict[str, set[str]]",
     fully declassified, its internal leaks are all inferable from the leaked
     arguments alone, and every callee is itself a pseudo transmitter.
     """
-    from .cfg import ENTRY
-
     revealed, tblocks = leak_model(f, summaries, transmit_speculative)
     entry = f.entry_block
     public = kb.get(ENTRY, set())

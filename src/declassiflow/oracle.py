@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .cfg import ENTRY, EXIT, build_cfg, dominators, natural_loops
-from .ir import Function, Program, to_i32
+from .ir import Function, Program, callees_first, to_i32
+from .knowledge import KnowledgeMap, close, equations
 
 DEFAULT_FUEL = 200_000
 ENUM_LIMIT = 10 ** 6
@@ -83,17 +84,13 @@ class Trace:
     returned: int | None = None
     steps: int = 0
     final_env: dict = field(default_factory=dict)
-    inputs_used: int = 0
 
 
 @dataclass
 class SpecExecution:
     start_step: int
-    branch_site: tuple[str, str]
-    wrong_edge: tuple[str, str]
     mispredictions: list[tuple[str, str, str]]  # (function, block, wrong target)
     observations: list[Observation]
-    spec_steps: int
     stopped_by: str  # window | barrier | return
 
 
@@ -126,7 +123,6 @@ class _Machine:
             taint[p] = frozenset({(f.name, p)})
         self.frames = [_Frame(f, f.entry_block, None, 0, False, env, taint, None)]
         self.done = False
-        self.returned: int | None = None
 
     def _take_param(self) -> int:
         if self.cursor < len(self.inputs):
@@ -154,13 +150,7 @@ class _Machine:
         m.pad_inputs = self.pad_inputs
         m.frames = copy.deepcopy(self.frames)
         m.done = self.done
-        m.returned = self.returned
         return m
-
-    def state_fingerprint(self):
-        return (self.cursor, self.done, self.returned,
-                tuple((fr.function.name, fr.block, fr.prev_block, fr.idx,
-                       tuple(sorted(fr.env.items()))) for fr in self.frames))
 
 
 def _operand_value(frame: _Frame, op):
@@ -286,10 +276,8 @@ def _step(m: _Machine, trace: Trace, *, speculative: bool,
         m.frames.pop()
         if not m.frames:
             m.done = True
-            m.returned = val
             trace.returned = val
             trace.final_env = dict(frame.env)
-            trace.inputs_used = m.cursor
             return None
         caller = m.frames[-1]
         if caller.pending_out is not None:
@@ -363,8 +351,6 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL,
     start edge is pinned to program-text knowledge (constants) only; edges no
     trace crosses keep the full variable set (all knowledge there is vacuous).
     """
-    from .knowledge import KnowledgeMap  # local import to avoid a cycle
-
     cfg = build_cfg(f)
     dom = dominators(cfg)
     if natural_loops(cfg, dom):
@@ -379,6 +365,8 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL,
         raise OracleError(f"enumeration budget exceeded ({count} executions)")
 
     all_vars = frozenset(f.defined_vars())
+    eqs = equations(f)
+    phis = [(b.label, ins) for b, ins in f.instructions() if ins.opcode == "phi"]
     per_edge: dict[tuple[str, str], set[frozenset]] = {}
     closures: dict[tuple, frozenset] = {}
 
@@ -393,13 +381,13 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL,
                 pred_of[dst] = src
         key = (revealed, tuple(sorted(pred_of.items())))
         if key not in closures:
-            closures[key] = _closure(f, set(revealed), pred_of)
+            closures[key] = _closure(eqs, phis, set(revealed), pred_of)
         cl = closures[key]
         for fn, src, dst in tr.edges:
             per_edge.setdefault((src, dst), set()).add(cl)
 
     known: dict[int, set[str]] = {}
-    base = _closure(f, set(), {})
+    base = _closure(eqs, phis, set(), {})
     for e in cfg.edges:
         if e.src == ENTRY:
             known[e.index] = set(base)
@@ -410,57 +398,25 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL,
     return KnowledgeMap(cfg, known)
 
 
-def _closure(f: Function, known: set[str], pred_of: dict[str, str]) -> frozenset:
-    """Close a revealed-variable set under equations and phi selections."""
-    from .ir import solvability
-
-    eqs = []
-    phis = []
-    for b, ins in f.instructions():
-        if ins.opcode == "phi":
-            selected = None
-            pred = pred_of.get(b.label)
-            if pred is not None and pred in ins.phi_labels:
-                selected = ins.operands[ins.phi_labels.index(pred)]
-            phis.append((ins.output, ins.var_operands(), selected))
-            continue
-        try:
-            sc = solvability(ins.opcode)
-        except Exception:
-            continue
-        backward = []
-        for pos in sorted(sc.backward_operands):
-            if pos < len(ins.operands) and isinstance(ins.operands[pos], str):
-                backward.append((ins.operands[pos],
-                                 [o for i, o in enumerate(ins.operands)
-                                  if i != pos and isinstance(o, str)]))
-        eqs.append((ins.output, ins.var_operands(), backward))
-
+def _closure(eqs, phis, known: set[str], pred_of: dict[str, str]) -> frozenset:
+    """Close a revealed-variable set under the equations (R2/R3, phi forward
+    included: vacuous when the phi never ran) and the phis' selected arms."""
+    selected = []
+    for label, phi in phis:
+        pred = pred_of.get(label)
+        if pred is not None and pred in phi.phi_labels:
+            selected.append((phi.output, phi.operands[phi.phi_labels.index(pred)]))
     changed = True
     while changed:
+        close(known, eqs)
         changed = False
-        for out, var_ins, backward in eqs:
-            if out not in known and all(v in known for v in var_ins):
-                known.add(out)
-                changed = True
-            if out in known:
-                for target, others in backward:
-                    if target not in known and all(v in known for v in others):
-                        known.add(target)
-                        changed = True
-        for out, var_ins, selected in phis:
-            if out not in known and all(v in known for v in var_ins):
-                known.add(out)  # vacuous when the phi never ran
-                changed = True
-            if isinstance(selected, str):
-                if out in known and selected not in known:
-                    known.add(selected)
+        for out, arm in selected:
+            if not isinstance(arm, str):
+                if out not in known:
+                    known.add(out)  # selected a literal: output is public
                     changed = True
-                if selected in known and out not in known:
-                    known.add(out)
-                    changed = True
-            elif selected is not None and out not in known:
-                known.add(out)  # selected a literal: output is public
+            elif (out in known) != (arm in known):
+                known.update((out, arm))
                 changed = True
     return frozenset(known)
 
@@ -496,24 +452,21 @@ def speculative_explore(program_or_fn, inputs: list[int], window: int = 16,
 
     executions: list[SpecExecution] = []
     for bp in branch_points:
-        variants = _burst(bp.machine, (bp.function, bp.block), bp.wrong,
-                          window, depth - 1, transmit_speculative)
-        for mis, obs, steps, stopped in variants:
+        variants = _burst(bp.machine, bp.wrong, window, depth - 1,
+                          transmit_speculative)
+        for mis, obs, stopped in variants:
             executions.append(SpecExecution(
                 start_step=bp.step,
-                branch_site=(bp.function, bp.block),
-                wrong_edge=(bp.block, bp.wrong),
                 mispredictions=[(bp.function, bp.block, bp.wrong)] + mis,
                 observations=obs,
-                spec_steps=steps,
                 stopped_by=stopped))
     return trace, executions
 
 
-def _burst(machine: _Machine, site: tuple[str, str], wrong: str, window: int,
+def _burst(machine: _Machine, wrong: str, window: int,
            depth_left: int, transmit_speculative: bool):
     """Run one speculative burst from a misprediction; returns variants of
-    (extra mispredictions, observations, steps, stop reason)."""
+    (extra mispredictions, observations, stop reason)."""
     m = machine.snapshot()
     frame = m.frames[-1]
     subtrace = Trace()
@@ -534,15 +487,15 @@ def _burst(machine: _Machine, site: tuple[str, str], wrong: str, window: int,
         if res == "barrier":
             stopped = "barrier"
             break
-    variants.append(([], list(subtrace.observations), subtrace.steps, stopped))
+    variants.append(([], list(subtrace.observations), stopped))
 
     for bp in nested:
-        inner = _burst(bp.machine, (bp.function, bp.block), bp.wrong,
-                       window - bp.step, depth_left - 1, transmit_speculative)
+        inner = _burst(bp.machine, bp.wrong, window - bp.step, depth_left - 1,
+                       transmit_speculative)
         prefix_obs = [o for o in subtrace.observations if o.time <= bp.step]
-        for mis, obs, steps, stop in inner:
+        for mis, obs, stop in inner:
             variants.append(([(bp.function, bp.block, bp.wrong)] + mis,
-                             prefix_obs + obs, bp.step + steps, stop))
+                             prefix_obs + obs, stop))
     return variants
 
 
@@ -627,11 +580,13 @@ def input_slots(program_or_fn, entry: str | None = None) -> int:
     true dynamic count larger, in which case runs should pad."""
     program = _as_program(program_or_fn)
     entry = entry or program.entry_function
-
-    def count(fn: str) -> int:
-        f = program.function(fn)
-        n = sum(1 for _, i in f.instructions() if i.opcode == "input")
-        calls = [i.callee for _, i in f.instructions() if i.opcode == "call"]
-        return n + sum(count(c) for c in calls)
-
-    return len(program.function(entry).params) + count(entry)
+    order, cyclic = callees_first(program, [entry])
+    if cyclic is not None:
+        raise OracleError("call graph has a cycle")
+    bodies = {f.name: f for f in program.functions}
+    slots: dict[str, int] = {}
+    for name in order:  # callees first
+        slots[name] = sum(1 if i.opcode == "input" else slots[i.callee]
+                          for _, i in bodies[name].instructions()
+                          if i.opcode in ("input", "call"))
+    return len(bodies[entry].params) + slots[entry]

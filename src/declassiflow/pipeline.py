@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .cfg import (ENTRY, Cfg, build_cfg, dominators, expand_loops,
                   prune_dead_blocks, to_dot)
 from .frontier import BlockKnowledge, all_frontiers, block_knowledge
-from .ir import Function, Program, parse_program, pretty_print, validate_ssa
+from .ir import (Function, Program, callees_first, parse_program, pretty_print,
+                 validate_ssa)
 from .knowledge import (AnalysisError, FunctionSummary, KnowledgeMap, analyze_edges,
                         project_to_original, summarize)
 from .oracle import check_frontier_property, input_grid, input_slots
@@ -59,30 +60,9 @@ class FunctionAnalysis:
 
 def call_order(program: Program) -> list[str]:
     """Reverse-topological order over the call DAG: callees before callers."""
-    callees: dict[str, list[str]] = {}
-    for f in program.functions:
-        outs = []
-        for _, ins in f.instructions():
-            if ins.opcode == "call" and ins.callee not in outs:
-                outs.append(ins.callee)
-        callees[f.name] = outs
-
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(name: str):
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            raise AnalysisError("call graph has a cycle")
-        state[name] = 1
-        for c in callees.get(name, ()):
-            visit(c)
-        state[name] = 2
-        order.append(name)
-
-    for f in program.functions:
-        visit(f.name)
+    order, cyclic = callees_first(program)
+    if cyclic is not None:
+        raise AnalysisError("call graph has a cycle")
     return order
 
 

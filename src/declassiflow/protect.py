@@ -113,7 +113,7 @@ def emit_protected(program: Program, plans: dict[str, ProtectionPlan],
                 if ins.opcode == "call":
                     ins.callee = ins.callee + PROTECTED_SUFFIX
             if plan and b.label in plan.barrier_blocks:
-                b.instructions.insert(0, Instruction("specbarr"))
+                b.instructions.insert(len(b.phis()), Instruction("specbarr"))
         clones.append(clone)
     clones.sort(key=lambda c: 0 if c.name == (entry or "") + PROTECTED_SUFFIX else 1)
     return Program(clones + [f.copy() for f in program.functions])

@@ -68,7 +68,6 @@ class RefinementResult:
     verdict: str
     region: Region
     variable: str
-    witness: dict[str, int] | None = None
     witness_inputs: list[int] | None = None
     witness_path: list[tuple[str, str]] | None = None
     note: str = ""
@@ -421,7 +420,7 @@ def check_inevitable(instr: InstrumentedFunction, limits: Limits | None = None,
                     inputs = [witness[s] for s in st.syms]
                     return RefinementResult(
                         ESCAPABLE, instr.region, instr.variable,
-                        witness=witness, witness_inputs=inputs,
+                        witness_inputs=inputs,
                         witness_path=list(st.path))
                 if status == "unknown":
                     unknown_seen = True

@@ -195,3 +195,18 @@ def random_tight_program(rng: random.Random, max_blocks: int = 5) -> str:
     text = "fn main() {\n" + "\n".join(blocks) + "\n}\n"
     parse_program(text)
     return text
+
+
+def call_chain(n: int) -> str:
+    """n functions, each looping over a buffer and then calling the next."""
+    lines: list[str] = []
+    for k in range(n):
+        lines += [f"fn f{k}(buf, n) {{", "B1:", "  i0 = const 0", "  jmp B2",
+                  "B2:", "  i1 = phi [i0, B1], [i2, B3]", "  c = lt i1, n",
+                  "  br c, B3, B4",
+                  "B3:", "  p = gep buf, i1, 4", "  w = load p", "  i2 = add i1, 1",
+                  "  jmp B2",
+                  "B4:",
+                  f"  d = call f{k + 1}(buf, n)" if k + 1 < n else "  transmit n",
+                  "  ret", "}"]
+    return "\n".join(lines) + "\n"

@@ -105,11 +105,35 @@ domain = "0..7"
 [constraints]
 int32_sort = "n >= 0; x >= 0"
 """)
-    limits, constraints, _ = load_config(str(cfg))
+    limits, constraints = load_config(str(cfg))
     assert limits.loop_cap == 8 and limits.path_cap == 128
     assert (limits.domain_min, limits.domain_max) == (0, 7)
     assert [(c.var, c.op, c.value) for c in constraints["int32_sort"]] == [
         ("n", ">=", 0), ("x", ">=", 0)]
+
+
+def _bad_config_exit(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(f"[limits]\n{line}\n")
+    code = run(["analyze", str(FIXTURES / "chain.mir"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: ") and err.count("\n") == 1, err
+    return code, err
+
+
+def test_config_malformed_integer_exit_two(tmp_path, capsys):
+    code, err = _bad_config_exit(tmp_path, capsys, 'loop_cap = "abc"')
+    assert code == 2 and "abc" in err
+
+
+def test_config_malformed_domain_exit_two(tmp_path, capsys):
+    code, err = _bad_config_exit(tmp_path, capsys, 'domain = "x..y"')
+    assert code == 2 and "x..y" in err
+
+
+def test_config_unknown_key_exit_two(tmp_path, capsys):
+    code, err = _bad_config_exit(tmp_path, capsys, "loop_kap = 3")
+    assert code == 2 and "loop_kap" in err
 
 
 def test_config_constraints_flow_into_refinement(tmp_path, capsys):

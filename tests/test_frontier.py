@@ -1,9 +1,9 @@
 import random
 
 from declassiflow.cfg import ENTRY
-from declassiflow.frontier import (compute_frontier, frontier_covers,
-                                   full_declassification)
+from declassiflow.frontier import compute_frontier, frontier_covers
 from declassiflow.ir import parse_program
+from declassiflow.knowledge import summarize
 from declassiflow.pipeline import RunConfig, analyze_program
 
 from conftest import dfa, dfa_blocks, fixture_program
@@ -93,16 +93,15 @@ def test_no_hoist_past_definition():
 
 def test_full_declassification():
     f = fixture_program("diamond_opaque").functions[0]
-    _, _, kb, fr = dfa_blocks(f)
-    declassified = full_declassification(f, fr, kb.at(ENTRY))
+    ef, _, kb, fr = dfa_blocks(f)
+    declassified = summarize(f, ef, kb.known, fr, {}).fully_declassified_vars
     assert "a3" not in declassified
 
     p = fixture_program("aes_analog")
     analyses, _, _, _ = analyze_program(p, RunConfig(protect=False))
-    enc = analyses["encrypt"]
-    decl = full_declassification(enc.simplified, enc.frontiers, enc.kb.at(ENTRY))
+    decl = analyses["encrypt"].summary.fully_declassified_vars
     assert {"x", "y1", "y2", "y3"} <= decl
 
     quiet = parse_program("fn q(a) {\nB1:\n  ret\n}").functions[0]
-    _, _, kbq, frq = dfa_blocks(quiet)
-    assert full_declassification(quiet, frq, kbq.at(ENTRY)) == set()  # no vars at all
+    efq, _, kbq, frq = dfa_blocks(quiet)
+    assert summarize(quiet, efq, kbq.known, frq, {}).fully_declassified_vars == set()

@@ -2,8 +2,12 @@ import pytest
 
 from declassiflow.ir import (IRError, parse_program, pretty_print, solvability,
                              structurally_equal, transmissions, validate_ssa)
+from declassiflow.knowledge import AnalysisError
+from declassiflow.oracle import OracleError, input_slots
+from declassiflow.pipeline import call_order
 
 from conftest import fixture_program, fixture_text
+from generators import call_chain
 
 
 def test_phi_parse():
@@ -181,3 +185,23 @@ B2:
     ts2 = {(t.opcode, t.speculative)
            for t in transmissions(p.functions[0], transmit_speculative=False)}
     assert ("transmit", False) in ts2
+
+
+def test_deep_call_chain_walks_without_recursion():
+    program = parse_program(call_chain(1500))  # validate_ssa checks for cycles
+    assert call_order(program) == [f"f{k}" for k in reversed(range(1500))]
+    assert input_slots(program) == 2
+
+
+def test_call_cycle_found_by_every_user_of_the_walk():
+    program = parse_program("fn main() {\nB1:\n  r = call f()\n  ret\n}\n"
+                            "fn f() {\nB1:\n  r = call g()\n  ret\n}\n"
+                            "fn g() {\nB1:\n  r = call h()\n  ret\n}\n"
+                            "fn h() {\nB1:\n  ret\n}\n")
+    program.function("g").blocks[0].instructions[0].callee = "f"
+    issues = validate_ssa(program).issues
+    assert [(i.kind, i.function) for i in issues] == [("recursion", "main")]
+    with pytest.raises(AnalysisError, match="cycle"):
+        call_order(program)
+    with pytest.raises(OracleError, match="cycle"):
+        input_slots(program)

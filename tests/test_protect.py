@@ -1,4 +1,5 @@
 from declassiflow.ir import Program, parse_program, validate_ssa
+from declassiflow.oracle import interpret, speculative_explore
 from declassiflow.pipeline import RunConfig, run_pipeline
 from declassiflow.protect import (barrier_count, emit_protected, plan_protection)
 
@@ -84,3 +85,22 @@ def test_exactly_one_static_barrier_per_analog():
         protected = parse_program(report["protected_program"])
         total = sum(len(v) for v in barrier_count(protected).values())
         assert total == 1, name
+
+
+def test_barrier_in_phi_headed_block_follows_the_phis():
+    program, report = plans_for("phi_frontier", verify=True)
+    assert report["barriers"] == {"main": ["B4"]}
+    assert report["verification"]["passed"]
+    protected = parse_program(report["protected_program"])  # phis stay a prefix
+    b4 = protected.function("main.p").block("B4")
+    assert [i.opcode for i in b4.instructions] == ["phi", "specbarr", "load"]
+    # a=0, b=0 runs B1 B2 B4 B5: the clone executes one instruction more
+    clone = interpret(protected, [0, 0])
+    original = interpret(protected, [0, 0], entry="main")
+    assert ("main.p", "B4") in clone.pc
+    assert clone.steps == original.steps + 1
+    # b=5 skips B4; a misprediction into it stops at the barrier
+    _, specs = speculative_explore(protected, [0, 5])
+    assert any(sp.mispredictions == [("main.p", "B2", "B4")]
+               and sp.stopped_by == "barrier" and not sp.observations
+               for sp in specs)
