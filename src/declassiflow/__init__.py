@@ -13,8 +13,7 @@ from .oracle import (OracleError, SpecExecution, Trace, check_frontier_property,
                      exact_knowledge, interpret, speculative_explore)
 from .pipeline import RunConfig, run_pipeline
 from .protect import ProtectionPlan, emit_protected, plan_protection
-from .refine import (Limits, RefinementResult, Region, apply_refinement,
-                     candidate_regions, candidate_vars, check_inevitable,
-                     instrument_flags)
+from .refine import (Limits, PathLog, RefinementResult, Region, apply_refinement,
+                     candidate_regions, candidate_vars, check_inevitable)
 
 __version__ = "0.1.0"

@@ -92,8 +92,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-expanded", action="store_true")
         p.add_argument("--refine", action="store_true",
                        help="enable the path-sensitive refinement pass")
-        p.add_argument("--no-phase2-skip", action="store_true",
-                       help="query even variables already known region-wide")
         p.add_argument("--transmit-nonspec", action="store_true",
                        help="treat explicit transmits as non-speculative")
     return parser
@@ -156,7 +154,6 @@ def main(argv: list[str] | None = None) -> int:
             depth=args.depth,
             verify_domain=args.domain,
             transmit_speculative=not args.transmit_nonspec,
-            phase2_skip=not args.no_phase2_skip,
         )
         report = run_pipeline(program, config)
         if not args.protect and command not in ("protect", "verify", "pipeline"):

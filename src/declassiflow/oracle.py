@@ -554,7 +554,7 @@ def check_frontier_property(program_or_fn, frontiers: dict[tuple[str, str], set[
 
         for spec in specs:
             for obs in spec.observations:
-                for (tfn, tvar) in obs.taint:
+                for (tfn, tvar) in sorted(obs.taint):
                     key = (_normalize_fn(tfn), tvar)
                     fr = frontiers.get(key)
                     if fr is None:

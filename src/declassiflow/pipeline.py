@@ -4,7 +4,7 @@ before callers so summaries flow up the call graph.
 
 Refinement runs only for functions the data-flow phase left not fully
 declassified, and skips queries whose variable is already known throughout the
-candidate region (both behaviours can be disabled).
+candidate region.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from .frontier import BlockKnowledge, all_frontiers, block_knowledge
 from .ir import (Function, Program, callees_first, parse_program, pretty_print,
                  validate_ssa)
 from .knowledge import (AnalysisError, FunctionSummary, KnowledgeMap, analyze_edges,
-                        project_to_original, summarize)
+                        leak_model, project_to_original, summarize)
 from .oracle import check_frontier_property, input_grid, input_slots
 from .protect import ProtectionPlan, emit_protected, plan_protection
-from .refine import (INEVITABLE, Constraint, Limits, RefinementResult,
+from .refine import (INEVITABLE, Constraint, Limits, PathLog, RefinementResult,
                      apply_refinement, candidate_regions, candidate_vars,
-                     check_inevitable, instrument_flags)
+                     check_inevitable)
 
 
 @dataclass
@@ -39,7 +39,6 @@ class RunConfig:
     depth: int = 1
     verify_domain: range = range(0, 4)
     transmit_speculative: bool = True
-    phase2_skip: bool = True
     order_seed: int | None = None
 
 
@@ -88,22 +87,25 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
 
 def refine_function(fa: FunctionAnalysis, summaries: dict[str, FunctionSummary],
                     bodies: dict[str, Function], config: RunConfig):
-    """Phase 2: region-by-variable inevitability queries, outermost first;
-    Inevitable verdicts upgrade block knowledge immediately."""
+    """Phase 2: region-by-variable inevitability queries, outermost first,
+    all answered from one exploration of the function; Inevitable verdicts
+    upgrade block knowledge immediately."""
     dom = dominators(fa.cfg)
     regions = candidate_regions(fa.simplified, dom, summaries,
                                 config.transmit_speculative)
     cands = sorted(candidate_vars(fa.simplified, fa.kb, summaries,
                                   config.transmit_speculative))
-    constraints = config.constraints.get(fa.name, [])
+    _, tblocks = leak_model(fa.simplified, summaries, config.transmit_speculative,
+                            speculative_only=True)
+    paths = PathLog(fa.simplified, config.limits, config.constraints.get(fa.name, []),
+                    bodies)
     for region in regions:
         for var in cands:
-            if config.phase2_skip and all(var in fa.kb.at(b) for b in region.blocks):
+            if all(var in fa.kb.at(b) for b in region.blocks):
                 continue
-            instr = instrument_flags(fa.simplified, region, var, fa.kb, summaries,
-                                     config.transmit_speculative)
+            knowing = {b for b in tblocks if var in fa.kb.at(b)}
             try:
-                result = check_inevitable(instr, config.limits, constraints, bodies)
+                result = check_inevitable(paths, region, var, knowing)
             except AnalysisError as exc:
                 result = RefinementResult("unknown", region, var, note=str(exc))
             fa.refinements.append(result)

@@ -2,13 +2,16 @@
 transmitted on every realizable path through a region, and upgrade block
 knowledge where transmission is inevitable.
 
-The query is posed with flag instrumentation: a flag starts at 0, is set to -1
-in the region header and to 1 in every transmitter block where the candidate
-is known; the assertion "flag != -1" must hold at the unique exit. A bounded
-symbolic executor explores paths, pruning those whose branch constraints are
-unsatisfiable. Constraint solving is exact within the configured input domain:
-a cheap interval pass first, exhaustive enumeration as the fallback. Any
-exploration cap hit degrades the verdict to Unknown, which is treated like
+A bounded symbolic executor explores each function once, depth first, pruning
+paths whose branch constraints are unsatisfiable. A shared path log keeps what
+it finds: every loop_cap hit and, for every path that reaches the exit, its
+path condition, its symbols and the last visit to each block of the function.
+A (region, variable) query replays the log and extends it only when it needs
+more paths. A path escapes when it visits the region header after the last
+visit to every transmitter block that knows the variable. Constraint solving
+is exact within the configured input domain: a cheap interval pass first,
+exhaustive enumeration as the fallback, once per path. Any cap hit degrades
+the verdict to Unknown, whose note names the caps; Unknown is treated like
 Escapable downstream (no knowledge upgrade).
 """
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .cfg import DomInfo, build_cfg, dominators
 from .frontier import BlockKnowledge
-from .ir import Block, Function, Instruction
+from .ir import Function
 from .knowledge import AnalysisError, FunctionSummary, leak_model
 from .oracle import eval_op, load_value
 
@@ -56,11 +59,20 @@ class Constraint:
     value: int
 
 
+# constraint op -> (comparison term, literal on the left, truthy)
+_CONSTRAINT_OPS = {"==": ("eq", False, True), "!=": ("eq", False, False),
+                   "<": ("lt", False, True), ">=": ("lt", False, False),
+                   ">": ("lt", True, True), "<=": ("lt", True, False)}
+
+
 def parse_constraint(text: str) -> Constraint:
     parts = text.split()
-    if len(parts) != 3 or parts[1] not in ("==", "!=", "<", "<=", ">", ">="):
-        raise AnalysisError(f"bad constraint '{text}' (expected 'var op literal')")
-    return Constraint(parts[0], parts[1], int(parts[2]))
+    try:
+        if len(parts) == 3 and parts[1] in _CONSTRAINT_OPS:
+            return Constraint(parts[0], parts[1], int(parts[2]))
+    except ValueError:
+        pass
+    raise AnalysisError(f"bad constraint '{text}' (expected 'var op literal')")
 
 
 @dataclass
@@ -69,7 +81,6 @@ class RefinementResult:
     region: Region
     variable: str
     witness_inputs: list[int] | None = None
-    witness_path: list[tuple[str, str]] | None = None
     note: str = ""
 
 
@@ -103,71 +114,12 @@ def candidate_vars(f: Function, kb: BlockKnowledge,
 
 
 # ---------------------------------------------------------------------------
-# Flag instrumentation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class InstrumentedFunction:
-    """Function with a unique exit plus flag metadata; the flag is analysis
-    state, not an SSA variable, so the IR itself is untouched."""
-
-    function: Function
-    flag_sets: dict[str, list[int]]
-    exit_block: str
-    region: Region
-    variable: str
-
-
-def unique_exit(f: Function) -> tuple[Function, str]:
-    g = f.copy()
-    rets = [b for b in g.blocks if b.terminator.opcode == "ret"]
-    if not rets:
-        raise AnalysisError(f"'{f.name}' has no terminating block")
-    if len(rets) == 1:
-        return g, rets[0].label
-    taken = {b.label for b in g.blocks}
-    label = "Xu"
-    k = 1
-    while label in taken:
-        k += 1
-        label = f"Xu{k}"
-    exit_block = Block(label)
-    exit_block.terminator = Instruction("ret")
-    for b in rets:
-        b.terminator = Instruction("jmp", operands=[label])
-    g.blocks.append(exit_block)
-    return g, label
-
-
-def instrument_flags(f: Function, region: Region, var: str,
-                     kb: BlockKnowledge,
-                     summaries: dict[str, FunctionSummary] | None = None,
-                     transmit_speculative: bool = True) -> InstrumentedFunction:
-    """Flag plan: 0 at entry, -1 in the region header, 1 in each transmitter
-    block that knows the candidate variable; assert flag != -1 at the exit."""
-    g, exit_label = unique_exit(f)
-    _, tblocks = leak_model(f, summaries or {}, transmit_speculative,
-                            speculative_only=True)
-    flag_sets: dict[str, list[int]] = {}
-    flag_sets.setdefault(g.entry_block, []).append(0)
-    flag_sets.setdefault(region.header, []).append(-1)
-    for b in sorted(tblocks):
-        if var in kb.at(b):
-            flag_sets.setdefault(b, []).append(1)
-    return InstrumentedFunction(g, flag_sets, exit_label, region, var)
-
-
-# ---------------------------------------------------------------------------
 # Terms and satisfiability
 # ---------------------------------------------------------------------------
 #
 # A term is an int (concrete), ("sym", name), or (opcode, operand terms...).
 # Loads become ("load", address term) and are evaluated with the same
 # deterministic pseudo-value as the concrete interpreter.
-
-def _is_concrete(t) -> bool:
-    return isinstance(t, int)
-
 
 def make_term(opcode: str, args: list):
     if all(isinstance(a, int) for a in args):
@@ -297,7 +249,8 @@ class _Solver:
         if self.quick_unsat(constraints, syms):
             return "unsat", None
         if len(syms) > self.limits.max_symbols:
-            raise AnalysisError(f"too many symbolic inputs ({len(syms)})")
+            raise AnalysisError(f"too many symbolic inputs ({len(syms)} > "
+                                f"max_symbols {self.limits.max_symbols})")
         span = self.limits.domain_max - self.limits.domain_min + 1
         if span ** len(syms) > self.limits.enum_budget:
             return "unknown", None
@@ -335,106 +288,134 @@ class _SymState:
     frames: list[_SymFrame]
     pc: list  # [(term, truthy)]
     syms: list[str]
-    flag: int
     visits: dict[tuple[str, str], int] = field(default_factory=dict)
-    path: list[tuple[str, str]] = field(default_factory=list)
+    last: dict[str, int] = field(default_factory=dict)  # block of f -> last visit
+    clock: int = 0  # visits to blocks of f so far
     input_count: int = 0
 
     def fork(self) -> "_SymState":
         return _SymState(
             [_SymFrame(fr.function, fr.block, fr.prev_block, fr.idx, fr.phis_done,
                        dict(fr.env), fr.pending_out) for fr in self.frames],
-            list(self.pc), list(self.syms), self.flag, dict(self.visits),
-            list(self.path), self.input_count)
+            list(self.pc), list(self.syms), dict(self.visits), dict(self.last),
+            self.clock, self.input_count)
 
 
-def check_inevitable(instr: InstrumentedFunction, limits: Limits | None = None,
-                     constraints: list[Constraint] | None = None,
-                     functions: dict[str, Function] | None = None) -> RefinementResult:
-    """Explore all bounded paths of the instrumented function.
+class PathLog:
+    """The bounded paths of one function, explored lazily and shared by every
+    query on it. Events are "cap" (a loop_cap hit), (path condition, symbols,
+    last visits) for an exit, or the AnalysisError that ended exploration."""
 
-    Escapable: some satisfiable path reaches the exit with flag -1 (with a
-    concrete witness). Inevitable: the whole bounded exploration finished with
-    no such path and no cap hits. Unknown otherwise.
+    def __init__(self, f: Function, limits: Limits | None = None,
+                 constraints: list[Constraint] | None = None,
+                 functions: dict[str, Function] | None = None):
+        self.limits = limits or Limits()
+        self._solver = _Solver(self.limits)
+        self._events: list = []
+        self._solved: dict[int, tuple] = {}
+        # the generator must not reference the log: a cycle would keep its
+        # pending states alive until cyclic garbage collection
+        self._source = _explore(f, self.limits, constraints or [], functions or {},
+                                self._solver)
+
+    def events(self):
+        """Yield (index, event) from the start, exploring further on demand."""
+        i = 0
+        while True:
+            if i == len(self._events):
+                try:
+                    self._events.append(next(self._source))
+                except StopIteration:
+                    return
+                except AnalysisError as exc:  # the generator is finished too
+                    self._events.append(exc.with_traceback(None))
+            event = self._events[i]
+            if isinstance(event, AnalysisError):
+                raise AnalysisError(*event.args)
+            yield i, event
+            i += 1
+
+    def solve(self, i: int):
+        """The solver's answer for exit event i, computed once."""
+        if i not in self._solved:
+            pc, syms, _ = self._events[i]
+            self._solved[i] = self._solver.solve(pc, syms)
+        return self._solved[i]
+
+
+def check_inevitable(paths: PathLog, region: Region, var: str,
+                     knowing: set[str]) -> RefinementResult:
+    """Answer one query from the function's paths; `knowing` holds the
+    transmitter blocks whose knowledge includes the variable.
+
+    A path escapes when it visits the header after the last visit to every
+    knowing block (so a knowing header never escapes). Escapable: some
+    satisfiable path escapes (with a concrete witness). Inevitable: the whole
+    bounded exploration finished with no such path and no cap hits. Unknown
+    otherwise, with every cap hit named in the note.
     """
-    limits = limits or Limits()
-    constraints = constraints or []
-    functions = functions or {}
-    solver = _Solver(limits)
-    f = instr.function
+    header = region.header
+    caps: set[str] = set()
+    exits = 0
+    for i, event in paths.events():
+        if event == "cap":
+            caps.add("loop_cap")
+            continue
+        exits += 1
+        if exits > paths.limits.path_cap:
+            caps.add("path_cap")
+            break
+        _, syms, last = event
+        if header in last and all(last.get(b, -1) < last[header] for b in knowing):
+            status, witness = paths.solve(i)
+            if status == "sat":
+                return RefinementResult(ESCAPABLE, region, var,
+                                        witness_inputs=[witness[s] for s in syms])
+            if status == "unknown":
+                caps.add("enum_budget")
+    if caps:
+        return RefinementResult(UNKNOWN, region, var, note="cap hit: " + ", ".join(
+            c for c in ("loop_cap", "path_cap", "enum_budget") if c in caps))
+    return RefinementResult(INEVITABLE, region, var)
 
+
+def _explore(f: Function, limits: Limits, constraints: list[Constraint],
+             functions: dict[str, Function], solver: _Solver):
+    """Depth-first bounded symbolic execution of f: yields "cap" for each
+    loop_cap hit and (path condition, symbols, last visit of each block of f)
+    for each exit, and stops after path_cap + 1 exits."""
     entry_pc = []
-    param_syms = [p for p in f.params]
     for c in constraints:
         if c.var not in f.params:
             raise AnalysisError(f"constraint on unknown parameter '{c.var}'")
-        sym = ("sym", c.var)
-        if c.op == "==":
-            entry_pc.append((make_term("eq", [sym, c.value]), True))
-        elif c.op == "!=":
-            entry_pc.append((make_term("eq", [sym, c.value]), False))
-        elif c.op == "<":
-            entry_pc.append((make_term("lt", [sym, c.value]), True))
-        elif c.op == ">=":
-            entry_pc.append((make_term("lt", [sym, c.value]), False))
-        elif c.op == ">":
-            entry_pc.append((make_term("lt", [c.value, sym]), True))
-        elif c.op == "<=":
-            entry_pc.append((make_term("lt", [c.value, sym]), False))
-    status, _ = solver.solve(entry_pc, param_syms)
-    if status == "unsat":
+        op, flipped, truthy = _CONSTRAINT_OPS[c.op]
+        args = [("sym", c.var), c.value]
+        entry_pc.append((make_term(op, args[::-1] if flipped else args), truthy))
+    if solver.solve(entry_pc, list(f.params))[0] == "unsat":
         raise AnalysisError("unsatisfiable entry constraints")
 
-    init = _SymState(
+    stack = [_SymState(
         frames=[_SymFrame(f, f.entry_block, None, 0, False,
                           {p: ("sym", p) for p in f.params}, None)],
-        pc=list(entry_pc), syms=list(param_syms), flag=0)
-    stack = [init]
-    paths = 0
-    cap_hit = False
-    unknown_seen = False
-
-    while stack:
+        pc=list(entry_pc), syms=list(f.params))]
+    exits = 0
+    while stack and exits <= limits.path_cap:
         st = stack.pop()
-        outcome = _sym_run(st, instr, functions, limits)
+        outcome = _sym_run(st, f.name, functions, limits)
         if outcome == "cap":
-            cap_hit = True
-            continue
-        if outcome == "forked":
-            forks = st.forks  # type: ignore[attr-defined]
-            live = []
-            for child in forks:
-                verdictq = solver.quick_unsat(child.pc, child.syms)
-                if not verdictq:
-                    live.append(child)
-            stack.extend(reversed(live))
-            continue
-        paths += 1
-        if paths > limits.path_cap:
-            cap_hit = True
-            break
-        if outcome == "exit":
-            if st.flag == -1:
-                status, witness = solver.solve(st.pc, st.syms)
-                if status == "sat":
-                    inputs = [witness[s] for s in st.syms]
-                    return RefinementResult(
-                        ESCAPABLE, instr.region, instr.variable,
-                        witness_inputs=inputs,
-                        witness_path=list(st.path))
-                if status == "unknown":
-                    unknown_seen = True
-
-    if cap_hit or unknown_seen:
-        return RefinementResult(UNKNOWN, instr.region, instr.variable,
-                                note="exploration or solver budget exceeded")
-    return RefinementResult(INEVITABLE, instr.region, instr.variable)
+            yield "cap"
+        elif outcome == "exit":
+            exits += 1
+            yield st.pc, st.syms, st.last
+        else:  # the two live-or-not children of a branch
+            stack.extend(reversed([child for child in outcome
+                                   if not solver.quick_unsat(child.pc, child.syms)]))
 
 
-def _sym_run(st: _SymState, instr: InstrumentedFunction,
-             functions: dict[str, Function], limits: Limits) -> str:
-    """Run a state forward until it exits, forks at a branch, or hits a cap."""
-    flag_fn = instr.function.name
+def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
+             limits: Limits):
+    """Run a state forward until it exits, hits a cap, or forks at a branch
+    (returning the two children)."""
     while True:
         frame = st.frames[-1]
         f = frame.function
@@ -446,10 +427,9 @@ def _sym_run(st: _SymState, instr: InstrumentedFunction,
             st.visits[key] = st.visits.get(key, 0) + 1
             if st.visits[key] > limits.loop_cap:
                 return "cap"
-            st.path.append(key)
-            if f.name == flag_fn:
-                for v in instr.flag_sets.get(block.label, ()):
-                    st.flag = v
+            if f.name == fname:
+                st.last[block.label] = st.clock
+                st.clock += 1
             phis = block.phis()
             if phis:
                 new_vals = {}
@@ -467,11 +447,12 @@ def _sym_run(st: _SymState, instr: InstrumentedFunction,
             if ins.opcode in ("specbarr", "store", "transmit"):
                 continue
             if ins.opcode == "input":
-                name = f"in{st.input_count}"
+                name = f"#in{st.input_count}"  # no IR name starts with #
                 st.input_count += 1
                 if len(st.syms) >= limits.max_symbols:
                     raise AnalysisError(
-                        f"too many symbolic inputs (> {limits.max_symbols})")
+                        f"too many symbolic inputs (> max_symbols "
+                        f"{limits.max_symbols})")
                 st.syms.append(name)
                 frame.env[ins.output] = ("sym", name)
                 continue
@@ -530,8 +511,7 @@ def _sym_run(st: _SymState, instr: InstrumentedFunction,
                 cf.prev_block, cf.block = cf.block, target
                 cf.idx, cf.phis_done = 0, False
                 forks.append(child)
-            st.forks = forks  # type: ignore[attr-defined]
-            return "forked"
+            return forks
         raise AnalysisError(f"bad terminator '{t.opcode}'")
 
 

@@ -112,9 +112,9 @@ int32_sort = "n >= 0; x >= 0"
         ("n", ">=", 0), ("x", ">=", 0)]
 
 
-def _bad_config_exit(tmp_path, capsys, line):
+def _bad_config_exit(tmp_path, capsys, line, section="limits"):
     cfg = tmp_path / "cfg.toml"
-    cfg.write_text(f"[limits]\n{line}\n")
+    cfg.write_text(f"[{section}]\n{line}\n")
     code = run(["analyze", str(FIXTURES / "chain.mir"), "--config", str(cfg)])
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}:2: ") and err.count("\n") == 1, err
@@ -134,6 +134,12 @@ def test_config_malformed_domain_exit_two(tmp_path, capsys):
 def test_config_unknown_key_exit_two(tmp_path, capsys):
     code, err = _bad_config_exit(tmp_path, capsys, "loop_kap = 3")
     assert code == 2 and "loop_kap" in err
+
+
+def test_config_bad_constraint_literal_exit_two(tmp_path, capsys):
+    code, err = _bad_config_exit(tmp_path, capsys, 'main = "n >= q"', "constraints")
+    assert code == 2
+    assert err.endswith(":2: bad constraint 'n >= q' (expected 'var op literal')\n")
 
 
 def test_config_constraints_flow_into_refinement(tmp_path, capsys):
@@ -158,6 +164,26 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["entry"] == "main"
+
+
+def test_verify_report_independent_of_hash_seed():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    reports = []
+    for seed in ("0", "1"):
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-m", "declassiflow.cli", "verify",
+                               str(FIXTURES / "two_latch.mir")],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode in (0, 3), proc.stderr
+        report = json.loads(proc.stdout)
+        report.pop("timing")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_transmit_nonspec_flag(capsys):

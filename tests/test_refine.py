@@ -1,19 +1,45 @@
+import random
+
 import pytest
 
 from declassiflow.cfg import build_cfg, simplify_loops
 from declassiflow.frontier import BlockKnowledge
-from declassiflow.knowledge import AnalysisError
-from declassiflow.oracle import interpret
-from declassiflow.refine import (ESCAPABLE, INEVITABLE, UNKNOWN, Limits,
+from declassiflow.knowledge import AnalysisError, leak_model
+from declassiflow.oracle import input_grid, input_slots, interpret
+from declassiflow.refine import (ESCAPABLE, INEVITABLE, UNKNOWN, Limits, PathLog,
                                  apply_refinement, candidate_regions, candidate_vars,
-                                 check_inevitable, instrument_flags, parse_constraint)
+                                 check_inevitable, parse_constraint)
 from declassiflow.ir import Program, parse_program
 
 from conftest import dfa_blocks, fixture_program
+from generators import random_acyclic_program
 
 
 def simplified(name, index=0):
     return simplify_loops(fixture_program(name).functions[index])
+
+
+def knowing(f, kb, var):
+    """Speculative transmitter blocks whose knowledge includes var."""
+    _, tblocks = leak_model(f, {}, speculative_only=True)
+    return {b for b in tblocks if var in kb.at(b)}
+
+
+def query(f, region, var, kb, limits=None, constraints=None):
+    return check_inevitable(PathLog(f, limits, constraints), region, var,
+                            knowing(f, kb, var))
+
+
+def flag_escapes(trace, fname, header, know):
+    """The flag plan: 0 at entry, -1 in the header, 1 in each knowing block;
+    a trace escapes when the flag is -1 at its end."""
+    flag = 0
+    for fn, blk in trace.pc:
+        if fn == fname and blk == header:
+            flag = -1
+        if fn == fname and blk in know:
+            flag = 1
+    return flag == -1
 
 
 def test_candidate_regions_ordering_and_counts():
@@ -54,38 +80,23 @@ def test_instrument_flags_both_transmitter_blocks():
     _, _, kb, _ = dfa_blocks(f)
     regions = candidate_regions(f)
     assert [r.header for r in regions] == ["B1"]
-    instr = instrument_flags(f, regions[0], "x", kb)
-    assert instr.flag_sets["B1"] == [0, -1]
-    assert instr.flag_sets["B2"] == [1]
-    assert instr.flag_sets["B4"] == [1]
-    assert instr.exit_block == "B5"
+    assert knowing(f, kb, "x") == {"B2", "B4"}  # not the header B1
 
 
 def test_instrument_flags_single_block_region():
     f = parse_program("fn f(a) {\nB1:\n  transmit a\n  ret\n}").functions[0]
     _, _, kb, _ = dfa_blocks(f)
     region = candidate_regions(f)[0]
-    instr = instrument_flags(f, region, "a", kb)
-    assert instr.flag_sets["B1"] == [0, -1, 1]  # -1 then immediately 1
-    result = check_inevitable(instr, Limits(domain_min=0, domain_max=3))
+    assert knowing(f, kb, "a") == {"B1"}  # a knowing header never escapes
+    result = query(f, region, "a", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == INEVITABLE
-
-
-def test_unique_exit_created():
-    f = fixture_program("djbsort_analog").functions[0]
-    _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(simplify_loops(f))[0]
-    instr = instrument_flags(simplify_loops(f), region, "x", kb)
-    rets = [b.label for b in instr.function.blocks if b.terminator.opcode == "ret"]
-    assert rets == [instr.exit_block]
 
 
 def test_anticorrelated_inevitable():
     f = fixture_program("anticorrelated").functions[0]
     _, _, kb, _ = dfa_blocks(f)
     region = candidate_regions(f)[0]
-    instr = instrument_flags(f, region, "x", kb)
-    result = check_inevitable(instr, Limits(domain_min=0, domain_max=3))
+    result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == INEVITABLE
     kb2 = apply_refinement(kb, result)
     assert "x" in kb2.at("B1")
@@ -98,11 +109,11 @@ def test_sort_guard_region_inevitable_and_entry_escapable():
     by_header = {r.header: r for r in regions}
     lim = Limits(domain_min=0, domain_max=15)
 
-    entry = check_inevitable(instrument_flags(f, by_header["B1"], "x", kb), lim)
+    entry = query(f, by_header["B1"], "x", kb, lim)
     assert entry.verdict == ESCAPABLE
     assert entry.witness_inputs is not None and entry.witness_inputs[1] in (0, 1)
 
-    guard = check_inevitable(instrument_flags(f, by_header["B2"], "x", kb), lim)
+    guard = query(f, by_header["B2"], "x", kb, lim)
     assert guard.verdict == INEVITABLE
 
 
@@ -110,17 +121,10 @@ def test_escapable_witness_replays():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
     region = candidate_regions(f)[0]
-    instr = instrument_flags(f, region, "x", kb)
-    result = check_inevitable(instr, Limits(domain_min=0, domain_max=15))
+    result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=15))
     assert result.verdict == ESCAPABLE
-    trace = interpret(Program([instr.function]), result.witness_inputs)
-    flag = None
-    for fn, blk in trace.pc:
-        for v in instr.flag_sets.get(blk, ()):
-            flag = v
-    assert flag == -1
-    visited = [blk for _, blk in trace.pc]
-    assert visited == [blk for _, blk in result.witness_path]
+    trace = interpret(Program([f]), result.witness_inputs)
+    assert flag_escapes(trace, f.name, region.header, knowing(f, kb, "x"))
 
 
 def test_entry_constraint_drives_inevitability():
@@ -130,8 +134,7 @@ def test_entry_constraint_drives_inevitability():
     lim = Limits(domain_min=0, domain_max=15)
     constraint = [parse_constraint("n >= 2")]
     # with the handrail constraint even the whole-function region is inevitable
-    entry = check_inevitable(instrument_flags(f, by_header["B1"], "x", kb), lim,
-                             constraint)
+    entry = query(f, by_header["B1"], "x", kb, lim, constraint)
     assert entry.verdict == INEVITABLE
 
 
@@ -139,10 +142,9 @@ def test_unsatisfiable_entry_constraints_error():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
     region = candidate_regions(f)[0]
-    instr = instrument_flags(f, region, "x", kb)
     with pytest.raises(AnalysisError, match="unsatisfiable"):
-        check_inevitable(instr, Limits(), [parse_constraint("n > 5"),
-                                           parse_constraint("n < 3")])
+        query(f, region, "x", kb, Limits(), [parse_constraint("n > 5"),
+                                             parse_constraint("n < 3")])
 
 
 def test_verdicts_monotone_in_limits():
@@ -152,9 +154,8 @@ def test_verdicts_monotone_in_limits():
     small = Limits(loop_cap=2, path_cap=8, domain_min=0, domain_max=15)
     big = Limits(loop_cap=64, path_cap=8192, domain_min=0, domain_max=15)
     for header in ("B1", "B2"):
-        instr = instrument_flags(f, by_header[header], "x", kb)
-        low = check_inevitable(instr, small)
-        high = check_inevitable(instr, big)
+        low = query(f, by_header[header], "x", kb, small)
+        high = query(f, by_header[header], "x", kb, big)
         if low.verdict == INEVITABLE:
             assert high.verdict == INEVITABLE
         if low.verdict == ESCAPABLE:
@@ -172,8 +173,7 @@ def test_regions_track_speculative_transmitters_only():
     assert candidate_regions(quiet.functions[0]) == []
 
 
-def test_loop_cap_unknown_on_input_driven_loop():
-    text = """
+INPUT_LOOP = """
 fn f(a) {
 B1:
   p = load a
@@ -185,21 +185,60 @@ B3:
   ret
 }
 """
+
+TWO_DIAMONDS = """
+fn f(a) {
+B1:
+  c = input
+  br c, B2, B3
+B2:
+  jmp B3
+B3:
+  d = input
+  br d, B4, B5
+B4:
+  jmp B5
+B5:
+  transmit a
+  ret
+}
+"""
+
+GUARDED = """
+fn f(a) {
+B1:
+  br a, B2, B3
+B2:
+  transmit a
+  jmp B3
+B3:
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize("text,limits,note", [
+    (INPUT_LOOP, Limits(loop_cap=4, path_cap=64, domain_min=0, domain_max=3),
+     "cap hit: loop_cap"),
+    (TWO_DIAMONDS, Limits(path_cap=2, domain_min=0, domain_max=3),
+     "cap hit: path_cap"),
+    (GUARDED, Limits(domain_min=0, domain_max=3, enum_budget=2),
+     "cap hit: enum_budget"),
+], ids=["loop_cap", "path_cap", "enum_budget"])
+def test_loop_cap_unknown_on_input_driven_loop(text, limits, note):
     f = simplify_loops(parse_program(text).functions[0])
     _, _, kb, _ = dfa_blocks(f)
     by_header = {r.header: r for r in candidate_regions(f)}
-    instr = instrument_flags(f, by_header["B1"], "a", kb)
-    result = check_inevitable(instr, Limits(loop_cap=4, path_cap=64,
-                                            domain_min=0, domain_max=3))
+    result = query(f, by_header["B1"], "a", kb, limits)
     assert result.verdict == UNKNOWN
+    assert result.note == note
 
 
 def test_apply_refinement_rejects_non_inevitable():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
     region = candidate_regions(f)[0]
-    instr = instrument_flags(f, region, "x", kb)
-    result = check_inevitable(instr, Limits(domain_min=0, domain_max=15))
+    result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=15))
     assert result.verdict == ESCAPABLE
     with pytest.raises(AnalysisError):
         apply_refinement(kb, result)
@@ -210,3 +249,54 @@ def test_constraint_parser():
     assert (c.var, c.op, c.value) == ("n", ">=", 0)
     with pytest.raises(AnalysisError):
         parse_constraint("nonsense")
+
+
+def test_refinement_sound_against_interpreter():
+    """Differential gate: every inevitable verdict holds on every input of the
+    grid, and every escapable witness replays to an escaping trace."""
+    rng = random.Random(20240811)
+    limits = Limits(domain_min=0, domain_max=3)
+    verdicts = {INEVITABLE: 0, ESCAPABLE: 0, UNKNOWN: 0}
+    for _ in range(300):
+        f = parse_program(random_acyclic_program(rng)).functions[0]
+        _, _, kb, _ = dfa_blocks(f)
+        paths = PathLog(f, limits)
+        traces = [interpret(f, inputs)
+                  for inputs in input_grid(input_slots(f), range(4))]
+        for region in candidate_regions(f):
+            for var in sorted(candidate_vars(f, kb)):
+                know = knowing(f, kb, var)
+                result = check_inevitable(paths, region, var, know)
+                verdicts[result.verdict] += 1
+                if result.verdict == INEVITABLE:
+                    assert not any(flag_escapes(t, f.name, region.header, know)
+                                   for t in traces), (region.header, var)
+                elif result.verdict == ESCAPABLE:
+                    trace = interpret(f, result.witness_inputs)
+                    assert flag_escapes(trace, f.name, region.header, know)
+    assert verdicts[INEVITABLE] > 1000 and verdicts[ESCAPABLE] > 50, verdicts
+
+
+def test_input_symbols_do_not_alias_parameters():
+    # x != in0 is satisfiable: the input's symbol must not share the name of
+    # the parameter in0
+    text = """
+fn f(in0) {
+B1:
+  x = input
+  c = eq x, in0
+  br c, B2, B3
+B2:
+  transmit in0
+  jmp B3
+B3:
+  ret
+}
+"""
+    f = parse_program(text).functions[0]
+    _, _, kb, _ = dfa_blocks(f)
+    region = candidate_regions(f)[0]
+    result = query(f, region, "in0", kb, Limits(domain_min=0, domain_max=3))
+    assert result.verdict == ESCAPABLE
+    trace = interpret(Program([f]), result.witness_inputs)
+    assert flag_escapes(trace, f.name, region.header, knowing(f, kb, "in0"))
