@@ -285,6 +285,11 @@ def simplify_loops(f: Function) -> Function:
     Multi-latch headers get a fresh latch whose consolidation phis merge the
     per-latch values, turning header phis two-way. Semantics are preserved.
     """
+    return _simplify_loops(f)[0]
+
+
+def _simplify_loops(f: Function) -> tuple[Function, DomInfo]:
+    """simplify_loops, plus the dominators of the result."""
     g = prune_dead_blocks(f).copy()
     changed = True
     while changed:
@@ -346,7 +351,7 @@ def simplify_loops(f: Function) -> Function:
                 g.blocks.insert(last + 1, lt_block)
                 changed = True
                 break
-    return g
+    return g, dom
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +396,12 @@ def expand_loops(f: Function) -> ExpandedFunction:
     values; a merge block per exit target consolidates every loop definition.
     Nesting deeper than MAX_LOOP_DEPTH is rejected.
     """
-    g = simplify_loops(f)
+    g, dom = _simplify_loops(f)  # dom holds for g's copy too: same graph
     result = _identity_expansion(g.copy(), g)
     while True:
         cfg = build_cfg(result.function)
-        dom = dominators(cfg)
+        if dom is None:
+            dom = dominators(cfg)
         loops = natural_loops(cfg, dom)
         # checked before the first step; expansion never deepens the nesting
         if loop_depth(loops) > MAX_LOOP_DEPTH:
@@ -406,6 +412,7 @@ def expand_loops(f: Function) -> ExpandedFunction:
                      if not any(other.body < lp.body for other in loops if other is not lp))
         step = _expand_one(result.function, cfg, dom, inner)
         result = _compose(result, step)
+        dom = None
 
 
 def _compose(base: ExpandedFunction, step: ExpandedFunction) -> ExpandedFunction:

@@ -590,18 +590,17 @@ def validate_ssa(program: Program) -> ValidationReport:
             report.add("duplicate-function", f"duplicate function '{f.name}'", f.name, line=f.line)
         seen_fn.add(f.name)
 
-    names = {f.name for f in program.functions}
+    by_name = {f.name: f for f in reversed(program.functions)}  # first wins
     for f in program.functions:
         for _, ins in f.instructions():
             if ins.opcode == "call":
-                if ins.callee not in names:
+                callee = by_name.get(ins.callee)
+                if callee is None:
                     report.add("unknown-callee", f"unknown callee '{ins.callee}'", f.name, line=ins.line)
-                else:
-                    callee = program.function(ins.callee)
-                    if len(ins.operands) != len(callee.params):
-                        report.add("call-arity",
-                                   f"call to '{ins.callee}' passes {len(ins.operands)} args, "
-                                   f"expected {len(callee.params)}", f.name, line=ins.line)
+                elif len(ins.operands) != len(callee.params):
+                    report.add("call-arity",
+                               f"call to '{ins.callee}' passes {len(ins.operands)} args, "
+                               f"expected {len(callee.params)}", f.name, line=ins.line)
 
     # call graph must be acyclic (no recursion)
     cyclic = callees_first(program)[1]

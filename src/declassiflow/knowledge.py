@@ -21,6 +21,16 @@ Propagation rules, applied to a fixpoint:
   R6         phi: each arm known on its own in-edge -> output on all out-edges.
   R7         phi: output known on all out-edges -> each arm on its in-edge.
 
+The least fixpoint is computed with a worklist of facts (edge e, variable v).
+A fact re-checks only the rules whose premises it can complete:
+  R2/R3      on e, the equations that mention v (as output or input);
+  R4, R6     at e.dst: v known on every in-edge; every arm of a phi fed by
+             (e, v) known on its in-edge;
+  R5, R7     at e.src: v known on every out-edge, then hoisted if not defined
+             there, or pushed onto the arms if v is a phi output there.
+The worklist starts from every initial fact plus the premise-free equations
+(no variable inputs, all-literal phis included).
+
 All paths are treated as realizable; that approximation loses precision but
 never soundness.
 """
@@ -30,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cfg import ENTRY, EXIT, Cfg, ExpandedFunction, build_cfg
+from .cfg import ENTRY, EXIT, Cfg, Edge, ExpandedFunction, build_cfg
 from .ir import DETERMINISTIC, Function, solvability, transmissions
 
 
@@ -152,77 +162,81 @@ def close(known: set[str], eqs: list[Equation]) -> bool:
 
 def propagate(km: KnowledgeMap, ef: ExpandedFunction,
               order_seed: int | None = None) -> KnowledgeMap:
-    """Least fixpoint of R2-R7 over the initialized map.
+    """Least fixpoint of R2-R7 over the initialized map, by worklist.
 
-    The rules only grow the per-edge sets, so the fixpoint is unique; the
-    optional order_seed shuffles sweep order to exercise that.
+    Every fact (edge, v) that joins the map re-checks only the rules it can
+    fire (see the module docstring). The rules only grow the per-edge sets,
+    so the fixpoint is unique; the optional order_seed shuffles the equation
+    and seed order to exercise that.
     """
     f = ef.function
     cfg = km.cfg
     known = km.known
     eqs = equations(f)
-
-    phi_arms: dict[str, list[tuple[str, list[tuple[str | int, int]]]]] = {}
-    for b in f.blocks:
-        arms = []
-        for phi in b.phis():
-            pairs = []
-            for op, lab in zip(phi.operands, phi.phi_labels):
-                pairs.append((op, cfg.edge(lab, b.label).index))
-            arms.append((phi.output, pairs))
-        if arms:
-            phi_arms[b.label] = arms
-
-    edge_order = list(cfg.edges)
-    block_order = list(f.blocks)
+    work = [(e, v) for e in cfg.edges for v in known[e.index]]
     if order_seed is not None:
         rng = random.Random(order_seed)
-        rng.shuffle(edge_order)
-        rng.shuffle(block_order)
-        eqs = list(eqs)
         rng.shuffle(eqs)
+        rng.shuffle(work)
 
-    changed = True
-    while changed:
-        changed = False
-        for e in edge_order:
-            if close(known[e.index], eqs):
-                changed = True
-        for b in block_order:
-            ins_e = cfg.in_edges[b.label]
-            outs_e = cfg.out_edges[b.label]
-            if not ins_e or not outs_e:
-                continue
-            in_common = set.intersection(*(known[e.index] for e in ins_e))
-            for e in outs_e:
-                missing = in_common - known[e.index]
-                if missing:
-                    known[e.index] |= missing
-                    changed = True
-            out_common = set.intersection(*(known[e.index] for e in outs_e))
-            defs = b.defined_vars()
-            hoistable = {v for v in out_common if v not in defs}
-            for e in ins_e:
-                if e.src == ENTRY:
-                    continue  # the entry dummy keeps only its initial knowledge
-                missing = hoistable - known[e.index]
-                if missing:
-                    known[e.index] |= missing
-                    changed = True
-            for out, pairs in phi_arms.get(b.label, ()):  # R6 / R7
-                if out not in out_common and all(
-                        (not isinstance(op, str)) or op in known[eidx]
-                        for op, eidx in pairs):
-                    for e in outs_e:
-                        if out not in known[e.index]:
-                            known[e.index].add(out)
-                            changed = True
-                    out_common = set.intersection(*(known[e.index] for e in outs_e))
-                if out in out_common:
-                    for op, eidx in pairs:
-                        if isinstance(op, str) and op not in known[eidx]:
-                            known[eidx].add(op)
-                            changed = True
+    def add(e: Edge, v: str):
+        if v not in known[e.index]:
+            known[e.index].add(v)
+            work.append((e, v))
+
+    def fire(eq: Equation, e: Edge):  # R2 / R3 on one edge
+        s = known[e.index]
+        if eq.output not in s and all(v in s for v in eq.var_inputs):
+            add(e, eq.output)
+        if eq.output in s:
+            for target, others in eq.backward:
+                if target not in s and all(v in s for v in others):
+                    add(e, target)
+
+    mentions: dict[str, list[Equation]] = {}
+    for eq in eqs:
+        for v in dict.fromkeys((eq.output, *eq.var_inputs)):
+            mentions.setdefault(v, []).append(eq)
+    # blocks the block rules R4-R7 apply to (in- and out-edges) -> definitions
+    defs = {b.label: b.defined_vars() for b in f.blocks
+            if cfg.in_edges[b.label] and cfg.out_edges[b.label]}
+    phi_arms: dict[str, dict[str, list]] = {}  # block -> phi output -> var arms
+    fed_by: dict[tuple[int, str], list] = {}  # (in-edge, arm var) -> phis
+    for b in f.blocks:
+        if b.label not in defs:
+            continue
+        for phi in b.phis():
+            arms = [(op, cfg.edge(lab, b.label)) for op, lab
+                    in zip(phi.operands, phi.phi_labels) if isinstance(op, str)]
+            phi_arms.setdefault(b.label, {})[phi.output] = arms
+            for op, e in arms:
+                fed_by.setdefault((e.index, op), []).append((phi.output, arms))
+
+    for eq in eqs:  # premise-free: no variable inputs (all-literal phis too)
+        if not eq.var_inputs:
+            for e in cfg.edges:
+                add(e, eq.output)
+    while work:
+        e, v = work.pop()
+        for eq in mentions.get(v, ()):
+            fire(eq, e)
+        d, s = e.dst, e.src
+        if d in defs:
+            if all(v in known[i.index] for i in cfg.in_edges[d]):  # R4
+                for o in cfg.out_edges[d]:
+                    add(o, v)
+            for out, arms in fed_by.get((e.index, v), ()):  # R6
+                if all(op in known[i.index] for op, i in arms):
+                    for o in cfg.out_edges[d]:
+                        add(o, out)
+        if s in defs and all(v in known[o.index] for o in cfg.out_edges[s]):
+            if v in phi_arms.get(s, ()):  # R7
+                for op, i in phi_arms[s][v]:
+                    add(i, op)
+            elif v not in defs[s]:  # R5; the entry dummy keeps its initial set
+                for i in cfg.in_edges[s]:
+                    if i.src != ENTRY:
+                        add(i, v)
     return km
 
 

@@ -90,13 +90,10 @@ def refine_function(fa: FunctionAnalysis, summaries: dict[str, FunctionSummary],
     """Phase 2: region-by-variable inevitability queries, outermost first,
     all answered from one exploration of the function; Inevitable verdicts
     upgrade block knowledge immediately."""
-    dom = dominators(fa.cfg)
-    regions = candidate_regions(fa.simplified, dom, summaries,
-                                config.transmit_speculative)
-    cands = sorted(candidate_vars(fa.simplified, fa.kb, summaries,
-                                  config.transmit_speculative))
     _, tblocks = leak_model(fa.simplified, summaries, config.transmit_speculative,
                             speculative_only=True)
+    regions = candidate_regions(fa.simplified, tblocks, dominators(fa.cfg))
+    cands = sorted(candidate_vars(fa.kb, tblocks))
     paths = PathLog(fa.simplified, config.limits, config.constraints.get(fa.name, []),
                     bodies)
     for region in regions:
@@ -128,8 +125,9 @@ def analyze_program(program: Program, config: RunConfig | None = None):
     analyses: dict[str, FunctionAnalysis] = {}
     bodies: dict[str, Function] = {}
     order = call_order(program)
+    by_name = {f.name: f for f in program.functions}
     for name in order:
-        f = program.function(name)
+        f = by_name[name]
         for _, ins in f.instructions():
             assert ins.opcode != "call" or ins.callee in summaries, \
                 f"callee '{ins.callee}' summarized after its caller '{name}'"

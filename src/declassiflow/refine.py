@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .cfg import DomInfo, build_cfg, dominators
 from .frontier import BlockKnowledge
 from .ir import Function
-from .knowledge import AnalysisError, FunctionSummary, leak_model
+from .knowledge import AnalysisError
 from .oracle import eval_op, load_value
 
 INEVITABLE = "inevitable"
@@ -84,29 +84,21 @@ class RefinementResult:
     note: str = ""
 
 
-def candidate_regions(f: Function, dom: DomInfo | None = None,
-                      summaries: dict[str, FunctionSummary] | None = None,
-                      transmit_speculative: bool = True) -> list[Region]:
-    """Regions headed at each block dominating every transmitter block,
-    ordered from the entry inward."""
-    cfg = build_cfg(f)
-    dom = dom or dominators(cfg)
-    _, tblocks = leak_model(f, summaries or {}, transmit_speculative,
-                            speculative_only=True)
+def candidate_regions(f: Function, tblocks: set[str],
+                      dom: DomInfo | None = None) -> list[Region]:
+    """Regions headed at each block dominating every speculative transmitter
+    block in tblocks, ordered from the entry inward."""
     if not tblocks:
         return []
+    dom = dom or dominators(build_cfg(f))
     headers = [b.label for b in f.blocks
                if all(dom.dom(b.label, t) for t in tblocks)]
     headers.sort(key=dom.depth)
     return [Region(h, frozenset(dom.dominated_by(h))) for h in headers]
 
 
-def candidate_vars(f: Function, kb: BlockKnowledge,
-                   summaries: dict[str, FunctionSummary] | None = None,
-                   transmit_speculative: bool = True) -> set[str]:
+def candidate_vars(kb: BlockKnowledge, tblocks: set[str]) -> set[str]:
     """Union of block knowledge over the speculative transmitter blocks."""
-    _, tblocks = leak_model(f, summaries or {}, transmit_speculative,
-                            speculative_only=True)
     out: set[str] = set()
     for b in tblocks:
         out |= kb.at(b)

@@ -210,3 +210,26 @@ def call_chain(n: int) -> str:
                   f"  d = call f{k + 1}(buf, n)" if k + 1 < n else "  transmit n",
                   "  ret", "}"]
     return "\n".join(lines) + "\n"
+
+
+def segments(k: int) -> str:
+    """One function `main(buf, n)` of k chained segments (7k+2 blocks): a
+    length check that enters or skips a counted loop over `buf`, then a diamond
+    on a fresh input whose one arm transmits, merged by a phi."""
+    lines = ["fn main(buf, n) {", "B0:", "  acc0 = const 0", "  z = const 0",
+             "  jmp S1c"]
+    for s in range(1, k + 1):
+        nxt = f"S{s + 1}c" if s < k else "X"
+        lines += [
+            f"S{s}c:", f"  c{s} = lt acc{s - 1}, n", f"  br c{s}, S{s}h, S{s}d",
+            f"S{s}h:", f"  i{s} = phi [z, S{s}c], [j{s}, S{s}b]",
+            f"  e{s} = lt i{s}, n", f"  br e{s}, S{s}b, S{s}d",
+            f"S{s}b:", f"  p{s} = gep buf, i{s}, 4", f"  w{s} = load p{s}",
+            f"  j{s} = add i{s}, 1", f"  jmp S{s}h",
+            f"S{s}d:", f"  q{s} = input", f"  br q{s}, S{s}t, S{s}f",
+            f"S{s}t:", f"  t{s} = add q{s}, 1", f"  transmit t{s}", f"  jmp S{s}m",
+            f"S{s}f:", f"  jmp S{s}m",
+            f"S{s}m:", f"  acc{s} = phi [t{s}, S{s}t], [q{s}, S{s}f]", f"  jmp {nxt}",
+        ]
+    lines += ["X:", "  ret", "}"]
+    return "\n".join(lines) + "\n"

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
-from declassiflow.cfg import expand_loops
+from declassiflow.cfg import ENTRY, expand_loops, prune_dead_blocks
 from declassiflow.ir import parse_program
-from declassiflow.knowledge import (AnalysisError, analyze_edges, init_knowledge,
-                                    project_to_original, propagate)
+from declassiflow.knowledge import (AnalysisError, analyze_edges, close, equations,
+                                    init_knowledge, project_to_original, propagate)
 from declassiflow.pipeline import RunConfig, analyze_program
 
-from conftest import dfa, fixture_program
+from conftest import FIXTURES, dfa, fixture_program
+from generators import random_acyclic_program, segments
 
 
 def km_by_key(km):
@@ -269,3 +272,89 @@ B3:
     _, km = dfa(p.functions[0])
     assert "v" in km.at("B2", "B3")
     assert "v" not in km.at("B1", "B2")  # defined in B2: no hoist above it
+
+
+def _reference_sweep(km, ef):
+    """The whole-graph sweep the worklist replaced: re-close every edge and
+    re-run R4-R7 on every block until nothing changes."""
+    f = ef.function
+    cfg = km.cfg
+    known = km.known
+    eqs = equations(f)
+
+    phi_arms = {}
+    for b in f.blocks:
+        arms = []
+        for phi in b.phis():
+            pairs = []
+            for op, lab in zip(phi.operands, phi.phi_labels):
+                pairs.append((op, cfg.edge(lab, b.label).index))
+            arms.append((phi.output, pairs))
+        if arms:
+            phi_arms[b.label] = arms
+
+    changed = True
+    while changed:
+        changed = False
+        for e in cfg.edges:
+            if close(known[e.index], eqs):
+                changed = True
+        for b in f.blocks:
+            ins_e = cfg.in_edges[b.label]
+            outs_e = cfg.out_edges[b.label]
+            if not ins_e or not outs_e:
+                continue
+            in_common = set.intersection(*(known[e.index] for e in ins_e))
+            for e in outs_e:
+                missing = in_common - known[e.index]
+                if missing:
+                    known[e.index] |= missing
+                    changed = True
+            out_common = set.intersection(*(known[e.index] for e in outs_e))
+            defs = b.defined_vars()
+            hoistable = {v for v in out_common if v not in defs}
+            for e in ins_e:
+                if e.src == ENTRY:
+                    continue
+                missing = hoistable - known[e.index]
+                if missing:
+                    known[e.index] |= missing
+                    changed = True
+            for out, pairs in phi_arms.get(b.label, ()):
+                if out not in out_common and all(
+                        (not isinstance(op, str)) or op in known[eidx]
+                        for op, eidx in pairs):
+                    for e in outs_e:
+                        if out not in known[e.index]:
+                            known[e.index].add(out)
+                            changed = True
+                    out_common = set.intersection(*(known[e.index] for e in outs_e))
+                if out in out_common:
+                    for op, eidx in pairs:
+                        if isinstance(op, str) and op not in known[eidx]:
+                            known[eidx].add(op)
+                            changed = True
+    return km
+
+
+def _differential_corpus():
+    rng = random.Random(4)
+    texts = [random_acyclic_program(rng) for _ in range(300)]
+    texts += [segments(k) for k in range(1, 7)]
+    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    for text in texts:
+        for f in parse_program(text).functions:
+            if all(ins.opcode != "call" for _, ins in f.instructions()):
+                yield f
+
+
+def test_fixpoint_matches_reference_sweep():
+    checked = 0
+    for f in _differential_corpus():
+        ef = expand_loops(prune_dead_blocks(f))
+        expected = km_by_key(_reference_sweep(init_knowledge(ef, {}), ef))
+        for seed in (None, 0, 1, 2):
+            got = km_by_key(propagate(init_knowledge(ef, {}), ef, order_seed=seed))
+            assert got == expected, (f.name, seed)
+        checked += 1
+    assert checked >= 306

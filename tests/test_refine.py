@@ -19,10 +19,14 @@ def simplified(name, index=0):
     return simplify_loops(fixture_program(name).functions[index])
 
 
+def spec_tblocks(f):
+    """Speculative transmitter blocks of a call-free function."""
+    return leak_model(f, {}, speculative_only=True)[1]
+
+
 def knowing(f, kb, var):
     """Speculative transmitter blocks whose knowledge includes var."""
-    _, tblocks = leak_model(f, {}, speculative_only=True)
-    return {b for b in tblocks if var in kb.at(b)}
+    return {b for b in spec_tblocks(f) if var in kb.at(b)}
 
 
 def query(f, region, var, kb, limits=None, constraints=None):
@@ -44,19 +48,19 @@ def flag_escapes(trace, fname, header, know):
 
 def test_candidate_regions_ordering_and_counts():
     f = simplified("djbsort_analog")
-    regions = candidate_regions(f)
+    regions = candidate_regions(f, spec_tblocks(f))
     assert [r.header for r in regions] == ["B1", "B2", "B3.ph", "B3"]
     assert len(regions) == 4
 
     g = simplified("chacha_analog")
-    regions_c = candidate_regions(g)
+    regions_c = candidate_regions(g, spec_tblocks(g))
     assert len(regions_c) == 3
     assert [r.header for r in regions_c] == ["B1", "B2.ph", "B2"]
 
 
 def test_candidate_region_single_block():
     f = parse_program("fn f(a) {\nB1:\n  transmit a\n  ret\n}").functions[0]
-    regions = candidate_regions(f)
+    regions = candidate_regions(f, spec_tblocks(f))
     assert len(regions) == 1
     assert regions[0].header == "B1" and regions[0].blocks == {"B1"}
 
@@ -64,7 +68,7 @@ def test_candidate_region_single_block():
 def test_candidate_vars_include_backward_solved_base():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    cands = candidate_vars(f, kb)
+    cands = candidate_vars(kb, spec_tblocks(f))
     assert "x" in cands  # recovered from the transmitted address via the base
     assert "a1" in cands
 
@@ -72,13 +76,13 @@ def test_candidate_vars_include_backward_solved_base():
 def test_candidate_vars_empty_without_knowledge():
     f = simplified("djbsort_analog")
     empty = BlockKnowledge(build_cfg(f), {})
-    assert candidate_vars(f, empty) == set()
+    assert candidate_vars(empty, spec_tblocks(f)) == set()
 
 
 def test_instrument_flags_both_transmitter_blocks():
     f = fixture_program("anticorrelated").functions[0]
     _, _, kb, _ = dfa_blocks(f)
-    regions = candidate_regions(f)
+    regions = candidate_regions(f, spec_tblocks(f))
     assert [r.header for r in regions] == ["B1"]
     assert knowing(f, kb, "x") == {"B2", "B4"}  # not the header B1
 
@@ -86,7 +90,7 @@ def test_instrument_flags_both_transmitter_blocks():
 def test_instrument_flags_single_block_region():
     f = parse_program("fn f(a) {\nB1:\n  transmit a\n  ret\n}").functions[0]
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f)[0]
+    region = candidate_regions(f, spec_tblocks(f))[0]
     assert knowing(f, kb, "a") == {"B1"}  # a knowing header never escapes
     result = query(f, region, "a", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == INEVITABLE
@@ -95,7 +99,7 @@ def test_instrument_flags_single_block_region():
 def test_anticorrelated_inevitable():
     f = fixture_program("anticorrelated").functions[0]
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f)[0]
+    region = candidate_regions(f, spec_tblocks(f))[0]
     result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == INEVITABLE
     kb2 = apply_refinement(kb, result)
@@ -105,7 +109,7 @@ def test_anticorrelated_inevitable():
 def test_sort_guard_region_inevitable_and_entry_escapable():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    regions = candidate_regions(f)
+    regions = candidate_regions(f, spec_tblocks(f))
     by_header = {r.header: r for r in regions}
     lim = Limits(domain_min=0, domain_max=15)
 
@@ -120,7 +124,7 @@ def test_sort_guard_region_inevitable_and_entry_escapable():
 def test_escapable_witness_replays():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f)[0]
+    region = candidate_regions(f, spec_tblocks(f))[0]
     result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=15))
     assert result.verdict == ESCAPABLE
     trace = interpret(Program([f]), result.witness_inputs)
@@ -130,7 +134,7 @@ def test_escapable_witness_replays():
 def test_entry_constraint_drives_inevitability():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    by_header = {r.header: r for r in candidate_regions(f)}
+    by_header = {r.header: r for r in candidate_regions(f, spec_tblocks(f))}
     lim = Limits(domain_min=0, domain_max=15)
     constraint = [parse_constraint("n >= 2")]
     # with the handrail constraint even the whole-function region is inevitable
@@ -141,7 +145,7 @@ def test_entry_constraint_drives_inevitability():
 def test_unsatisfiable_entry_constraints_error():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f)[0]
+    region = candidate_regions(f, spec_tblocks(f))[0]
     with pytest.raises(AnalysisError, match="unsatisfiable"):
         query(f, region, "x", kb, Limits(), [parse_constraint("n > 5"),
                                              parse_constraint("n < 3")])
@@ -150,7 +154,7 @@ def test_unsatisfiable_entry_constraints_error():
 def test_verdicts_monotone_in_limits():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    by_header = {r.header: r for r in candidate_regions(f)}
+    by_header = {r.header: r for r in candidate_regions(f, spec_tblocks(f))}
     small = Limits(loop_cap=2, path_cap=8, domain_min=0, domain_max=15)
     big = Limits(loop_cap=64, path_cap=8192, domain_min=0, domain_max=15)
     for header in ("B1", "B2"):
@@ -166,11 +170,11 @@ def test_regions_track_speculative_transmitters_only():
     # the only speculative transmitter sits in the entry block, so only the
     # entry dominates every site even though every block ends in a branch
     f = simplified("self_loop_linked")
-    regions = candidate_regions(f)
+    regions = candidate_regions(f, spec_tblocks(f))
     assert [r.header for r in regions] == ["B1"]
 
-    quiet = parse_program("fn f(a) {\nB1:\n  br a, B2, B3\nB2:\n  jmp B3\nB3:\n  ret\n}")
-    assert candidate_regions(quiet.functions[0]) == []
+    quiet = parse_program("fn f(a) {\nB1:\n  br a, B2, B3\nB2:\n  jmp B3\nB3:\n  ret\n}").functions[0]
+    assert candidate_regions(quiet, spec_tblocks(quiet)) == []
 
 
 INPUT_LOOP = """
@@ -228,7 +232,7 @@ B3:
 def test_loop_cap_unknown_on_input_driven_loop(text, limits, note):
     f = simplify_loops(parse_program(text).functions[0])
     _, _, kb, _ = dfa_blocks(f)
-    by_header = {r.header: r for r in candidate_regions(f)}
+    by_header = {r.header: r for r in candidate_regions(f, spec_tblocks(f))}
     result = query(f, by_header["B1"], "a", kb, limits)
     assert result.verdict == UNKNOWN
     assert result.note == note
@@ -237,7 +241,7 @@ def test_loop_cap_unknown_on_input_driven_loop(text, limits, note):
 def test_apply_refinement_rejects_non_inevitable():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f)[0]
+    region = candidate_regions(f, spec_tblocks(f))[0]
     result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=15))
     assert result.verdict == ESCAPABLE
     with pytest.raises(AnalysisError):
@@ -263,8 +267,8 @@ def test_refinement_sound_against_interpreter():
         paths = PathLog(f, limits)
         traces = [interpret(f, inputs)
                   for inputs in input_grid(input_slots(f), range(4))]
-        for region in candidate_regions(f):
-            for var in sorted(candidate_vars(f, kb)):
+        for region in candidate_regions(f, spec_tblocks(f)):
+            for var in sorted(candidate_vars(kb, spec_tblocks(f))):
                 know = knowing(f, kb, var)
                 result = check_inevitable(paths, region, var, know)
                 verdicts[result.verdict] += 1
@@ -295,7 +299,7 @@ B3:
 """
     f = parse_program(text).functions[0]
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f)[0]
+    region = candidate_regions(f, spec_tblocks(f))[0]
     result = query(f, region, "in0", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == ESCAPABLE
     trace = interpret(Program([f]), result.witness_inputs)
