@@ -26,15 +26,19 @@ from .refine import Constraint, Limits, parse_constraint
 def _parse_domain(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi) + 1)
+        domain = range(int(lo), int(hi) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad domain '{text}' (expected LO..HI)")
+    if not domain:
+        raise argparse.ArgumentTypeError(f"empty domain '{text}' (LO > HI)")
+    return domain
 
 
 def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
     """Minimal TOML-like reader: [limits] and [constraints] sections of
     key = value lines, values optionally quoted. Anything else, and any value
-    that does not parse, raises AnalysisError("path:line: ...")."""
+    that does not parse, raises AnalysisError("path:line: ..."); an empty
+    domain raises AnalysisError("path: ...")."""
     limits = Limits()
     constraints: dict[str, list[Constraint]] = {}
     section = None
@@ -68,6 +72,9 @@ def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
                                         + (f" in [{section}]" if section else ""))
             except (AnalysisError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise AnalysisError(f"{path}:{lineno}: {exc}") from None
+    if limits.domain_min > limits.domain_max:
+        raise AnalysisError(f"{path}: empty domain {limits.domain_min}.."
+                            f"{limits.domain_max} (domain_min > domain_max)")
     return limits, constraints
 
 

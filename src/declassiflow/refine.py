@@ -2,17 +2,20 @@
 transmitted on every realizable path through a region, and upgrade block
 knowledge where transmission is inevitable.
 
-A bounded symbolic executor explores each function once, depth first, pruning
-paths whose branch constraints are unsatisfiable. A shared path log keeps what
-it finds: every loop_cap hit and, for every path that reaches the exit, its
-path condition, its symbols and the last visit to each block of the function.
-A (region, variable) query replays the log and extends it only when it needs
-more paths. A path escapes when it visits the region header after the last
-visit to every transmitter block that knows the variable. Constraint solving
-is exact within the configured input domain: a cheap interval pass first,
-exhaustive enumeration as the fallback, once per path. Any cap hit degrades
-the verdict to Unknown, whose note names the caps; Unknown is treated like
-Escapable downstream (no knowledge upgrade).
+A bounded symbolic executor explores each function once, depth first. Each
+path carries an interval range per symbol, kept at the fixpoint of its path
+condition: a branch narrows only the symbol its condition compares with a
+literal, re-checks the other constraints only when that range moved, and
+prunes the path when the intervals prove its condition unsatisfiable. A shared
+path log keeps what it finds: every loop_cap hit and, for every path that
+reaches the exit, its path condition, its symbols, the last visit to each
+block of the function and its ranges. A (region, variable) query replays the
+log and extends it only when it needs more paths. A path escapes when it
+visits the region header after the last visit to every transmitter block that
+knows the variable. Constraint solving is exact within the configured input
+domain: exhaustive enumeration over the exit's box of ranges, once per path.
+Any cap hit degrades the verdict to Unknown, whose note names the caps;
+Unknown is treated like Escapable downstream (no knowledge upgrade).
 """
 
 from __future__ import annotations
@@ -212,52 +215,23 @@ def _refine_ranges(constraints, ranges: dict[str, tuple[int, int]]) -> bool:
     return True
 
 
-class _Solver:
-    """Exact within the input domain: intervals to prune, enumeration to
-    decide and to produce witnesses."""
+def _narrowed_symbol(term):
+    """The symbol that a symbol-vs-literal comparison or a bare symbol
+    constrains, or None for any other term."""
+    if term[0] == "sym":
+        return term[1]
+    if term[0] in ("lt", "eq"):
+        for a, b in ((term[1], term[2]), (term[2], term[1])):
+            if isinstance(a, tuple) and a[0] == "sym" and isinstance(b, int):
+                return a[1]
+    return None
 
-    def __init__(self, limits: Limits):
-        self.limits = limits
 
-    def quick_unsat(self, constraints, syms: list[str]) -> bool:
-        d = (self.limits.domain_min, self.limits.domain_max)
-        ranges = {s: d for s in syms}
-        if not _refine_ranges(constraints, ranges):
-            return True
-        for term, truthy in constraints:
-            iv = _interval(term, ranges)
-            if iv is None:
-                continue
-            if truthy and iv == (0, 0):
-                return True
-            if not truthy and iv[0] > 0:
-                return True
-            if not truthy and iv[1] < 0:
-                return True
+def _interval_fails(term, truthy: bool, ranges: dict[str, tuple[int, int]]) -> bool:
+    iv = _interval(term, ranges)
+    if iv is None:
         return False
-
-    def solve(self, constraints, syms: list[str]):
-        """Returns ("unsat", None), ("sat", witness) or ("unknown", None)."""
-        if self.quick_unsat(constraints, syms):
-            return "unsat", None
-        if len(syms) > self.limits.max_symbols:
-            raise AnalysisError(f"too many symbolic inputs ({len(syms)} > "
-                                f"max_symbols {self.limits.max_symbols})")
-        span = self.limits.domain_max - self.limits.domain_min + 1
-        if span ** len(syms) > self.limits.enum_budget:
-            return "unknown", None
-        values = range(self.limits.domain_min, self.limits.domain_max + 1)
-        for combo in itertools.product(values, repeat=len(syms)):
-            assignment = dict(zip(syms, combo))
-            ok = True
-            for term, truthy in constraints:
-                v = eval_term(term, assignment)
-                if truthy != (v != 0):
-                    ok = False
-                    break
-            if ok:
-                return "sat", assignment
-        return "unsat", None
+    return iv == (0, 0) if truthy else iv[0] > 0 or iv[1] < 0
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +254,9 @@ class _SymState:
     frames: list[_SymFrame]
     pc: list  # [(term, truthy)]
     syms: list[str]
+    ranges: dict[str, tuple[int, int]]  # symbol -> (lo, hi), the fixpoint of pc
+    holes: dict[str, tuple] = field(default_factory=dict)  # x != c and truthy x
+    complex: tuple = ()  # the constraints that are not symbol-vs-literal
     visits: dict[tuple[str, str], int] = field(default_factory=dict)
     last: dict[str, int] = field(default_factory=dict)  # block of f -> last visit
     clock: int = 0  # visits to blocks of f so far
@@ -289,26 +266,49 @@ class _SymState:
         return _SymState(
             [_SymFrame(fr.function, fr.block, fr.prev_block, fr.idx, fr.phis_done,
                        dict(fr.env), fr.pending_out) for fr in self.frames],
-            list(self.pc), list(self.syms), dict(self.visits), dict(self.last),
-            self.clock, self.input_count)
+            list(self.pc), list(self.syms), dict(self.ranges), dict(self.holes),
+            self.complex, dict(self.visits), dict(self.last), self.clock,
+            self.input_count)
+
+    def assume(self, term, truthy: bool) -> bool:
+        """Add a constraint to pc; False when intervals prove pc unsatisfiable.
+        This is the answer of narrowing all of pc from the domain: each rule of
+        _refine_ranges reads and narrows one symbol's own range, only the
+        holes are not plain intersections, so they alone need re-running, and
+        once narrowing succeeds no symbol-vs-literal constraint fails its
+        interval check."""
+        c = (term, truthy)
+        self.pc.append(c)
+        sym = _narrowed_symbol(term)
+        if sym is None:
+            self.complex += (c,)
+            return not _interval_fails(term, truthy, self.ranges)
+        before = self.ranges[sym]
+        # c first: a falsy bare symbol narrows without asking for another
+        # round, so the holes must come after it
+        if not _refine_ranges([c, *self.holes.get(sym, ())], self.ranges):
+            return False
+        if term[0] == ("sym" if truthy else "eq"):
+            self.holes[sym] = self.holes.get(sym, ()) + (c,)
+        return self.ranges[sym] == before or not any(
+            _interval_fails(t, tr, self.ranges) for t, tr in self.complex)
 
 
 class PathLog:
     """The bounded paths of one function, explored lazily and shared by every
     query on it. Events are "cap" (a loop_cap hit), (path condition, symbols,
-    last visits) for an exit, or the AnalysisError that ended exploration."""
+    last visits, ranges) for an exit, or the AnalysisError that ended
+    exploration."""
 
     def __init__(self, f: Function, limits: Limits | None = None,
                  constraints: list[Constraint] | None = None,
                  functions: dict[str, Function] | None = None):
         self.limits = limits or Limits()
-        self._solver = _Solver(self.limits)
         self._events: list = []
         self._solved: dict[int, tuple] = {}
         # the generator must not reference the log: a cycle would keep its
         # pending states alive until cyclic garbage collection
-        self._source = _explore(f, self.limits, constraints or [], functions or {},
-                                self._solver)
+        self._source = _explore(f, self.limits, constraints or [], functions or {})
 
     def events(self):
         """Yield (index, event) from the start, exploring further on demand."""
@@ -328,10 +328,24 @@ class PathLog:
             i += 1
 
     def solve(self, i: int):
-        """The solver's answer for exit event i, computed once."""
+        """("sat", the first witness in lexicographic order), ("unsat", None)
+        or ("unknown", None) past enum_budget for exit event i, computed once.
+        Only the exit's box of ranges is enumerated: it holds every solution
+        in the domain."""
         if i not in self._solved:
-            pc, syms, _ = self._events[i]
-            self._solved[i] = self._solver.solve(pc, syms)
+            pc, syms, _, ranges = self._events[i]
+            lim = self.limits
+            answer = "unknown", None
+            if (lim.domain_max - lim.domain_min + 1) ** len(syms) <= lim.enum_budget:
+                answer = "unsat", None
+                boxes = (range(ranges[s][0], ranges[s][1] + 1) for s in syms)
+                for combo in itertools.product(*boxes):
+                    assignment = dict(zip(syms, combo))
+                    if all(truthy == (eval_term(term, assignment) != 0)
+                           for term, truthy in pc):
+                        answer = "sat", assignment
+                        break
+            self._solved[i] = answer
         return self._solved[i]
 
 
@@ -357,7 +371,7 @@ def check_inevitable(paths: PathLog, region: Region, var: str,
         if exits > paths.limits.path_cap:
             caps.add("path_cap")
             break
-        _, syms, last = event
+        _, syms, last, _ = event
         if header in last and all(last.get(b, -1) < last[header] for b in knowing):
             status, witness = paths.solve(i)
             if status == "sat":
@@ -372,10 +386,10 @@ def check_inevitable(paths: PathLog, region: Region, var: str,
 
 
 def _explore(f: Function, limits: Limits, constraints: list[Constraint],
-             functions: dict[str, Function], solver: _Solver):
+             functions: dict[str, Function]):
     """Depth-first bounded symbolic execution of f: yields "cap" for each
-    loop_cap hit and (path condition, symbols, last visit of each block of f)
-    for each exit, and stops after path_cap + 1 exits."""
+    loop_cap hit and (path condition, symbols, last visit of each block of f,
+    ranges) for each exit, and stops after path_cap + 1 exits."""
     entry_pc = []
     for c in constraints:
         if c.var not in f.params:
@@ -383,13 +397,18 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
         op, flipped, truthy = _CONSTRAINT_OPS[c.op]
         args = [("sym", c.var), c.value]
         entry_pc.append((make_term(op, args[::-1] if flipped else args), truthy))
-    if solver.solve(entry_pc, list(f.params))[0] == "unsat":
-        raise AnalysisError("unsatisfiable entry constraints")
-
-    stack = [_SymState(
+    root = _SymState(
         frames=[_SymFrame(f, f.entry_block, None, 0, False,
                           {p: ("sym", p) for p in f.params}, None)],
-        pc=list(entry_pc), syms=list(f.params))]
+        pc=[], syms=list(f.params),
+        ranges=dict.fromkeys(f.params, (limits.domain_min, limits.domain_max)))
+    if not all(root.assume(term, truthy) for term, truthy in entry_pc):
+        raise AnalysisError("unsatisfiable entry constraints")
+    if len(f.params) > limits.max_symbols:
+        raise AnalysisError(f"too many symbolic inputs ({len(f.params)} > "
+                            f"max_symbols {limits.max_symbols})")
+
+    stack = [root]
     exits = 0
     while stack and exits <= limits.path_cap:
         st = stack.pop()
@@ -398,16 +417,15 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
             yield "cap"
         elif outcome == "exit":
             exits += 1
-            yield st.pc, st.syms, st.last
-        else:  # the two live-or-not children of a branch
-            stack.extend(reversed([child for child in outcome
-                                   if not solver.quick_unsat(child.pc, child.syms)]))
+            yield st.pc, st.syms, st.last, st.ranges
+        else:  # the live children of a branch
+            stack.extend(reversed(outcome))
 
 
 def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
              limits: Limits):
     """Run a state forward until it exits, hits a cap, or forks at a branch
-    (returning the two children)."""
+    (returning the children whose branch constraint the intervals allow)."""
     while True:
         frame = st.frames[-1]
         f = frame.function
@@ -446,6 +464,7 @@ def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
                         f"too many symbolic inputs (> max_symbols "
                         f"{limits.max_symbols})")
                 st.syms.append(name)
+                st.ranges[name] = (limits.domain_min, limits.domain_max)
                 frame.env[ins.output] = ("sym", name)
                 continue
             if ins.opcode == "load":
@@ -498,11 +517,11 @@ def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
             forks = []
             for target, truthy in ((then_l, True), (else_l, False)):
                 child = st.fork()
-                child.pc.append((cond, truthy))
-                cf = child.frames[-1]
-                cf.prev_block, cf.block = cf.block, target
-                cf.idx, cf.phis_done = 0, False
-                forks.append(child)
+                if child.assume(cond, truthy):
+                    cf = child.frames[-1]
+                    cf.prev_block, cf.block = cf.block, target
+                    cf.idx, cf.phis_done = 0, False
+                    forks.append(child)
             return forks
         raise AnalysisError(f"bad terminator '{t.opcode}'")
 

@@ -131,6 +131,24 @@ def test_config_malformed_domain_exit_two(tmp_path, capsys):
     assert code == 2 and "x..y" in err
 
 
+def test_config_empty_domain_exit_two(tmp_path, capsys):
+    code, err = _bad_config_exit(tmp_path, capsys, 'domain = "5..2"')
+    assert code == 2 and "empty domain '5..2'" in err
+    # domain_min and domain_max are checked together once the file is read
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("[limits]\ndomain_min = 5\ndomain_max = 2\n")
+    assert run(["refine", str(FIXTURES / "djbsort_analog.mir"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: empty domain 5..2 "
+                                       "(domain_min > domain_max)\n")
+
+
+def test_empty_verify_domain_exit_one(capsys):
+    src = str(FIXTURES / "diamond_linked.mir")
+    assert run(["verify", src, "--domain", "5..2"]) == 1
+    assert "empty domain '5..2'" in capsys.readouterr().err
+    assert run(["verify", src, "--domain", "2..2"]) == 0
+
+
 def test_config_unknown_key_exit_two(tmp_path, capsys):
     code, err = _bad_config_exit(tmp_path, capsys, "loop_kap = 3")
     assert code == 2 and "loop_kap" in err

@@ -4,15 +4,17 @@ import pytest
 
 from declassiflow.cfg import build_cfg, simplify_loops
 from declassiflow.frontier import BlockKnowledge
+from declassiflow import refine
 from declassiflow.knowledge import AnalysisError, leak_model
 from declassiflow.oracle import input_grid, input_slots, interpret
 from declassiflow.refine import (ESCAPABLE, INEVITABLE, UNKNOWN, Limits, PathLog,
+                                 _interval, _refine_ranges, _SymState,
                                  apply_refinement, candidate_regions, candidate_vars,
                                  check_inevitable, parse_constraint)
 from declassiflow.ir import Program, parse_program
 
 from conftest import dfa_blocks, fixture_program
-from generators import random_acyclic_program
+from generators import random_acyclic_program, segments
 
 
 def simplified(name, index=0):
@@ -304,3 +306,91 @@ B3:
     assert result.verdict == ESCAPABLE
     trace = interpret(Program([f]), result.witness_inputs)
     assert flag_escapes(trace, f.name, region.header, knowing(f, kb, "in0"))
+
+
+def reference_quick_unsat(constraints, syms, limits):
+    """The per-fork check that incremental narrowing replaced: narrow every
+    symbol from the full domain over the whole path condition, then check
+    each constraint's interval."""
+    d = (limits.domain_min, limits.domain_max)
+    ranges = {s: d for s in syms}
+    if not _refine_ranges(constraints, ranges):
+        return True
+    for term, truthy in constraints:
+        iv = _interval(term, ranges)
+        if iv is None:
+            continue
+        if truthy and iv == (0, 0):
+            return True
+        if not truthy and iv[0] > 0:
+            return True
+        if not truthy and iv[1] < 0:
+            return True
+    return False
+
+
+def random_constraint(rng, lits):
+    def sym():
+        return ("sym", rng.choice("xyz"))
+
+    kind = rng.randrange(8)
+    if kind < 3:  # symbol vs literal, the literal on either side
+        a, b = sym(), rng.choice(lits)
+        term = (rng.choice(("lt", "eq")),) + ((a, b) if rng.random() < 0.5 else (b, a))
+    elif kind == 3:
+        term = sym()
+    elif kind == 4:
+        arith = (rng.choice(("add", "sub")), sym(), rng.choice((sym(), rng.choice(lits))))
+        term = (rng.choice(("lt", "eq")), arith, rng.choice(lits))
+    elif kind == 5:
+        term = (rng.choice(("lt", "eq")), sym(), sym())
+    elif kind == 6:
+        term = ("load", sym())
+    else:
+        term = ("lt", ("load", sym()), rng.choice(lits))
+    return term, rng.random() < 0.5
+
+
+def test_assume_matches_reference_quick_unsat():
+    """Differential gate: narrowing one symbol per constraint decides every
+    prefix of a path condition exactly as re-narrowing the whole prefix."""
+    rng = random.Random(20261018)
+    syms = ["x", "y", "z"]
+    decided = {True: 0, False: 0}
+    for limits in (Limits(domain_min=0, domain_max=15), Limits(domain_min=-3, domain_max=4)):
+        d = (limits.domain_min, limits.domain_max)
+        lits = range(d[0] - 2, d[1] + 3)
+        for _ in range(3000):
+            st = _SymState([], [], list(syms), dict.fromkeys(syms, d))
+            for _ in range(rng.randint(1, 14)):
+                live = st.assume(*random_constraint(rng, lits))
+                assert live == (not reference_quick_unsat(st.pc, syms, limits)), st.pc
+                decided[live] += 1
+                if not live:
+                    break
+    assert decided[False] > 2000 and decided[True] > 10000, decided
+
+
+@pytest.mark.parametrize("name,exits,caps,runs", [
+    ("anticorrelated", 2, 0, 5),
+    ("two_latch", 6, 0, 13),
+    ("djbsort_analog", 15, 0, 32),
+    ("segments(2)", 92, 0, 471),
+])
+def test_exploration_counters(monkeypatch, name, exits, caps, runs):
+    """Exact work counters of one fully drained exploration: a change in
+    pruning or forking shows here without timing anything."""
+    program = parse_program(segments(2)) if name == "segments(2)" else fixture_program(name)
+    f = simplify_loops(program.functions[0])
+    calls = 0
+    sym_run = refine._sym_run
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return sym_run(*args)
+
+    monkeypatch.setattr(refine, "_sym_run", counting)
+    events = [e for _, e in PathLog(f, Limits()).events()]
+    assert (sum(e != "cap" for e in events), events.count("cap"), calls) == (
+        exits, caps, runs)
