@@ -156,23 +156,6 @@ def dominators(cfg: Cfg) -> DomInfo:
     return DomInfo(dominator_sets({l: cfg.succs(l) for l in cfg.labels}, cfg.entry))
 
 
-def brute_force_dominates(cfg: Cfg, a: str, b: str) -> bool:
-    """Path-enumeration oracle: every entry-to-b path contains a."""
-    if a == b:
-        return True
-    seen = set()
-    work = [cfg.entry]
-    while work:
-        cur = work.pop()
-        if cur == a or cur in seen:
-            continue
-        if cur == b:
-            return False
-        seen.add(cur)
-        work.extend(cfg.succs(cur))
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Natural loops
 # ---------------------------------------------------------------------------
@@ -362,18 +345,15 @@ def _simplify_loops(f: Function) -> tuple[Function, DomInfo]:
 class ExpandedFunction:
     """Acyclic analysis copy of a function.
 
-    var_origin maps expanded names back to the pre-expansion name plus the
-    chain of copy indices (empty for untouched names). edge_origin maps an
-    expanded edge key to the set of pre-expansion edge keys it stands for
-    (empty for synthetic merge plumbing). edge_subst gives, per expanded edge,
-    the rename of each duplicated variable that is current there; names absent
-    from the map are represented by themselves (the merge phis reuse original
-    names, so post-loop edges need no entries).
+    edge_origin maps an expanded edge key to the set of pre-expansion edge
+    keys it stands for (empty for synthetic merge plumbing). edge_subst gives,
+    per expanded edge, the rename of each duplicated variable that is current
+    there; names absent from the map are represented by themselves (the merge
+    phis reuse original names, so post-loop edges need no entries).
     """
 
     function: Function
     original: Function
-    var_origin: dict[str, tuple[str, tuple[int, ...]]]
     edge_origin: dict[tuple[str, str], set[tuple[str, str]]]
     edge_subst: dict[tuple[str, str], dict[str, str]]
 
@@ -384,8 +364,7 @@ class ExpandedFunction:
 def _identity_expansion(work: Function, original: Function) -> ExpandedFunction:
     cfg = build_cfg(work)
     origin = {e.key: {e.key} for e in cfg.edges}
-    return ExpandedFunction(work, original,
-                            {v: (v, ()) for v in work.defined_vars()}, origin, {})
+    return ExpandedFunction(work, original, origin, {})
 
 
 def expand_loops(f: Function) -> ExpandedFunction:
@@ -416,14 +395,6 @@ def expand_loops(f: Function) -> ExpandedFunction:
 
 
 def _compose(base: ExpandedFunction, step: ExpandedFunction) -> ExpandedFunction:
-    var_origin: dict[str, tuple[str, tuple[int, ...]]] = {}
-    for v, (mid, path) in step.var_origin.items():
-        if mid in base.var_origin:
-            orig, prior = base.var_origin[mid]
-            var_origin[v] = (orig, prior + path)
-        else:
-            var_origin[v] = (mid, path)
-
     edge_origin: dict[tuple[str, str], set[tuple[str, str]]] = {}
     edge_subst: dict[tuple[str, str], dict[str, str]] = {}
     for ek, mids in step.edge_origin.items():
@@ -441,7 +412,7 @@ def _compose(base: ExpandedFunction, step: ExpandedFunction) -> ExpandedFunction
             chain.setdefault(mid_name, new)
         if chain:
             edge_subst[ek] = chain
-    return ExpandedFunction(step.function, base.original, var_origin, edge_origin, edge_subst)
+    return ExpandedFunction(step.function, base.original, edge_origin, edge_subst)
 
 
 def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop) -> ExpandedFunction:
@@ -623,15 +594,6 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop) -> Expande
         final_blocks.append(b)
     nf = Function(f.name, list(f.params), final_blocks, f.line)
 
-    var_origin: dict[str, tuple[str, tuple[int, ...]]] = {
-        v: (v, ()) for v in f.defined_vars()}
-    for c in (1, 2):
-        for v in sorted(loop_defs):
-            var_origin[rename[c][v]] = (v, (c,))
-    for m, outs in merged_name.items():
-        for v, out_name in outs.items():
-            var_origin[out_name] = (v, ())
-
     old_edges = {e.key for e in cfg.edges}
     merge_exit = {m: x for x, m in merge_of.items()}
     edge_origin: dict[tuple[str, str], set[tuple[str, str]]] = {}
@@ -670,7 +632,7 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop) -> Expande
                 which = [m for m in merge_labels if ndom.dom(m, src)]
                 if len(which) == 1 and merged_name[which[0]]:
                     edge_subst[e.key] = dict(merged_name[which[0]])
-    return ExpandedFunction(nf, f, var_origin, edge_origin, edge_subst)
+    return ExpandedFunction(nf, f, edge_origin, edge_subst)
 
 
 def _rewrite_multi_merge_uses(f: Function, dom: DomInfo, lp: NaturalLoop, loop_defs,

@@ -34,11 +34,22 @@ def _parse_domain(text: str) -> range:
     return domain
 
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count '{text}'")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"'{text}' is below 1")
+    return value
+
+
 def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
     """Minimal TOML-like reader: [limits] and [constraints] sections of
-    key = value lines, values optionally quoted. Anything else, and any value
-    that does not parse, raises AnalysisError("path:line: ..."); an empty
-    domain raises AnalysisError("path: ...")."""
+    key = value lines, values optionally quoted. Anything else, any value
+    that does not parse and a negative cap or budget raise
+    AnalysisError("path:line: ..."); an empty domain raises
+    AnalysisError("path: ...")."""
     limits = Limits()
     constraints: dict[str, list[Constraint]] = {}
     section = None
@@ -66,7 +77,10 @@ def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
                     r = _parse_domain(val)
                     limits.domain_min, limits.domain_max = r.start, r.stop - 1
                 elif section == "limits" and key in vars(limits):
-                    setattr(limits, key, int(val))
+                    value = int(val)
+                    if value < 0 and not key.startswith("domain_"):
+                        raise AnalysisError(f"negative {key} {value}")
+                    setattr(limits, key, value)
                 else:
                     raise AnalysisError(f"unknown key '{key}'"
                                         + (f" in [{section}]" if section else ""))
@@ -91,8 +105,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="include the protected program in the report")
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--text", action="store_true", help="human-readable summary")
-        p.add_argument("--window", type=int, default=16)
-        p.add_argument("--depth", type=int, default=1)
+        p.add_argument("--window", type=_positive, default=16)
+        p.add_argument("--depth", type=_positive, default=1)
         p.add_argument("--domain", type=_parse_domain, default=range(0, 4),
                        help="verification input domain, e.g. 0..3")
         p.add_argument("--dump-cfg", action="store_true")

@@ -62,24 +62,3 @@ def all_frontiers(kb: BlockKnowledge, cfg: Cfg | None = None) -> dict[str, set[s
     cfg = cfg or kb.cfg
     return {v: compute_frontier(kb, v, cfg) for v in sorted(cfg.function.defined_vars())}
 
-
-def frontier_covers(kb: BlockKnowledge, var: str, frontier: set[str], cfg: Cfg) -> bool:
-    """Path oracle: every entry-to-knowing-block path crosses the frontier.
-
-    Used by tests; explores simple paths exhaustively, so keep it to small
-    graphs.
-    """
-    knowing = {b.label for b in cfg.function.blocks if var in kb.at(b.label)}
-
-    def search(cur: str, seen: frozenset) -> bool:
-        # returns True if some frontier-avoiding path reaches a knowing block
-        if cur in frontier:
-            return False
-        if cur in knowing:
-            return True
-        for s in cfg.succs(cur):
-            if s not in seen and search(s, seen | {s}):
-                return True
-        return False
-
-    return not search(cfg.entry, frozenset({cfg.entry}))

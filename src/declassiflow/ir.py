@@ -403,11 +403,9 @@ def parse_program(text: str) -> Program:
         functions.append(Function(name, params, blocks, fn_line))
 
     program = Program(functions)
-    report = validate_ssa(program)
-    errors = [iss for iss in report.issues if iss.fatal]
-    if errors:
-        first = errors[0]
-        raise IRError(first.message, first.line)
+    issues = validate_ssa(program).issues
+    if issues:
+        raise IRError(issues[0].message, issues[0].line)
     return program
 
 
@@ -494,7 +492,6 @@ class ValidationIssue:
     function: str | None = None
     block: str | None = None
     line: int | None = None
-    fatal: bool = True
 
 
 @dataclass
@@ -751,10 +748,6 @@ def pretty_print(program: Program) -> str:
             out.append(f"  {_fmt_instruction(b.terminator)}")
         out.append("}")
     return "\n".join(out) + ("\n" if out else "")
-
-
-def structurally_equal(a: Program, b: Program) -> bool:
-    return pretty_print(a) == pretty_print(b)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cfg import ENTRY, EXIT, Cfg, Edge, ExpandedFunction, build_cfg
-from .ir import DETERMINISTIC, Function, solvability, transmissions
+from .ir import DETERMINISTIC, Function, Transmission, solvability, transmissions
 
 
 class AnalysisError(Exception):
@@ -83,6 +83,13 @@ def _const_outputs(f: Function) -> set[str]:
     return {ins.output for _, ins in f.instructions() if ins.opcode == "const"}
 
 
+def _callee_summary(f: Function, ins, summaries: dict[str, FunctionSummary]) -> FunctionSummary:
+    summary = summaries.get(ins.callee)
+    if summary is None:
+        raise AnalysisError(f"missing summary for callee '{ins.callee}' of '{f.name}'")
+    return summary
+
+
 def init_knowledge(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
                    transmit_speculative: bool = True) -> KnowledgeMap:
     """Seed the edge sets: transmitter operands, constants, callee leaks."""
@@ -103,12 +110,8 @@ def init_knowledge(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
         for ins in b.instructions:
             if ins.opcode != "call":
                 continue
-            summary = summaries.get(ins.callee)
-            if summary is None:
-                raise AnalysisError(
-                    f"missing summary for callee '{ins.callee}' of '{f.name}'")
-            for pos in summary.declassified_args:
-                if pos < len(ins.operands) and isinstance(ins.operands[pos], str):
+            for pos in _callee_summary(f, ins, summaries).declassified_args:
+                if isinstance(ins.operands[pos], str):
                     for e in cfg.out_edges[b.label]:
                         known[e.index].add(ins.operands[pos])
     return KnowledgeMap(cfg, known)
@@ -318,43 +321,28 @@ def _vacuous_flags(cfg: Cfg, f: Function, known: dict[int, set[str]]) -> dict[in
 # ---------------------------------------------------------------------------
 
 def leak_model(f: Function, summaries: dict[str, FunctionSummary],
-               transmit_speculative: bool = True, speculative_only: bool = False):
-    """Per-function leak structure: directly revealed variables, the blocks
-    that reveal them, and the set of transmitter-bearing blocks.
-
-    A call to a pseudo transmitter counts as a transmitter of its leaked
-    arguments; other calls reveal nothing at their site. With speculative_only,
-    branch and store sites are excluded: those leak only non-speculatively and
-    never need protection themselves.
-    """
-    revealed: dict[str, set[str]] = {}
-    tblocks: set[str] = set()
-    for t in transmissions(f, transmit_speculative):
-        if speculative_only and not t.speculative:
-            continue
-        tblocks.add(t.block)
-        if isinstance(t.operand, str):
-            revealed.setdefault(t.operand, set()).add(t.block)
+               transmit_speculative: bool = True) -> list[Transmission]:
+    """Every site where f reveals a value: its transmitters, plus one
+    speculative "call" site per argument a called pseudo transmitter leaks.
+    Other calls reveal nothing at their site (their callees protect
+    themselves). Summaries, refinement regions and barrier placement all read
+    this list; build it from the summaries the reading phase sees."""
+    leaks = transmissions(f, transmit_speculative)
     for b in f.blocks:
         for ins in b.instructions:
             if ins.opcode != "call":
                 continue
-            summary = summaries.get(ins.callee)
-            if summary is None:
-                raise AnalysisError(
-                    f"missing summary for callee '{ins.callee}' of '{f.name}'")
-            if summary.is_pseudo_transmitter and summary.leaked_args:
-                tblocks.add(b.label)
-                for pos in summary.leaked_args:
-                    if pos < len(ins.operands) and isinstance(ins.operands[pos], str):
-                        revealed.setdefault(ins.operands[pos], set()).add(b.label)
-    return revealed, tblocks
+            summary = _callee_summary(f, ins, summaries)
+            if summary.is_pseudo_transmitter:
+                leaks += [Transmission(b.label, "call", ins.operands[pos], True)
+                          for pos in sorted(summary.leaked_args)]
+    return leaks
 
 
 def summarize(f: Function, ef: ExpandedFunction, kb: "dict[str, set[str]]",
               frontiers: dict[str, set[str]], summaries: dict[str, FunctionSummary],
-              transmit_speculative: bool = True) -> FunctionSummary:
-    """Build the caller-facing summary of f.
+              leaks: list[Transmission]) -> FunctionSummary:
+    """Build the caller-facing summary of f from its leak model.
 
     A variable counts as fully declassified when its frontier is the entry
     block, or when it is derivable from the program text alone (known before
@@ -362,29 +350,24 @@ def summarize(f: Function, ef: ExpandedFunction, kb: "dict[str, set[str]]",
     fully declassified, its internal leaks are all inferable from the leaked
     arguments alone, and every callee is itself a pseudo transmitter.
     """
-    revealed, tblocks = leak_model(f, summaries, transmit_speculative)
+    revealed: dict[str, set[str]] = {}
+    for t in leaks:
+        if isinstance(t.operand, str):
+            revealed.setdefault(t.operand, set()).add(t.block)
     entry = f.entry_block
     public = kb.get(ENTRY, set())
     fdv = frozenset(v for v, fr in frontiers.items()
                     if fr == {entry} or v in public)
 
     candidate_leaks: set[str] = set()
-    for b in tblocks:
+    for b in {t.block for t in leaks}:
         candidate_leaks |= kb.get(b, set())
     leaked_args = frozenset(i for i, p in enumerate(f.params) if p in candidate_leaks)
     internal_leaks = frozenset(v for v in revealed if v not in f.params)
-    transmitted = set(revealed)
-    is_fd = all(v in fdv for v in transmitted)
+    is_fd = all(v in fdv for v in revealed)
 
-    callees_pseudo = True
-    for _, ins in f.instructions():
-        if ins.opcode == "call":
-            s = summaries.get(ins.callee)
-            if s is None:
-                raise AnalysisError(f"missing summary for callee '{ins.callee}'")
-            if not s.is_pseudo_transmitter:
-                callees_pseudo = False
-
+    callees_pseudo = all(_callee_summary(f, ins, summaries).is_pseudo_transmitter
+                         for _, ins in f.instructions() if ins.opcode == "call")
     leaked_values_declassified = all(
         f.params[i] in fdv for i in leaked_args) and all(
         v in fdv for v in internal_leaks)
@@ -392,8 +375,7 @@ def summarize(f: Function, ef: ExpandedFunction, kb: "dict[str, set[str]]",
     pseudo = callees_pseudo and leaked_values_declassified
     if pseudo and internal_leaks:
         pseudo = _internal_leaks_rederivable(
-            f, ef, {f.params[i] for i in leaked_args}, revealed, internal_leaks,
-            transmit_speculative)
+            ef, {f.params[i] for i in leaked_args}, revealed, internal_leaks)
 
     return FunctionSummary(
         name=f.name,
@@ -406,10 +388,9 @@ def summarize(f: Function, ef: ExpandedFunction, kb: "dict[str, set[str]]",
     )
 
 
-def _internal_leaks_rederivable(f: Function, ef: ExpandedFunction, seed: set[str],
+def _internal_leaks_rederivable(ef: ExpandedFunction, seed: set[str],
                                 revealed: dict[str, set[str]],
-                                internal_leaks: frozenset[str],
-                                transmit_speculative: bool) -> bool:
+                                internal_leaks: frozenset[str]) -> bool:
     """Check that knowledge of the leaked arguments alone re-derives every
     internally leaked value at the blocks where it escapes."""
     cfg = build_cfg(ef.function)

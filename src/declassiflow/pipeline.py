@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .cfg import (ENTRY, Cfg, build_cfg, dominators, expand_loops,
                   prune_dead_blocks, to_dot)
 from .frontier import BlockKnowledge, all_frontiers, block_knowledge
-from .ir import (Function, Program, callees_first, parse_program, pretty_print,
+from .ir import (Function, Program, Transmission, callees_first, pretty_print,
                  validate_ssa)
 from .knowledge import (AnalysisError, FunctionSummary, KnowledgeMap, analyze_edges,
                         leak_model, project_to_original, summarize)
@@ -39,7 +39,6 @@ class RunConfig:
     depth: int = 1
     verify_domain: range = range(0, 4)
     transmit_speculative: bool = True
-    order_seed: int | None = None
 
 
 @dataclass
@@ -69,14 +68,13 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
                      config: RunConfig) -> FunctionAnalysis:
     """Phase 1 for one function: expand, solve the edge fixpoint, project,
     derive block knowledge, frontiers and the summary."""
-    ef = expand_loops(prune_dead_blocks(f))
-    km_expanded = analyze_edges(ef, summaries, config.transmit_speculative,
-                                config.order_seed)
+    ef = expand_loops(f)
+    km_expanded = analyze_edges(ef, summaries, config.transmit_speculative)
     km = project_to_original(km_expanded, ef)
     kb = block_knowledge(km)
     frontiers = all_frontiers(kb, km.cfg)
-    summary = summarize(ef.original, ef, kb.known, frontiers, summaries,
-                        config.transmit_speculative)
+    leaks = leak_model(ef.original, summaries, config.transmit_speculative)
+    summary = summarize(ef.original, ef, kb.known, frontiers, summaries, leaks)
     notes = []
     if any(km.vacuous.values()):
         flagged = sorted({v for vs in km.vacuous.values() for v in vs})
@@ -85,13 +83,13 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
                             summary, notes=notes)
 
 
-def refine_function(fa: FunctionAnalysis, summaries: dict[str, FunctionSummary],
+def refine_function(fa: FunctionAnalysis, leaks: list[Transmission],
                     bodies: dict[str, Function], config: RunConfig):
     """Phase 2: region-by-variable inevitability queries, outermost first,
     all answered from one exploration of the function; Inevitable verdicts
-    upgrade block knowledge immediately."""
-    _, tblocks = leak_model(fa.simplified, summaries, config.transmit_speculative,
-                            speculative_only=True)
+    upgrade block knowledge immediately. Regions and candidates come from
+    the blocks of the speculative leak sites."""
+    tblocks = {t.block for t in leaks if t.speculative}
     regions = candidate_regions(fa.simplified, tblocks, dominators(fa.cfg))
     cands = sorted(candidate_vars(fa.kb, tblocks))
     paths = PathLog(fa.simplified, config.limits, config.constraints.get(fa.name, []),
@@ -143,10 +141,11 @@ def analyze_program(program: Program, config: RunConfig | None = None):
             fa = analyses[name]
             if fa.summary.is_fully_declassified:
                 continue  # data-flow results already optimal for this function
-            refine_function(fa, summaries, bodies, config)
+            # callees were re-summarized earlier in this phase
+            leaks = leak_model(fa.simplified, summaries, config.transmit_speculative)
+            refine_function(fa, leaks, bodies, config)
             fa.summary = summarize(fa.simplified, fa.expanded, fa.kb.known,
-                                   fa.frontiers, summaries,
-                                   config.transmit_speculative)
+                                   fa.frontiers, summaries, leaks)
             summaries[name] = fa.summary
     else:
         for fa in analyses.values():
@@ -195,9 +194,9 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
         for name in order:
             fa = analyses[name]
             top = name == program.entry_function or name not in callers
-            plans[name] = plan_protection(fa.simplified, fa.frontiers, summaries,
-                                          fa.summary, top,
-                                          config.transmit_speculative)
+            leaks = leak_model(fa.simplified, summaries, config.transmit_speculative)
+            plans[name] = plan_protection(fa.simplified, leaks, fa.frontiers,
+                                          fa.summary, top)
         protected = emit_protected(program, plans, bodies)
         report["plans"] = [plans[name].as_dict() for name in program.function_names()]
         report["barriers"] = {name: sorted(plans[name].barrier_blocks)
@@ -268,12 +267,6 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
     return report
 
 
-def analyze_path(path: str, config: RunConfig | None = None) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        program = parse_program(fh.read())
-    return run_pipeline(program, config)
-
-
 def dump_cfgs(program: Program) -> str:
     chunks = []
     for f in program.functions:
@@ -285,6 +278,6 @@ def dump_cfgs(program: Program) -> str:
 def dump_expanded(program: Program) -> str:
     chunks = []
     for f in program.functions:
-        ef = expand_loops(prune_dead_blocks(f))
+        ef = expand_loops(f)
         chunks.append(pretty_print(Program([ef.function])))
     return "\n".join(chunks)

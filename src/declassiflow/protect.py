@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import Function, Instruction, Program, transmissions
-from .knowledge import AnalysisError, FunctionSummary
+from .ir import Function, Instruction, Program, Transmission
+from .knowledge import FunctionSummary
 
 PROTECTED_SUFFIX = ".p"
 
@@ -37,48 +37,29 @@ class ProtectionPlan:
         }
 
 
-def plan_protection(f: Function, frontiers: dict[str, set[str]],
-                    summaries: dict[str, FunctionSummary],
-                    own_summary: FunctionSummary, is_top_level: bool,
-                    transmit_speculative: bool = True) -> ProtectionPlan:
-    """Barrier blocks = joint frontier of locally (speculatively) transmitted
-    variables and of arguments leaked by called pseudo transmitters.
+def plan_protection(f: Function, leaks: list[Transmission],
+                    frontiers: dict[str, set[str]], own_summary: FunctionSummary,
+                    is_top_level: bool) -> ProtectionPlan:
+    """Barrier blocks = joint frontier of the variables at f's speculative
+    leak sites (its own transmitters and the arguments leaked by called
+    pseudo transmitters, see knowledge.leak_model).
 
     Variables with an empty frontier fall back to a barrier at each of their
-    speculative transmitter sites. A pseudo transmitter skips its entry-block
+    speculative leak sites. A pseudo transmitter skips its entry-block
     barrier unless it is top level.
     """
-    f_local: set[str] = set()
+    barriers: set[str] = set()
     fallback: set[str] = set()
-    for t in transmissions(f, transmit_speculative):
+    for t in leaks:
         if not t.speculative or not isinstance(t.operand, str):
             continue
         fr = frontiers.get(t.operand, set())
         if fr:
-            f_local |= fr
+            barriers |= fr
         else:
             fallback.add(t.block)
 
-    f_func: set[str] = set()
-    for b in f.blocks:
-        for idx, ins in enumerate(b.instructions):
-            if ins.opcode != "call":
-                continue
-            summary = summaries.get(ins.callee)
-            if summary is None:
-                raise AnalysisError(f"missing summary for callee '{ins.callee}'")
-            if not summary.is_pseudo_transmitter:
-                continue  # callee enforced: protected internally
-            for pos in summary.leaked_args:
-                if pos >= len(ins.operands) or not isinstance(ins.operands[pos], str):
-                    continue
-                fr = frontiers.get(ins.operands[pos], set())
-                if fr:
-                    f_func |= fr
-                else:
-                    fallback.add(b.label)
-
-    barriers = f_local | f_func | fallback
+    barriers |= fallback
     if own_summary.is_pseudo_transmitter and not is_top_level:
         barriers.discard(f.entry_block)
 

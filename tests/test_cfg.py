@@ -2,14 +2,31 @@ import random
 
 import pytest
 
-from declassiflow.cfg import (ENTRY, EXIT, CfgError, brute_force_dominates, build_cfg,
-                              dominators, expand_loops, natural_loops,
-                              prune_dead_blocks, simplify_loops, to_dot)
+from declassiflow.cfg import (ENTRY, EXIT, Cfg, CfgError, build_cfg, dominators,
+                              expand_loops, natural_loops, prune_dead_blocks,
+                              simplify_loops, to_dot)
 from declassiflow.ir import Program, dominator_sets, parse_program, validate_ssa
 from declassiflow.oracle import interpret
 
 from conftest import fixture_program
 from generators import random_acyclic_program
+
+
+def brute_force_dominates(cfg: Cfg, a: str, b: str) -> bool:
+    """Path-enumeration oracle: every entry-to-b path contains a."""
+    if a == b:
+        return True
+    seen = set()
+    work = [cfg.entry]
+    while work:
+        cur = work.pop()
+        if cur == a or cur in seen:
+            continue
+        if cur == b:
+            return False
+        seen.add(cur)
+        work.extend(cfg.succs(cur))
+    return True
 
 ALL_FIXTURES = ["diamond_linked", "diamond_opaque", "anticorrelated", "aes_analog",
                 "djbsort_analog", "chacha_analog", "hoistable_loop", "two_latch",
@@ -173,16 +190,26 @@ def test_expansion_is_acyclic_everywhere(name):
         cfg = build_cfg(ef.function)
         assert natural_loops(cfg, dominators(cfg)) == []
         assert not cfg.dead_blocks
-        # every original variable has at least one expanded counterpart
-        originals = {o for o, _ in ef.var_origin.values()}
-        assert ef.original.defined_vars() <= originals
+        # on every counterpart of an original edge, each original variable
+        # available there (a parameter, or defined in a block dominating the
+        # edge's source) is represented by a name the expanded function defines
+        g = ef.original
+        gdom = dominators(build_cfg(g))
+        def_block = {i.output: b.label for b in g.blocks
+                     for i in b.instructions if i.output is not None}
+        defined = ef.function.defined_vars()
+        for ek, origins in ef.edge_origin.items():
+            for src, _ in origins:
+                for v in g.defined_vars():
+                    if v in g.params or (src != ENTRY and gdom.dom(def_block[v], src)):
+                        assert ef.representative(v, ek) in defined, (v, ek)
 
 
 def test_expand_loop_free_is_identity():
     f = fixture_program("diamond_linked").functions[0]
     ef = expand_loops(f)
     assert [b.label for b in ef.function.blocks] == [b.label for b in f.blocks]
-    assert all(path == () for _, path in ef.var_origin.values())
+    assert ef.edge_subst == {}
 
 
 def test_expand_self_loop_dataflow():
@@ -196,8 +223,10 @@ def test_expand_self_loop_dataflow():
     merge = g.block("B2.m")
     merged = {i.output for i in merge.phis()}
     assert "x2" in merged and "x3" in merged
-    assert ef.var_origin["x2.1"] == ("x2", (1,))
-    assert ef.var_origin["x2.2"] == ("x2", (2,))
+    # on the edges of each copy, x2 is represented by that copy's name
+    assert ef.representative("x2", ("B2.1", "B2.2")) == "x2.1"
+    assert ef.representative("x2", ("B2.1", "B2.m")) == "x2.1"
+    assert ef.representative("x2", ("B2.2", "B2.m")) == "x2.2"
 
 
 def test_expand_nested_counts():
@@ -217,7 +246,13 @@ def test_expansion_preserves_transmitters():
     ef = expand_loops(f)
     orig = sorted((t.opcode, t.operand) for t in transmissions(ef.original)
                   if isinstance(t.operand, str))
-    mapped = sorted((t.opcode, ef.var_origin[t.operand][0])
+    out_edges = build_cfg(ef.function).out_edges
+
+    def original_name(t):  # undo the rename current on the block's out-edge
+        subst = ef.edge_subst.get(out_edges[t.block][0].key, {})
+        return {new: old for old, new in subst.items()}.get(t.operand, t.operand)
+
+    mapped = sorted((t.opcode, original_name(t))
                     for t in transmissions(ef.function) if isinstance(t.operand, str))
     # each original transmitter occurs at least once (copies may add more)
     for item in orig:

@@ -146,7 +146,17 @@ def test_empty_verify_domain_exit_one(capsys):
     src = str(FIXTURES / "diamond_linked.mir")
     assert run(["verify", src, "--domain", "5..2"]) == 1
     assert "empty domain '5..2'" in capsys.readouterr().err
+    for command, flag in (("verify", "--window"), ("analyze", "--window"),
+                          ("verify", "--depth"), ("protect", "--depth")):
+        assert run([command, src, flag, "0"]) == 1
+        assert f"argument {flag}: '0' is below 1" in capsys.readouterr().err
     assert run(["verify", src, "--domain", "2..2"]) == 0
+
+
+def test_config_negative_limit_exit_two(tmp_path, capsys):
+    # path_cap = -1 used to end every refinement query `inevitable`
+    code, err = _bad_config_exit(tmp_path, capsys, "path_cap = -1")
+    assert code == 2 and err.endswith(":2: negative path_cap -1\n")
 
 
 def test_config_unknown_key_exit_two(tmp_path, capsys):

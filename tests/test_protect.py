@@ -42,11 +42,11 @@ def test_pseudo_chain_single_top_level_barrier():
 
 
 def test_empty_frontier_falls_back_to_transmitter_block():
-    from declassiflow.knowledge import FunctionSummary
+    from declassiflow.knowledge import FunctionSummary, leak_model
     f = parse_program("fn f(a) {\nB1:\n  transmit a\n  ret\n}").functions[0]
     own = FunctionSummary("f", ["a"], frozenset(), frozenset(), frozenset(),
                           False, False)
-    plan = plan_protection(f, {"a": set()}, {}, own, is_top_level=True)
+    plan = plan_protection(f, leak_model(f, {}), {"a": set()}, own, is_top_level=True)
     assert plan.barrier_blocks == {"B1"}
     assert plan.fallback_blocks == {"B1"}
 

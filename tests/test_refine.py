@@ -23,7 +23,7 @@ def simplified(name, index=0):
 
 def spec_tblocks(f):
     """Speculative transmitter blocks of a call-free function."""
-    return leak_model(f, {}, speculative_only=True)[1]
+    return {t.block for t in leak_model(f, {}) if t.speculative}
 
 
 def knowing(f, kb, var):
