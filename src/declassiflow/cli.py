@@ -50,7 +50,7 @@ def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
     that does not parse and a negative cap or budget raise
     AnalysisError("path:line: ..."); an empty domain raises
     AnalysisError("path: ...")."""
-    limits = Limits()
+    values: dict[str, int] = {}
     constraints: dict[str, list[Constraint]] = {}
     section = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -75,21 +75,20 @@ def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
                                         for p in val.split(";") if p.strip()]
                 elif section == "limits" and key == "domain":
                     r = _parse_domain(val)
-                    limits.domain_min, limits.domain_max = r.start, r.stop - 1
-                elif section == "limits" and key in vars(limits):
-                    value = int(val)
-                    if value < 0 and not key.startswith("domain_"):
-                        raise AnalysisError(f"negative {key} {value}")
-                    setattr(limits, key, value)
+                    values.update(domain_min=r.start, domain_max=r.stop - 1)
+                elif section == "limits" and key in Limits.__dataclass_fields__:
+                    values[key] = int(val)
+                    if not key.startswith("domain_"):
+                        Limits(**{key: values[key]})  # a negative cap fails on its line
                 else:
                     raise AnalysisError(f"unknown key '{key}'"
                                         + (f" in [{section}]" if section else ""))
             except (AnalysisError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise AnalysisError(f"{path}:{lineno}: {exc}") from None
-    if limits.domain_min > limits.domain_max:
-        raise AnalysisError(f"{path}: empty domain {limits.domain_min}.."
-                            f"{limits.domain_max} (domain_min > domain_max)")
-    return limits, constraints
+    try:
+        return Limits(**values), constraints
+    except AnalysisError as exc:
+        raise AnalysisError(f"{path}: {exc}") from None
 
 
 def make_parser() -> argparse.ArgumentParser:

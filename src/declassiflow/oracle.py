@@ -6,11 +6,16 @@ from its address, so traces are reproducible without a heap. Taint flows from
 every definition through operands, loads (address into result) and phi
 selections, and is the checkable stand-in for "a function of x": a speculative
 observation whose taint contains x counts as transmitting a function of x.
+
+A machine snapshot, taken at every branch point so that a misprediction can
+roll back, shares what no execution mutates: the program's IR (each frame's
+`Function`) and the input list. It copies what a speculative burst can
+change: each frame's block position and its `env` and `taint` dicts (the
+taint values are frozensets, so a shallow copy of the dict suffices).
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -148,7 +153,9 @@ class _Machine:
         m.inputs = self.inputs
         m.cursor = self.cursor
         m.pad_inputs = self.pad_inputs
-        m.frames = copy.deepcopy(self.frames)
+        m.frames = [_Frame(fr.function, fr.block, fr.prev_block, fr.idx,
+                           fr.phis_done, dict(fr.env), dict(fr.taint),
+                           fr.pending_out) for fr in self.frames]
         m.done = self.done
         return m
 

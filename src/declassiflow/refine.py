@@ -43,14 +43,29 @@ class Region:
     blocks: frozenset
 
 
-@dataclass
+_CAPS = ("loop_cap", "path_cap", "max_symbols", "enum_budget")
+
+
+@dataclass(frozen=True)
 class Limits:
+    """Refinement caps and input domain, checked on construction: a negative
+    cap or budget would end queries early (path_cap = -1 made them
+    `inevitable`), and an empty domain has nothing to solve over."""
+
     loop_cap: int = 32
     path_cap: int = 4096
     domain_min: int = 0
     domain_max: int = 15
     max_symbols: int = 20
     enum_budget: int = 1 << 20
+
+    def __post_init__(self):
+        for name in _CAPS:
+            if getattr(self, name) < 0:
+                raise AnalysisError(f"negative {name} {getattr(self, name)}")
+        if self.domain_min > self.domain_max:
+            raise AnalysisError(f"empty domain {self.domain_min}..{self.domain_max}"
+                                " (domain_min > domain_max)")
 
 
 @dataclass

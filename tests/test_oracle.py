@@ -1,16 +1,17 @@
+import copy
 import random
 
 import pytest
 
 from declassiflow.cfg import ENTRY, EXIT
 from declassiflow.ir import Program, parse_program
-from declassiflow.oracle import (OracleError, check_frontier_property, exact_knowledge,
-                                 input_grid, input_slots, interpret, load_value,
-                                 speculative_explore)
+from declassiflow.oracle import (OracleError, _Machine, check_frontier_property,
+                                 exact_knowledge, input_grid, input_slots, interpret,
+                                 load_value, speculative_explore)
 from declassiflow.pipeline import RunConfig, analyze_program, property_map, run_pipeline
 
-from conftest import dfa, fixture_program
-from generators import random_acyclic_program, random_tight_program
+from conftest import FIXTURES, dfa, fixture_program
+from generators import call_chain, random_acyclic_program, random_tight_program, segments
 
 
 def edge_seq(trace, fn):
@@ -307,3 +308,89 @@ B1:
     obs = [o for o in tr.observations if o.kind == "transmit"]
     assert obs[0].value == 42
     assert ("main", "s") in obs[0].taint and ("double", "r") in obs[0].taint
+
+
+def _deepcopy_snapshot(self):
+    """Reference snapshot: a deep copy of the whole frame stack, the IR that
+    every frame holds included."""
+    m = object.__new__(_Machine)
+    m.program = self.program
+    m.inputs = self.inputs
+    m.cursor = self.cursor
+    m.pad_inputs = self.pad_inputs
+    m.frames = copy.deepcopy(self.frames)
+    m.done = self.done
+    return m
+
+
+# a speculative return into the caller, which then transmits what it got back
+RETURN_INTO_CALLER = """
+fn main(s, n) {
+B1:
+  d = call leaf(s, n)
+  e = add d, s
+  transmit e
+  ret e
+}
+fn leaf(a, n) {
+B1:
+  c = lt a, n
+  br c, B2, B3
+B2:
+  r = add a, 1
+  ret r
+B3:
+  ret a
+}
+"""
+
+
+def test_snapshot_matches_deepcopy_reference(monkeypatch):
+    """A snapshot that copies only frame state explores exactly what the
+    deep-copying one did: same trace, same speculative executions."""
+    texts = [random_acyclic_program(random.Random(seed)) for seed in range(300)]
+    texts += [random_tight_program(random.Random(seed)) for seed in range(100)]
+    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    texts += [call_chain(4), RETURN_INTO_CALLER]
+    rng = random.Random(7)
+    returns_into_caller = 0
+    for text in texts:
+        program = parse_program(text)
+        protected = parse_program(run_pipeline(program, RunConfig())["protected_program"])
+        for prog in (program, protected):
+            calls = {(f.name, ins.callee) for f in prog.functions
+                     for _, ins in f.instructions() if ins.opcode == "call"}
+            slots = input_slots(prog)
+            for inputs in ([rng.randrange(4) for _ in range(slots)] for _ in range(2)):
+                for depth in (1, 2):
+                    trace, specs = speculative_explore(prog, inputs, window=16,
+                                                       depth=depth, pad_inputs=True)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(_Machine, "snapshot", _deepcopy_snapshot)
+                        ref, ref_specs = speculative_explore(
+                            prog, inputs, window=16, depth=depth, pad_inputs=True)
+                    assert trace.edges == ref.edges
+                    assert trace.edge_times == ref.edge_times
+                    assert trace.pc == ref.pc
+                    assert trace.observations == ref.observations
+                    assert trace.returned == ref.returned
+                    assert trace.final_env == ref.final_env
+                    assert specs == ref_specs, (text, inputs, depth)
+                    returns_into_caller += sum(
+                        1 for spec in specs for o in spec.observations
+                        if (o.function, spec.mispredictions[0][0]) in calls)
+    assert returns_into_caller > 0  # a speculative ret resumed a caller frame
+
+
+@pytest.mark.parametrize("k,executions,inputs_checked", [
+    (2, 1_808, 256),
+    (3, 10_112, 1_024),
+])
+def test_verification_counters(k, executions, inputs_checked):
+    """`verify` on segments(k), domain 0..3, window 16, depth 1, explores a
+    fixed number of speculative executions; an oracle speed-up keeps it."""
+    config = RunConfig(verify=True, verify_domain=range(0, 4), window=16, depth=1)
+    verification = run_pipeline(parse_program(segments(k)), config)["verification"]
+    assert verification["passed"]
+    assert (verification["executions"], verification["inputs_checked"]) == (
+        executions, inputs_checked)

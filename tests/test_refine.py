@@ -394,3 +394,21 @@ def test_exploration_counters(monkeypatch, name, exits, caps, runs):
     events = [e for _, e in PathLog(f, Limits()).events()]
     assert (sum(e != "cap" for e in events), events.count("cap"), calls) == (
         exits, caps, runs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"loop_cap": -1}, "negative loop_cap -1"),
+    ({"path_cap": -1}, "negative path_cap -1"),
+    ({"max_symbols": -2}, "negative max_symbols -2"),
+    ({"enum_budget": -1}, "negative enum_budget -1"),
+    ({"domain_min": 4, "domain_max": 3}, r"empty domain 4\.\.3 \(domain_min > domain_max\)"),
+])
+def test_limits_reject_invalid_values(kwargs, message):
+    # Limits(path_cap=-1) used to turn segments(2)'s 17 escapable verdicts
+    # into 9 inevitable ones and drop its loop-body barriers
+    with pytest.raises(AnalysisError, match=f"^{message}$"):
+        Limits(**kwargs)
+    limits = Limits(loop_cap=0, path_cap=0, domain_min=3, domain_max=3,
+                    max_symbols=0, enum_budget=0)
+    with pytest.raises(AttributeError):
+        limits.path_cap = -1  # frozen: no caller can skip the check

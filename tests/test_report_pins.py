@@ -1,9 +1,8 @@
-"""Standing byte-identity gate: the timing-free JSON report of every fixture
-under `analyze`, `protect` and `pipeline` (which verifies), plus segments(2)
-(analyze and protect; its verification takes seconds) and a 4-function call
-chain, must hash to the digests pinned here. A refactor that claims identical
-output keeps these; a change that means to alter reports updates them and says
-why."""
+"""Standing byte-identity gate: the timing-free JSON report of every fixture,
+segments(2) and a 4-function call chain under `analyze`, `protect` and
+`pipeline` (which verifies) must hash to the digests pinned here. A refactor
+that claims identical output keeps these; a change that means to alter reports
+updates them and says why."""
 
 import hashlib
 import json
@@ -100,6 +99,8 @@ PINS = {
         "34d95589fc6d49e5d74643f17c3442b3b79681c093fdd9444247b53a10791c1a",
     ("segments(2)", "protect"):
         "f366927d972c99d4a1849768fa30b9327532e870a6243d5bb2418481b8d45bb9",
+    ("segments(2)", "pipeline"):
+        "6943c442e430c625b980d54826faa7ca038f73d5ff5c4d775383b1d622c2a19a",
     ("call_chain(4)", "analyze"):
         "cd122f6de2362cba6bb8ecc17d219a2bd1c1435d6805a7eb7e20bdae235bb650",
     ("call_chain(4)", "protect"):
