@@ -165,13 +165,14 @@ class NaturalLoop:
     header: str
     latches: list[str]
     body: set[str]
-    exiting: list[str]
     exits: list[str]
     preheader: str | None
 
 
 def natural_loops(cfg: Cfg, dom: DomInfo) -> list[NaturalLoop]:
-    """One loop per header; back edges sharing a header merge into one loop."""
+    """One loop per header; back edges sharing a header merge into one loop.
+    Loops come in the irreducibility check's topological order of headers
+    over forward edges: each before every loop its blocks reach."""
     back: dict[str, list[str]] = {}
     back_edge_set = set()
     for e in cfg.edges:
@@ -188,20 +189,20 @@ def natural_loops(cfg: Cfg, dom: DomInfo) -> list[NaturalLoop]:
         for s in ss:
             indeg[s] += 1
     queue = [l for l in cfg.labels if indeg[l] == 0]
-    seen = 0
+    topo = []
     while queue:
         cur = queue.pop()
-        seen += 1
+        topo.append(cur)
         for s in succs[cur]:
             indeg[s] -= 1
             if indeg[s] == 0:
                 queue.append(s)
-    if seen != len(cfg.labels):
+    if len(topo) != len(cfg.labels):
         raise CfgError("irreducible control flow")
 
     loops: list[NaturalLoop] = []
     order = {l: i for i, l in enumerate(cfg.labels)}
-    for header in sorted(back, key=order.get):
+    for header in (l for l in topo if l in back):
         body = {header}
         work = list(back[header])
         while work:
@@ -210,16 +211,13 @@ def natural_loops(cfg: Cfg, dom: DomInfo) -> list[NaturalLoop]:
                 continue
             body.add(cur)
             work.extend(cfg.preds(cur))
-        exiting = sorted({b for b in body if any(s not in body for s in cfg.succs(b))},
-                         key=order.get)
-        exits = sorted({s for b in exiting for s in cfg.succs(b) if s not in body},
-                       key=order.get)
+        exits = sorted({s for b in body for s in cfg.succs(b) if s not in body}, key=order.get)
         non_latch_preds = [p for p in cfg.preds(header) if p not in body]
         preheader = None
         if len(non_latch_preds) == 1 and len(cfg.succs(non_latch_preds[0])) == 1:
             preheader = non_latch_preds[0]
         loops.append(NaturalLoop(header, sorted(back[header], key=order.get), body,
-                                 exiting, exits, preheader))
+                                 exits, preheader))
 
     for a in loops:
         for b in loops:
@@ -271,70 +269,52 @@ def simplify_loops(f: Function) -> Function:
     return _simplify_loops(f)[0]
 
 
-def _simplify_loops(f: Function) -> tuple[Function, DomInfo]:
-    """simplify_loops, plus the dominators of the result."""
+def _simplify_loops(f: Function) -> tuple[Function, Cfg, DomInfo]:
+    """simplify_loops, plus the CFG and dominators of the result. One analysis
+    serves every insertion: a new preheader or latch changes no other loop's
+    header, latches or outside predecessors."""
     g = prune_dead_blocks(f).copy()
-    changed = True
-    while changed:
-        changed = False
+    cfg = build_cfg(g)
+    dom = dominators(cfg)
+    labels = {b.label for b in g.blocks}
+    varnames = set(g.defined_vars())
+    for lp in natural_loops(cfg, dom):
+        header = g.block(lp.header)
+        if lp.preheader is None:
+            outside = [p for p in cfg.preds(lp.header) if p not in lp.body]
+            _insert_arm_block(g, header, outside, ".ph", labels, varnames, first=True)
+        if len(lp.latches) > 1:
+            _insert_arm_block(g, header, lp.latches, ".lt", labels, varnames, first=False)
+    if len(g.blocks) > len(dom.dom_sets):  # something was inserted
         cfg = build_cfg(g)
         dom = dominators(cfg)
-        loops = natural_loops(cfg, dom)
-        labels = {b.label for b in g.blocks}
-        varnames = set(g.defined_vars())
-        for lp in loops:
-            header_blk = g.block(lp.header)
-            non_latch_preds = [p for p in cfg.preds(lp.header) if p not in lp.body]
-            need_preheader = not (len(non_latch_preds) == 1
-                                  and len(cfg.succs(non_latch_preds[0])) == 1)
-            if need_preheader:
-                ph = _fresh(labels, f"{lp.header}.ph")
-                ph_block = Block(ph)
-                ph_block.terminator = Instruction("jmp", operands=[lp.header])
-                for phi in header_blk.phis():
-                    init_arms = [(o, l) for o, l in zip(phi.operands, phi.phi_labels)
-                                 if l in non_latch_preds]
-                    rest = [(o, l) for o, l in zip(phi.operands, phi.phi_labels)
-                            if l not in non_latch_preds]
-                    if len(init_arms) == 1:
-                        init_val = init_arms[0][0]
-                    else:
-                        v = _fresh(varnames, f"{phi.output}.ph")
-                        ph_block.instructions.append(Instruction(
-                            "phi", output=v,
-                            operands=[o for o, _ in init_arms],
-                            phi_labels=[l for _, l in init_arms]))
-                        init_val = v
-                    phi.operands = [init_val] + [o for o, _ in rest]
-                    phi.phi_labels = [ph] + [l for _, l in rest]
-                for p in non_latch_preds:
-                    _retarget(g.block(p), lp.header, ph)
-                g.blocks.insert(g.blocks.index(header_blk), ph_block)
-                changed = True
-                break
-            if len(lp.latches) > 1:
-                lt = _fresh(labels, f"{lp.header}.lt")
-                lt_block = Block(lt)
-                lt_block.terminator = Instruction("jmp", operands=[lp.header])
-                for phi in header_blk.phis():
-                    latch_arms = [(o, l) for o, l in zip(phi.operands, phi.phi_labels)
-                                  if l in lp.latches]
-                    rest = [(o, l) for o, l in zip(phi.operands, phi.phi_labels)
-                            if l not in lp.latches]
-                    v = _fresh(varnames, f"{phi.output}.lt")
-                    lt_block.instructions.append(Instruction(
-                        "phi", output=v,
-                        operands=[o for o, _ in latch_arms],
-                        phi_labels=[l for _, l in latch_arms]))
-                    phi.operands = [o for o, _ in rest] + [v]
-                    phi.phi_labels = [l for _, l in rest] + [lt]
-                for latch in lp.latches:
-                    _retarget(g.block(latch), lp.header, lt)
-                last = max(g.blocks.index(g.block(l)) for l in lp.latches)
-                g.blocks.insert(last + 1, lt_block)
-                changed = True
-                break
-    return g, dom
+    return g, cfg, dom
+
+
+def _insert_arm_block(g: Function, header: Block, preds: list[str], suffix: str,
+                      labels: set[str], varnames: set[str], first: bool):
+    """Insert a fresh block jumping to header that preds now jump to instead:
+    a preheader before header (first) or a latch after the last of preds.
+    Each header phi's arms from preds move into it, merged by a new phi unless
+    there is one, and leave one arm from the new block, first or last."""
+    at = g.blocks.index(header) if first else max(g.blocks.index(g.block(p)) for p in preds) + 1
+    blk = Block(_fresh(labels, f"{header.label}{suffix}"))
+    blk.terminator = Instruction("jmp", operands=[header.label])
+    for phi in header.phis():
+        moved = [(o, l) for o, l in zip(phi.operands, phi.phi_labels) if l in preds]
+        rest = [(o, l) for o, l in zip(phi.operands, phi.phi_labels) if l not in preds]
+        val = moved[0][0]
+        if len(moved) > 1:
+            val = _fresh(varnames, f"{phi.output}{suffix}")
+            blk.instructions.append(Instruction(
+                "phi", output=val, operands=[o for o, _ in moved],
+                phi_labels=[l for _, l in moved]))
+        arms = [(val, blk.label)] + rest if first else rest + [(val, blk.label)]
+        phi.operands = [o for o, _ in arms]
+        phi.phi_labels = [l for _, l in arms]
+    for p in preds:
+        _retarget(g.block(p), header.label, blk.label)
+    g.blocks.insert(at, blk)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +341,6 @@ class ExpandedFunction:
         return self.edge_subst.get(edge_key, {}).get(var, var)
 
 
-def _identity_expansion(work: Function, original: Function) -> ExpandedFunction:
-    cfg = build_cfg(work)
-    origin = {e.key: {e.key} for e in cfg.edges}
-    return ExpandedFunction(work, original, origin, {})
-
-
 def expand_loops(f: Function) -> ExpandedFunction:
     """Innermost-first two-copy expansion until the CFG is acyclic.
 
@@ -374,24 +348,27 @@ def expand_loops(f: Function) -> ExpandedFunction:
     phis with initial-value assignments, copy 2 with the copy-1 inductive
     values; a merge block per exit target consolidates every loop definition.
     Nesting deeper than MAX_LOOP_DEPTH is rejected.
+
+    One loop analysis serves each round, which expands every innermost loop:
+    they are disjoint, and expanding one keeps dominance among the blocks
+    outside it. The order is topological: a step asks the round's dominators
+    about blocks below its header, and no earlier step of the round has
+    renamed those.
     """
-    g, dom = _simplify_loops(f)  # dom holds for g's copy too: same graph
-    result = _identity_expansion(g.copy(), g)
-    while True:
-        cfg = build_cfg(result.function)
-        if dom is None:
-            dom = dominators(cfg)
+    g, cfg, dom = _simplify_loops(f)  # they hold for g's copy too: same graph
+    loops = natural_loops(cfg, dom)
+    # expansion never deepens the nesting
+    if loop_depth(loops) > MAX_LOOP_DEPTH:
+        raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
+    result = ExpandedFunction(g.copy(), g, {e.key: {e.key} for e in cfg.edges}, {})
+    while loops:
+        for lp in loops:
+            if not any(other.body < lp.body for other in loops if other is not lp):
+                step, cfg = _expand_one(result.function, cfg, dom, lp)
+                result = _compose(result, step)
+        dom = dominators(cfg)
         loops = natural_loops(cfg, dom)
-        # checked before the first step; expansion never deepens the nesting
-        if loop_depth(loops) > MAX_LOOP_DEPTH:
-            raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
-        if not loops:
-            return result
-        inner = next(lp for lp in loops
-                     if not any(other.body < lp.body for other in loops if other is not lp))
-        step = _expand_one(result.function, cfg, dom, inner)
-        result = _compose(result, step)
-        dom = None
+    return result
 
 
 def _compose(base: ExpandedFunction, step: ExpandedFunction) -> ExpandedFunction:
@@ -415,10 +392,11 @@ def _compose(base: ExpandedFunction, step: ExpandedFunction) -> ExpandedFunction
     return ExpandedFunction(step.function, base.original, edge_origin, edge_subst)
 
 
-def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop) -> ExpandedFunction:
-    """Expand one simple innermost loop of f (cfg and dom are f's), mutating
-    non-loop blocks of f in place (phi arms, post-loop uses) and returning the
-    rebuilt function."""
+def _expand_one(f: Function, cfg: Cfg, dom: DomInfo,
+                lp: NaturalLoop) -> tuple[ExpandedFunction, Cfg]:
+    """Expand one simple innermost loop of f, mutating non-loop blocks of f in
+    place (phi arms, post-loop uses) and returning the rebuilt function and
+    its CFG. cfg is f's; dom and lp come from the round's analysis."""
     if len(lp.latches) != 1:
         raise CfgError(f"loop at '{lp.header}' is not simple (latches: {lp.latches})")
     latch = lp.latches[0]
@@ -632,7 +610,7 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop) -> Expande
                 which = [m for m in merge_labels if ndom.dom(m, src)]
                 if len(which) == 1 and merged_name[which[0]]:
                     edge_subst[e.key] = dict(merged_name[which[0]])
-    return ExpandedFunction(nf, f, edge_origin, edge_subst)
+    return ExpandedFunction(nf, f, edge_origin, edge_subst), ncfg
 
 
 def _rewrite_multi_merge_uses(f: Function, dom: DomInfo, lp: NaturalLoop, loop_defs,

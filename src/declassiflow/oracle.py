@@ -9,9 +9,10 @@ observation whose taint contains x counts as transmitting a function of x.
 
 A machine snapshot, taken at every branch point so that a misprediction can
 roll back, shares what no execution mutates: the program's IR (each frame's
-`Function`) and the input list. It copies what a speculative burst can
-change: each frame's block position and its `env` and `taint` dicts (the
-taint values are frozensets, so a shallow copy of the dict suffices).
+`Function`), each function's label-to-block map and the input list. It
+copies what a speculative burst can change: each frame's block position and
+its `env` and `taint` dicts (the taint values are frozensets, so a shallow
+copy of the dict suffices).
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ class _Machine:
     def __init__(self, program: Program, entry: str, inputs: list[int],
                  pad_inputs: bool = False):
         self.program = program
+        self.blocks = {g.name: g.block_map() for g in program.functions}
         self.inputs = list(inputs)
         self.cursor = 0
         self.pad_inputs = pad_inputs
@@ -150,6 +152,7 @@ class _Machine:
     def snapshot(self) -> "_Machine":
         m = object.__new__(_Machine)
         m.program = self.program
+        m.blocks = self.blocks
         m.inputs = self.inputs
         m.cursor = self.cursor
         m.pad_inputs = self.pad_inputs
@@ -179,13 +182,12 @@ class _BranchPoint:
 
 
 def _step(m: _Machine, trace: Trace, *, speculative: bool,
-          transmit_speculative: bool, observe: bool = True,
-          branch_sink: list | None = None) -> str | None:
+          transmit_speculative: bool, branch_sink: list | None = None) -> str | None:
     """Execute one dynamic instruction. Returns "barrier" when a speculative
     execution reaches a speculation barrier, None otherwise."""
     frame = m.frames[-1]
     f = frame.function
-    block = f.block(frame.block)
+    block = m.blocks[f.name][frame.block]
 
     if not frame.phis_done:
         frame.phis_done = True
@@ -226,23 +228,22 @@ def _step(m: _Machine, trace: Trace, *, speculative: bool,
             return None
         if ins.opcode == "load":
             addr, tnt = _operand_value(frame, ins.operands[0])
-            if observe:
-                trace.observations.append(Observation(
-                    f.name, block.label, "load", ins.operands[0], addr, tnt,
-                    trace.steps, speculative))
+            trace.observations.append(Observation(
+                f.name, block.label, "load", ins.operands[0], addr, tnt,
+                trace.steps, speculative))
             frame.env[ins.output] = load_value(addr)
             frame.taint[ins.output] = tnt | {(f.name, ins.output)}
             return None
         if ins.opcode == "store":
             addr, tnt = _operand_value(frame, ins.operands[1])
-            if observe and not speculative:
+            if not speculative:
                 trace.observations.append(Observation(
                     f.name, block.label, "store", ins.operands[1], addr, tnt,
                     trace.steps, False))
             return None
         if ins.opcode == "transmit":
             val, tnt = _operand_value(frame, ins.operands[0])
-            if observe and (not speculative or transmit_speculative):
+            if not speculative or transmit_speculative:
                 trace.observations.append(Observation(
                     f.name, block.label, "transmit", ins.operands[0], val, tnt,
                     trace.steps, speculative))
@@ -303,7 +304,7 @@ def _step(m: _Machine, trace: Trace, *, speculative: bool,
     if t.opcode == "br":
         cond, tnt = _operand_value(frame, t.operands[0])
         then_l, else_l = t.operands[1], t.operands[2]
-        if observe and not speculative:
+        if not speculative:
             trace.observations.append(Observation(
                 f.name, block.label, "br", t.operands[0], cond, tnt,
                 trace.steps, False))

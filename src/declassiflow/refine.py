@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .cfg import DomInfo, build_cfg, dominators
 from .frontier import BlockKnowledge
-from .ir import Function
+from .ir import Block, Function
 from .knowledge import AnalysisError
 from .oracle import eval_op, load_value
 
@@ -256,6 +256,7 @@ def _interval_fails(term, truthy: bool, ranges: dict[str, tuple[int, int]]) -> b
 @dataclass
 class _SymFrame:
     function: Function
+    blocks: dict[str, Block]  # the function's label -> Block
     block: str
     prev_block: str | None
     idx: int
@@ -279,8 +280,8 @@ class _SymState:
 
     def fork(self) -> "_SymState":
         return _SymState(
-            [_SymFrame(fr.function, fr.block, fr.prev_block, fr.idx, fr.phis_done,
-                       dict(fr.env), fr.pending_out) for fr in self.frames],
+            [_SymFrame(fr.function, fr.blocks, fr.block, fr.prev_block, fr.idx,
+                       fr.phis_done, dict(fr.env), fr.pending_out) for fr in self.frames],
             list(self.pc), list(self.syms), dict(self.ranges), dict(self.holes),
             self.complex, dict(self.visits), dict(self.last), self.clock,
             self.input_count)
@@ -413,7 +414,7 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
         args = [("sym", c.var), c.value]
         entry_pc.append((make_term(op, args[::-1] if flipped else args), truthy))
     root = _SymState(
-        frames=[_SymFrame(f, f.entry_block, None, 0, False,
+        frames=[_SymFrame(f, f.block_map(), f.entry_block, None, 0, False,
                           {p: ("sym", p) for p in f.params}, None)],
         pc=[], syms=list(f.params),
         ranges=dict.fromkeys(f.params, (limits.domain_min, limits.domain_max)))
@@ -424,10 +425,11 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
                             f"max_symbols {limits.max_symbols})")
 
     stack = [root]
+    callee_blocks: dict[str, dict[str, Block]] = {}
     exits = 0
     while stack and exits <= limits.path_cap:
         st = stack.pop()
-        outcome = _sym_run(st, f.name, functions, limits)
+        outcome = _sym_run(st, f.name, functions, callee_blocks, limits)
         if outcome == "cap":
             yield "cap"
         elif outcome == "exit":
@@ -438,13 +440,13 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
 
 
 def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
-             limits: Limits):
+             callee_blocks: dict[str, dict[str, Block]], limits: Limits):
     """Run a state forward until it exits, hits a cap, or forks at a branch
     (returning the children whose branch constraint the intervals allow)."""
     while True:
         frame = st.frames[-1]
         f = frame.function
-        block = f.block(frame.block)
+        block = frame.blocks[frame.block]
 
         if not frame.phis_done:
             frame.phis_done = True
@@ -495,7 +497,10 @@ def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
                 env = {p: _sym_operand(frame, a)
                        for p, a in zip(callee.params, ins.operands)}
                 frame.pending_out = ins.output
-                st.frames.append(_SymFrame(callee, callee.entry_block, None, 0,
+                if ins.callee not in callee_blocks:
+                    callee_blocks[ins.callee] = callee.block_map()
+                st.frames.append(_SymFrame(callee, callee_blocks[ins.callee],
+                                           callee.entry_block, None, 0,
                                            False, env, None))
                 continue
             args = [_sym_operand(frame, o) for o in ins.operands]

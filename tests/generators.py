@@ -233,3 +233,93 @@ def segments(k: int) -> str:
         ]
     lines += ["X:", "  ret", "}"]
     return "\n".join(lines) + "\n"
+
+
+def random_loop_program(rng: random.Random, max_blocks: int = 10) -> str:
+    """One random reducible function rich in loops, in textual form.
+
+    A forward DAG over blocks B1..Bn gets back edges, each to a block other than
+    the entry that dominates its source (possibly the source itself), so the graph stays
+    reducible and its dominators are the DAG's. This yields nested,
+    multi-latch and multi-exit loops. Definitions use only what dominates
+    them, every block with several predecessors may start with phis whose
+    arms name what is available at the end of each predecessor, and the
+    blocks are printed in shuffled order with the entry block first.
+    """
+    n = rng.randint(4, max_blocks)
+    succs: dict[int, list[int]] = {}
+    for i in range(1, n):
+        a = min(n, i + rng.randint(1, 2))
+        b = rng.randint(i + 1, n)
+        succs[i] = [a] if (a == b or rng.random() < 0.5) else [a, b]
+    succs[n] = []
+    reach = [1]
+    for i in range(1, n + 1):  # DAG order visits every predecessor first
+        if i in reach:
+            reach += [t for t in succs[i] if t not in reach]
+    reach = sorted(set(reach))
+    preds: dict[int, list[int]] = {i: [] for i in reach}
+    for i in reach:
+        for t in succs[i]:
+            preds[t].append(i)
+    dom: dict[int, set[int]] = {}
+    for i in reach:  # the DAG's dominators, predecessors first
+        dom[i] = {i} | (set.intersection(*(dom[p] for p in preds[i])) if preds[i] else set())
+
+    for i in reach:
+        if len(succs[i]) == 1 and i > 1 and rng.random() < 0.6:
+            h = rng.choice(sorted(dom[i] - {1}))  # the entry takes no edges
+            succs[i] = [succs[i][0], h] if rng.random() < 0.5 else [h, succs[i][0]]
+            preds[h].append(i)
+
+    counter = 0
+
+    def fresh() -> str:
+        nonlocal counter
+        counter += 1
+        return f"v{counter}"
+
+    params = [f"p{k}" for k in range(rng.randint(1, 2))]
+    phis = {i: [fresh() for _ in range(rng.randint(0, 2))] if len(preds[i]) >= 2 else []
+            for i in reach}
+    defs: dict[int, list[str]] = {}
+    bodies: dict[int, list[str]] = {}
+    for i in reach:
+        avail = list(params) + [v for d in sorted(dom[i] - {i}) for v in defs[d]] + phis[i]
+        lines = []
+        for _ in range(rng.randint(1, 3)):
+            v = fresh()
+            kind = rng.random()
+            if kind < 0.2:
+                lines.append(f"  {v} = input")
+            elif kind < 0.4:
+                lines.append(f"  {v} = load {rng.choice(avail)}")
+            else:
+                a = rng.choice(avail)
+                b = rng.choice(avail + [str(rng.randint(0, 3))])
+                lines.append(f"  {v} = {rng.choice(BIN_OPS)} {a}, {b}")
+            avail.append(v)
+        defs[i] = phis[i] + [ln.split(" = ")[0].strip() for ln in lines]
+        if len(succs[i]) == 2:
+            lines.append(f"  br {rng.choice(avail)}, B{succs[i][0]}, B{succs[i][1]}")
+        elif succs[i]:
+            lines.append(f"  jmp B{succs[i][0]}")
+        else:
+            lines.append("  ret")
+        bodies[i] = lines
+
+    blocks = []
+    for i in reach:
+        lines = [f"B{i}:"]
+        for v in phis[i]:
+            arms = []
+            for p in sorted(set(preds[i])):
+                avail = list(params) + [w for d in sorted(dom[p]) for w in defs[d]]
+                arms.append(f"[{rng.choice(avail)}, B{p}]")
+            lines.append(f"  {v} = phi {', '.join(arms)}")
+        blocks.append("\n".join(lines + bodies[i]))
+    rest = blocks[1:]
+    rng.shuffle(rest)
+    text = f"fn main({', '.join(params)}) {{\n" + "\n".join(blocks[:1] + rest) + "\n}\n"
+    parse_program(text)
+    return text

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from declassiflow.cfg import (ENTRY, EXIT, Cfg, CfgError, build_cfg, dominators,
-                              expand_loops, natural_loops, prune_dead_blocks,
-                              simplify_loops, to_dot)
-from declassiflow.ir import Program, dominator_sets, parse_program, validate_ssa
+from declassiflow import cfg as cfg_module
+from declassiflow.cfg import (ENTRY, EXIT, MAX_LOOP_DEPTH, Cfg, CfgError, ExpandedFunction,
+                              _compose, _expand_one, _fresh, _retarget, build_cfg,
+                              dominators, expand_loops, loop_depth, natural_loops,
+                              prune_dead_blocks, simplify_loops, to_dot)
+from declassiflow.ir import (Block, Instruction, Program, dominator_sets, parse_program,
+                             pretty_print, validate_ssa)
 from declassiflow.oracle import interpret
+from declassiflow.pipeline import dump_expanded
 
-from conftest import fixture_program
-from generators import random_acyclic_program
+from conftest import FIXTURES, fixture_program, fixture_text
+from generators import random_acyclic_program, random_loop_program, segments
 
 
 def brute_force_dominates(cfg: Cfg, a: str, b: str) -> bool:
@@ -282,3 +286,238 @@ def test_dot_output_mentions_every_edge():
     cfg = build_cfg(f)
     dot = to_dot(cfg)
     assert dot.count("->") == len(cfg.edges)
+
+
+def reference_simplify_loops(f):
+    """Loop simplification that analyzes the CFG again after every inserted
+    block: the reference for the one-pass version."""
+    g = prune_dead_blocks(f).copy()
+    changed = True
+    while changed:
+        changed = False
+        cfg = build_cfg(g)
+        dom = dominators(cfg)
+        loops = natural_loops(cfg, dom)
+        labels = {b.label for b in g.blocks}
+        varnames = set(g.defined_vars())
+        for lp in loops:
+            header_blk = g.block(lp.header)
+            non_latch_preds = [p for p in cfg.preds(lp.header) if p not in lp.body]
+            need_preheader = not (len(non_latch_preds) == 1
+                                  and len(cfg.succs(non_latch_preds[0])) == 1)
+            if need_preheader:
+                ph = _fresh(labels, f"{lp.header}.ph")
+                ph_block = Block(ph)
+                ph_block.terminator = Instruction("jmp", operands=[lp.header])
+                for phi in header_blk.phis():
+                    init_arms = [(o, l) for o, l in zip(phi.operands, phi.phi_labels)
+                                 if l in non_latch_preds]
+                    rest = [(o, l) for o, l in zip(phi.operands, phi.phi_labels)
+                            if l not in non_latch_preds]
+                    if len(init_arms) == 1:
+                        init_val = init_arms[0][0]
+                    else:
+                        v = _fresh(varnames, f"{phi.output}.ph")
+                        ph_block.instructions.append(Instruction(
+                            "phi", output=v,
+                            operands=[o for o, _ in init_arms],
+                            phi_labels=[l for _, l in init_arms]))
+                        init_val = v
+                    phi.operands = [init_val] + [o for o, _ in rest]
+                    phi.phi_labels = [ph] + [l for _, l in rest]
+                for p in non_latch_preds:
+                    _retarget(g.block(p), lp.header, ph)
+                g.blocks.insert(g.blocks.index(header_blk), ph_block)
+                changed = True
+                break
+            if len(lp.latches) > 1:
+                lt = _fresh(labels, f"{lp.header}.lt")
+                lt_block = Block(lt)
+                lt_block.terminator = Instruction("jmp", operands=[lp.header])
+                for phi in header_blk.phis():
+                    latch_arms = [(o, l) for o, l in zip(phi.operands, phi.phi_labels)
+                                  if l in lp.latches]
+                    rest = [(o, l) for o, l in zip(phi.operands, phi.phi_labels)
+                            if l not in lp.latches]
+                    v = _fresh(varnames, f"{phi.output}.lt")
+                    lt_block.instructions.append(Instruction(
+                        "phi", output=v,
+                        operands=[o for o, _ in latch_arms],
+                        phi_labels=[l for _, l in latch_arms]))
+                    phi.operands = [o for o, _ in rest] + [v]
+                    phi.phi_labels = [l for _, l in rest] + [lt]
+                for latch in lp.latches:
+                    _retarget(g.block(latch), lp.header, lt)
+                last = max(g.blocks.index(g.block(l)) for l in lp.latches)
+                g.blocks.insert(last + 1, lt_block)
+                changed = True
+                break
+    return g
+
+
+def reference_expand_loops(f) -> ExpandedFunction:
+    """Expansion in the same rounds and order as expand_loops, but with the
+    CFG, the dominators and the loop record built again before every step."""
+    g = reference_simplify_loops(f)
+    work = g.copy()
+    cfg = build_cfg(work)
+    result = ExpandedFunction(work, g, {e.key: {e.key} for e in cfg.edges}, {})
+    loops = natural_loops(cfg, dominators(cfg))
+    if loop_depth(loops) > MAX_LOOP_DEPTH:
+        raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
+    while loops:
+        for header in [lp.header for lp in loops
+                       if not any(other.body < lp.body for other in loops if other is not lp)]:
+            cfg = build_cfg(result.function)
+            dom = dominators(cfg)
+            lp = next(lp for lp in natural_loops(cfg, dom) if lp.header == header)
+            step, _ = _expand_one(result.function, cfg, dom, lp)
+            result = _compose(result, step)
+        cfg = build_cfg(result.function)
+        loops = natural_loops(cfg, dominators(cfg))
+    return result
+
+
+# Expanding the loops in block order (H2 first) would ask the first round's
+# dominators about H2's copies, which use H1's definitions, when expanding H1;
+# in topological order H1 goes first.
+BLOCK_ORDER_NOT_TOPOLOGICAL = """
+fn main(n, m) {
+B0:
+  jmp H1
+Y:
+  jmp H2
+H2:
+  k = phi [v, Y], [l, H2]
+  l = add k, v
+  w = load l
+  d = lt l, n
+  br d, H2, E
+H1:
+  i = phi [0, B0], [j, L1]
+  j = add i, 1
+  v = add j, m
+  c = lt j, n
+  br c, L1, Y
+L1:
+  e = lt v, m
+  br e, H1, Z
+Z:
+  ret
+E:
+  ret
+}
+"""
+
+
+def _expansion_outcome(expand, f):
+    try:
+        ef = expand(f)
+    except CfgError as exc:
+        return str(exc)
+    return (pretty_print(Program([ef.function])), pretty_print(Program([ef.original])),
+            ef.edge_origin, ef.edge_subst)
+
+
+def test_expansion_matches_per_step_reference():
+    programs = [random_loop_program(random.Random(seed)) for seed in range(500)]
+    programs += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    programs += [segments(k) for k in range(1, 9)] + [BLOCK_ORDER_NOT_TOPOLOGICAL]
+    shapes = {"nested": 0, "multi-exit": 0, "multi-latch": 0}
+    for text in programs:
+        for f in parse_program(text).functions:
+            assert (pretty_print(Program([simplify_loops(f)]))
+                    == pretty_print(Program([reference_simplify_loops(f)]))), text
+            assert (_expansion_outcome(expand_loops, f)
+                    == _expansion_outcome(reference_expand_loops, f)), text
+            cfg = build_cfg(prune_dead_blocks(f))
+            loops = natural_loops(cfg, dominators(cfg))
+            shapes["nested"] += loop_depth(loops) >= 2
+            shapes["multi-exit"] += any(len(lp.exits) >= 2 for lp in loops)
+            shapes["multi-latch"] += any(len(lp.latches) >= 2 for lp in loops)
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_block_order_not_topological_expansion_pinned():
+    """--dump-expanded text as the restart-per-loop expansion printed it."""
+    assert dump_expanded(parse_program(BLOCK_ORDER_NOT_TOPOLOGICAL)) == """\
+fn main(n, m) {
+B0:
+  jmp H1.1
+Y:
+  jmp H2.1
+H2.1:
+  k.1 = add v.m, 0
+  l.1 = add k.1, v.m
+  w.1 = load l.1
+  d.1 = lt l.1, n
+  br d.1, H2.2, H2.m
+H2.2:
+  k.2 = add l.1, 0
+  l.2 = add k.2, v.m
+  w.2 = load l.2
+  d.2 = lt l.2, n
+  br d.2, H2.m, H2.m
+H2.m:
+  d = phi [d.1, H2.1], [d.2, H2.2]
+  k = phi [k.1, H2.1], [k.2, H2.2]
+  l = phi [l.1, H2.1], [l.2, H2.2]
+  w = phi [w.1, H2.1], [w.2, H2.2]
+  jmp E
+H1.1:
+  i.1 = add 0, 0
+  j.1 = add i.1, 1
+  v.1 = add j.1, m
+  c.1 = lt j.1, n
+  br c.1, L1.1, H1.m1
+L1.1:
+  e.1 = lt v.1, m
+  br e.1, H1.2, H1.m2
+H1.2:
+  i.2 = add j.1, 0
+  j.2 = add i.2, 1
+  v.2 = add j.2, m
+  c.2 = lt j.2, n
+  br c.2, L1.2, H1.m1
+L1.2:
+  e.2 = lt v.2, m
+  br e.2, H1.m1, H1.m2
+H1.m1:
+  c.m = phi [c.1, H1.1], [c.2, H1.2], [c.2, L1.2]
+  i.m = phi [i.1, H1.1], [i.2, H1.2], [i.2, L1.2]
+  j.m = phi [j.1, H1.1], [j.2, H1.2], [j.2, L1.2]
+  v.m = phi [v.1, H1.1], [v.2, H1.2], [v.2, L1.2]
+  jmp Y
+H1.m2:
+  c.m2 = phi [c.1, L1.1], [c.2, L1.2]
+  e.m = phi [e.1, L1.1], [e.2, L1.2]
+  i.m2 = phi [i.1, L1.1], [i.2, L1.2]
+  j.m2 = phi [j.1, L1.1], [j.2, L1.2]
+  v.m2 = phi [v.1, L1.1], [v.2, L1.2]
+  jmp Z
+Z:
+  ret
+E:
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize("name,calls", [
+    ("segments-8", 3), ("segments-16", 3), ("two_latch", 3), ("nested_loops", 3),
+    ("self_loop_linked", 2), ("diamond_linked", 1)])
+def test_expansion_dominator_computations(name, calls, monkeypatch):
+    """One dominator computation for the input, one more when simplification
+    inserts a block, and one after each round of expansion."""
+    program = (segments(int(name.split("-")[1])) if name.startswith("segments")
+               else fixture_text(name))
+    made = 0
+
+    def counting(cfg):
+        nonlocal made
+        made += 1
+        return dominators(cfg)
+
+    monkeypatch.setattr(cfg_module, "dominators", counting)
+    expand_loops(parse_program(program).functions[0])
+    assert made == calls

@@ -315,6 +315,7 @@ def _deepcopy_snapshot(self):
     every frame holds included."""
     m = object.__new__(_Machine)
     m.program = self.program
+    m.blocks = self.blocks
     m.inputs = self.inputs
     m.cursor = self.cursor
     m.pad_inputs = self.pad_inputs
