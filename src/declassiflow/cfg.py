@@ -14,7 +14,7 @@ relationships between variables, not computed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ir import Block, Function, Instruction, dominator_sets
 
@@ -323,19 +323,26 @@ def _insert_arm_block(g: Function, header: Block, preds: list[str], suffix: str,
 
 @dataclass
 class ExpandedFunction:
-    """Acyclic analysis copy of a function.
+    """Acyclic analysis copy of a function, with the graphs expansion built
+    for later phases: cfg is function's graph; original_cfg and original_dom
+    are the graph and dominators of original, the loop-simplified function.
 
     edge_origin maps an expanded edge key to the set of pre-expansion edge
     keys it stands for (empty for synthetic merge plumbing). edge_subst gives,
     per expanded edge, the rename of each duplicated variable that is current
     there; names absent from the map are represented by themselves (the merge
-    phis reuse original names, so post-loop edges need no entries).
+    phis reuse original names, so post-loop edges need no entries). edge_subst
+    and representative are meaningful only on edges with a non-empty
+    edge_origin, the only ones project_to_original reads.
     """
 
     function: Function
     original: Function
     edge_origin: dict[tuple[str, str], set[tuple[str, str]]]
     edge_subst: dict[tuple[str, str], dict[str, str]]
+    cfg: Cfg
+    original_cfg: Cfg
+    original_dom: DomInfo
 
     def representative(self, var: str, edge_key: tuple[str, str]) -> str:
         return self.edge_subst.get(edge_key, {}).get(var, var)
@@ -355,33 +362,35 @@ def expand_loops(f: Function) -> ExpandedFunction:
     about blocks below its header, and no earlier step of the round has
     renamed those.
     """
-    g, cfg, dom = _simplify_loops(f)  # they hold for g's copy too: same graph
+    g, cfg, dom = _simplify_loops(f)
     loops = natural_loops(cfg, dom)
     # expansion never deepens the nesting
     if loop_depth(loops) > MAX_LOOP_DEPTH:
         raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
-    result = ExpandedFunction(g.copy(), g, {e.key: {e.key} for e in cfg.edges}, {})
+    work = g.copy()  # steps rewrite blocks outside their loop in place
+    result = ExpandedFunction(work, g, {e.key: {e.key} for e in cfg.edges}, {},
+                              replace(cfg, function=work), cfg, dom)
     while loops:
         for lp in loops:
             if not any(other.body < lp.body for other in loops if other is not lp):
-                step, cfg = _expand_one(result.function, cfg, dom, lp)
-                result = _compose(result, step)
-        dom = dominators(cfg)
-        loops = natural_loops(cfg, dom)
+                result = _compose(result, _expand_one(result.function, result.cfg, dom, lp))
+        dom = dominators(result.cfg)
+        loops = natural_loops(result.cfg, dom)
     return result
 
 
-def _compose(base: ExpandedFunction, step: ExpandedFunction) -> ExpandedFunction:
+def _compose(base: ExpandedFunction, step) -> ExpandedFunction:
+    function, cfg, step_origin, step_subst = step
     edge_origin: dict[tuple[str, str], set[tuple[str, str]]] = {}
     edge_subst: dict[tuple[str, str], dict[str, str]] = {}
-    for ek, mids in step.edge_origin.items():
+    for ek, mids in step_origin.items():
         acc: set[tuple[str, str]] = set()
         prior: dict[str, str] = {}
         for mk in mids:
             acc |= base.edge_origin.get(mk, set())
             prior.update(base.edge_subst.get(mk, {}))
         edge_origin[ek] = acc
-        s2 = step.edge_subst.get(ek, {})
+        s2 = step_subst.get(ek, {})
         chain: dict[str, str] = {}
         for orig, mid_name in prior.items():
             chain[orig] = s2.get(mid_name, mid_name)
@@ -389,14 +398,14 @@ def _compose(base: ExpandedFunction, step: ExpandedFunction) -> ExpandedFunction
             chain.setdefault(mid_name, new)
         if chain:
             edge_subst[ek] = chain
-    return ExpandedFunction(step.function, base.original, edge_origin, edge_subst)
+    return ExpandedFunction(function, base.original, edge_origin, edge_subst, cfg,
+                            base.original_cfg, base.original_dom)
 
 
-def _expand_one(f: Function, cfg: Cfg, dom: DomInfo,
-                lp: NaturalLoop) -> tuple[ExpandedFunction, Cfg]:
+def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
     """Expand one simple innermost loop of f, mutating non-loop blocks of f in
-    place (phi arms, post-loop uses) and returning the rebuilt function and
-    its CFG. cfg is f's; dom and lp come from the round's analysis."""
+    place (phi arms, post-loop uses). Returns the rebuilt function, its CFG,
+    edge_origin and edge_subst. cfg is f's; dom and lp are the round's."""
     if len(lp.latches) != 1:
         raise CfgError(f"loop at '{lp.header}' is not simple (latches: {lp.latches})")
     latch = lp.latches[0]
@@ -610,7 +619,7 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo,
                 which = [m for m in merge_labels if ndom.dom(m, src)]
                 if len(which) == 1 and merged_name[which[0]]:
                     edge_subst[e.key] = dict(merged_name[which[0]])
-    return ExpandedFunction(nf, f, edge_origin, edge_subst), ncfg
+    return nf, ncfg, edge_origin, edge_subst
 
 
 def _rewrite_multi_merge_uses(f: Function, dom: DomInfo, lp: NaturalLoop, loop_defs,

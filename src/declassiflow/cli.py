@@ -176,8 +176,6 @@ def main(argv: list[str] | None = None) -> int:
             transmit_speculative=not args.transmit_nonspec,
         )
         report = run_pipeline(program, config)
-        if not args.protect and command not in ("protect", "verify", "pipeline"):
-            report.pop("protected_program", None)
         payload = emit_report(report, "text" if args.text else "json")
         if args.out:
             with open(args.out, "wb") as fh:

@@ -4,6 +4,7 @@ A block knows a variable when every out-edge of the block knows it. The
 frontier of a variable is the set of knowing blocks having at least one
 predecessor that does not know it: every entry-to-knowing-block path must
 cross the frontier, and crossing it makes the variable inevitably known.
+All frontiers come from one pass over the blocks.
 """
 
 from __future__ import annotations
@@ -40,25 +41,18 @@ def block_knowledge(km: KnowledgeMap) -> BlockKnowledge:
     return BlockKnowledge(cfg, known)
 
 
-def compute_frontier(kb: BlockKnowledge, var: str, cfg: Cfg | None = None) -> set[str]:
-    """Knowing blocks minus those whose predecessors all know the variable.
-
-    The entry block has no real predecessors and is never removed (so values
-    known from the program text alone have the entry block as frontier).
-    Removal tests block knowledge, which is fixed, so one sweep reaches the
-    fixpoint; the result is order-independent and unique.
-    """
-    cfg = cfg or kb.cfg
-    knowing = {b.label for b in cfg.function.blocks if var in kb.at(b.label)}
-    frontier = set()
-    for label in knowing:
-        preds = [e.src for e in cfg.in_edges[label] if e.src != ENTRY]
-        if not preds or not all(var in kb.at(p) for p in preds):
-            frontier.add(label)
-    return frontier
-
-
-def all_frontiers(kb: BlockKnowledge, cfg: Cfg | None = None) -> dict[str, set[str]]:
-    cfg = cfg or kb.cfg
-    return {v: compute_frontier(kb, v, cfg) for v in sorted(cfg.function.defined_vars())}
-
+def all_frontiers(kb: BlockKnowledge) -> dict[str, set[str]]:
+    """Frontier of every variable the function defines, in one pass: a block
+    is on the frontier of each variable it knows that not all of its
+    predecessors know. The entry block has none, so it is on the frontier of
+    all it knows (values known from the program text alone included)."""
+    cfg = kb.cfg
+    frontiers: dict[str, set[str]] = {v: set() for v in sorted(cfg.function.defined_vars())}
+    for b in cfg.function.blocks:
+        new = kb.at(b.label) & frontiers.keys()
+        preds = cfg.preds(b.label)
+        if preds:
+            new -= set.intersection(*map(kb.at, preds))
+        for v in new:
+            frontiers[v].add(b.label)
+    return frontiers

@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cfg import ENTRY, EXIT, Cfg, Edge, ExpandedFunction, build_cfg
+from .cfg import ENTRY, EXIT, Cfg, Edge, ExpandedFunction
 from .ir import DETERMINISTIC, Function, Transmission, solvability, transmissions
 
 
@@ -56,9 +56,6 @@ class KnowledgeMap:
 
     def at(self, src: str, dst: str) -> set[str]:
         return self.known[self.cfg.edge(src, dst).index]
-
-    def as_dict(self) -> dict[tuple[str, str], list[str]]:
-        return {e.key: sorted(self.known[e.index]) for e in self.cfg.edges}
 
 
 @dataclass
@@ -93,8 +90,7 @@ def _callee_summary(f: Function, ins, summaries: dict[str, FunctionSummary]) -> 
 def init_knowledge(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
                    transmit_speculative: bool = True) -> KnowledgeMap:
     """Seed the edge sets: transmitter operands, constants, callee leaks."""
-    f = ef.function
-    cfg = build_cfg(f)
+    f, cfg = ef.function, ef.cfg
     known: dict[int, set[str]] = {e.index: set() for e in cfg.edges}
 
     consts = _const_outputs(f)
@@ -258,7 +254,7 @@ def project_to_original(km: KnowledgeMap, ef: ExpandedFunction) -> KnowledgeMap:
     a variable on an edge no run through that edge could ever define is kept
     but flagged vacuous.
     """
-    ocfg = build_cfg(ef.original)
+    ocfg = ef.original_cfg
     by_key = {e.key: e.index for e in km.cfg.edges}
     counterparts: dict[tuple[str, str], list[tuple[str, str]]] = {e.key: [] for e in ocfg.edges}
     for ekey, origins in ef.edge_origin.items():
@@ -393,9 +389,8 @@ def _internal_leaks_rederivable(ef: ExpandedFunction, seed: set[str],
                                 internal_leaks: frozenset[str]) -> bool:
     """Check that knowledge of the leaked arguments alone re-derives every
     internally leaked value at the blocks where it escapes."""
-    cfg = build_cfg(ef.function)
-    known = {e.index: set(seed) | _const_outputs(ef.function) for e in cfg.edges}
-    km = propagate(KnowledgeMap(cfg, known), ef)
+    known = {e.index: set(seed) | _const_outputs(ef.function) for e in ef.cfg.edges}
+    km = propagate(KnowledgeMap(ef.cfg, known), ef)
     proj = project_to_original(km, ef)
     for v in internal_leaks:
         for b in revealed[v]:

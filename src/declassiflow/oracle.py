@@ -331,6 +331,12 @@ def interpret(program_or_fn, inputs: list[int], entry: str | None = None,
               fuel: int = DEFAULT_FUEL, transmit_speculative: bool = True,
               pad_inputs: bool = False) -> Trace:
     """Non-speculative execution: deterministic edge trace and observations."""
+    return _run(program_or_fn, inputs, entry, fuel, transmit_speculative, pad_inputs, None)
+
+
+def _run(program_or_fn, inputs: list[int], entry: str | None, fuel: int,
+         transmit_speculative: bool, pad_inputs: bool, branch_sink: list | None) -> Trace:
+    """The non-speculative run, recording each branch point in branch_sink."""
     program = _as_program(program_or_fn)
     entry = entry or program.entry_function
     m = _Machine(program, entry, inputs, pad_inputs)
@@ -340,7 +346,8 @@ def interpret(program_or_fn, inputs: list[int], entry: str | None = None,
     while not m.done:
         if trace.steps > fuel:
             raise OracleError("fuel exhausted (possible non-termination)")
-        _step(m, trace, speculative=False, transmit_speculative=transmit_speculative)
+        _step(m, trace, speculative=False, transmit_speculative=transmit_speculative,
+              branch_sink=branch_sink)
     return trace
 
 
@@ -445,18 +452,9 @@ def speculative_explore(program_or_fn, inputs: list[int], window: int = 16,
     speculation barrier halts speculative progress."""
     if window < 1 or depth < 1:
         raise OracleError("window and depth must be at least 1")
-    program = _as_program(program_or_fn)
-    entry = entry or program.entry_function
-    m = _Machine(program, entry, inputs, pad_inputs)
-    trace = Trace()
-    trace.edges.append((entry, ENTRY, m.frames[0].block))
-    trace.edge_times.append(0)
     branch_points: list[_BranchPoint] = []
-    while not m.done:
-        if trace.steps > fuel:
-            raise OracleError("fuel exhausted (possible non-termination)")
-        _step(m, trace, speculative=False, transmit_speculative=transmit_speculative,
-              branch_sink=branch_points)
+    trace = _run(program_or_fn, inputs, entry, fuel, transmit_speculative, pad_inputs,
+                 branch_points)
 
     executions: list[SpecExecution] = []
     for bp in branch_points:

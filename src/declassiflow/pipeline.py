@@ -12,8 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .cfg import (ENTRY, Cfg, build_cfg, dominators, expand_loops,
-                  prune_dead_blocks, to_dot)
+from .cfg import ENTRY, ExpandedFunction, build_cfg, expand_loops, prune_dead_blocks, to_dot
 from .frontier import BlockKnowledge, all_frontiers, block_knowledge
 from .ir import (Function, Program, Transmission, callees_first, pretty_print,
                  validate_ssa)
@@ -45,8 +44,7 @@ class RunConfig:
 class FunctionAnalysis:
     name: str
     simplified: Function
-    cfg: Cfg
-    expanded: object
+    expanded: ExpandedFunction
     km: KnowledgeMap  # projected onto the simplified CFG
     kb: BlockKnowledge
     frontiers: dict[str, set[str]]
@@ -72,15 +70,14 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
     km_expanded = analyze_edges(ef, summaries, config.transmit_speculative)
     km = project_to_original(km_expanded, ef)
     kb = block_knowledge(km)
-    frontiers = all_frontiers(kb, km.cfg)
+    frontiers = all_frontiers(kb)
     leaks = leak_model(ef.original, summaries, config.transmit_speculative)
     summary = summarize(ef.original, ef, kb.known, frontiers, summaries, leaks)
     notes = []
     if any(km.vacuous.values()):
         flagged = sorted({v for vs in km.vacuous.values() for v in vs})
         notes.append(f"vacuous knowledge recorded for: {', '.join(flagged)}")
-    return FunctionAnalysis(f.name, ef.original, km.cfg, ef, km, kb, frontiers,
-                            summary, notes=notes)
+    return FunctionAnalysis(f.name, ef.original, ef, km, kb, frontiers, summary, notes=notes)
 
 
 def refine_function(fa: FunctionAnalysis, leaks: list[Transmission],
@@ -90,7 +87,7 @@ def refine_function(fa: FunctionAnalysis, leaks: list[Transmission],
     upgrade block knowledge immediately. Regions and candidates come from
     the blocks of the speculative leak sites."""
     tblocks = {t.block for t in leaks if t.speculative}
-    regions = candidate_regions(fa.simplified, tblocks, dominators(fa.cfg))
+    regions = candidate_regions(fa.simplified, tblocks, fa.expanded.original_dom)
     cands = sorted(candidate_vars(fa.kb, tblocks))
     paths = PathLog(fa.simplified, config.limits, config.constraints.get(fa.name, []),
                     bodies)
@@ -106,7 +103,7 @@ def refine_function(fa: FunctionAnalysis, leaks: list[Transmission],
             fa.refinements.append(result)
             if result.verdict == INEVITABLE:
                 apply_refinement(fa.kb, result)
-    fa.frontiers = all_frontiers(fa.kb, fa.cfg)
+    fa.frontiers = all_frontiers(fa.kb)
     fa.phase2 = "ran"
 
 
@@ -154,13 +151,18 @@ def analyze_program(program: Program, config: RunConfig | None = None):
     return analyses, summaries, order, (dfa_s, refine_s)
 
 
+def _called_functions(program: Program) -> set[str]:
+    """Names of the functions some call in the program calls."""
+    return {ins.callee for f in program.functions
+            for _, ins in f.instructions() if ins.opcode == "call"}
+
+
 def property_map(program: Program,
                  analyses: dict[str, FunctionAnalysis]) -> dict[tuple[str, str], set[str]]:
     """Frontiers to enforce during verification: everything except variables
     public from the program text alone and parameters of called functions
     (those are covered per call site by the argument's own taint)."""
-    called = {ins.callee for f in program.functions
-              for _, ins in f.instructions() if ins.opcode == "call"}
+    called = _called_functions(program)
     out: dict[tuple[str, str], set[str]] = {}
     for name, fa in analyses.items():
         public = fa.kb.at(ENTRY)
@@ -185,15 +187,11 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
     t2 = time.perf_counter()
     protected: Program | None = None
     if config.protect and program.functions:
-        callers: set[str] = set()
-        for f in program.functions:
-            for _, ins in f.instructions():
-                if ins.opcode == "call":
-                    callers.add(ins.callee)
+        called = _called_functions(program)
         plans: dict[str, ProtectionPlan] = {}
         for name in order:
             fa = analyses[name]
-            top = name == program.entry_function or name not in callers
+            top = name == program.entry_function or name not in called
             leaks = leak_model(fa.simplified, summaries, config.transmit_speculative)
             plans[name] = plan_protection(fa.simplified, leaks, fa.frontiers,
                                           fa.summary, top)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cfg import DomInfo, build_cfg, dominators
+from .cfg import DomInfo
 from .frontier import BlockKnowledge
 from .ir import Block, Function
 from .knowledge import AnalysisError
@@ -102,13 +102,11 @@ class RefinementResult:
     note: str = ""
 
 
-def candidate_regions(f: Function, tblocks: set[str],
-                      dom: DomInfo | None = None) -> list[Region]:
-    """Regions headed at each block dominating every speculative transmitter
-    block in tblocks, ordered from the entry inward."""
+def candidate_regions(f: Function, tblocks: set[str], dom: DomInfo) -> list[Region]:
+    """Regions headed at each block of f dominating every speculative
+    transmitter block in tblocks, ordered from the entry inward; dom is f's."""
     if not tblocks:
         return []
-    dom = dom or dominators(build_cfg(f))
     headers = [b.label for b in f.blocks
                if all(dom.dom(b.label, t) for t in tblocks)]
     headers.sort(key=dom.depth)

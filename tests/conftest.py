@@ -34,7 +34,7 @@ def dfa(function, summaries=None):
 def dfa_blocks(function, summaries=None):
     ef, km = dfa(function, summaries)
     kb = block_knowledge(km)
-    return ef, km, kb, all_frontiers(kb, km.cfg)
+    return ef, km, kb, all_frontiers(kb)
 
 
 def record_acceptance(line: str):

@@ -1,7 +1,12 @@
+import importlib
+import pkgutil
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+import declassiflow
 from declassiflow import cfg as cfg_module
 from declassiflow.cfg import (ENTRY, EXIT, MAX_LOOP_DEPTH, Cfg, CfgError, ExpandedFunction,
                               _compose, _expand_one, _fresh, _retarget, build_cfg,
@@ -10,10 +15,10 @@ from declassiflow.cfg import (ENTRY, EXIT, MAX_LOOP_DEPTH, Cfg, CfgError, Expand
 from declassiflow.ir import (Block, Instruction, Program, dominator_sets, parse_program,
                              pretty_print, validate_ssa)
 from declassiflow.oracle import interpret
-from declassiflow.pipeline import dump_expanded
+from declassiflow.pipeline import RunConfig, analyze_program, dump_expanded, run_pipeline
 
 from conftest import FIXTURES, fixture_program, fixture_text
-from generators import random_acyclic_program, random_loop_program, segments
+from generators import call_chain, random_acyclic_program, random_loop_program, segments
 
 
 def brute_force_dominates(cfg: Cfg, a: str, b: str) -> bool:
@@ -361,7 +366,9 @@ def reference_expand_loops(f) -> ExpandedFunction:
     g = reference_simplify_loops(f)
     work = g.copy()
     cfg = build_cfg(work)
-    result = ExpandedFunction(work, g, {e.key: {e.key} for e in cfg.edges}, {})
+    gcfg = build_cfg(g)
+    result = ExpandedFunction(work, g, {e.key: {e.key} for e in cfg.edges}, {}, cfg, gcfg,
+                              dominators(gcfg))
     loops = natural_loops(cfg, dominators(cfg))
     if loop_depth(loops) > MAX_LOOP_DEPTH:
         raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
@@ -371,8 +378,7 @@ def reference_expand_loops(f) -> ExpandedFunction:
             cfg = build_cfg(result.function)
             dom = dominators(cfg)
             lp = next(lp for lp in natural_loops(cfg, dom) if lp.header == header)
-            step, _ = _expand_one(result.function, cfg, dom, lp)
-            result = _compose(result, step)
+            result = _compose(result, _expand_one(result.function, cfg, dom, lp))
         cfg = build_cfg(result.function)
         loops = natural_loops(cfg, dominators(cfg))
     return result
@@ -521,3 +527,39 @@ def test_expansion_dominator_computations(name, calls, monkeypatch):
     monkeypatch.setattr(cfg_module, "dominators", counting)
     expand_loops(parse_program(program).functions[0])
     assert made == calls
+
+
+@pytest.mark.parametrize("name,builds,doms", [
+    ("segments-2", 5, 3), ("call_chain-4", 12, 8), ("aes_analog", 11, 6),
+    ("diamond_linked", 2, 1)])
+def test_graph_builds_per_run(name, builds, doms, monkeypatch):
+    """A run configured like protect builds each function's graphs in loop
+    normalization only; later phases read the ones ExpandedFunction carries."""
+    generated = {"segments-2": segments(2), "call_chain-4": call_chain(4)}
+    program = parse_program(generated.get(name) or fixture_text(name))
+    calls: Counter = Counter()
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__, sys._getframe(1).f_globals["__name__"]] += 1
+            return fn(*args)
+        return wrapper
+
+    modules = [declassiflow] + [importlib.import_module(f"declassiflow.{m.name}")
+                                for m in pkgutil.iter_modules(declassiflow.__path__)]
+    for fn in (build_cfg, dominators):
+        for module in modules:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    run_pipeline(program, RunConfig())
+    assert {caller for _, caller in calls} == {"declassiflow.cfg"}, calls
+    assert sum(n for (fn, _), n in calls.items() if fn == "build_cfg") == builds
+    assert sum(n for (fn, _), n in calls.items() if fn == "dominators") == doms
+
+    for fa in analyze_program(program, RunConfig(protect=False))[0].values():
+        ef = fa.expanded
+        assert ef.cfg.function is ef.function and ef.original_cfg.function is ef.original
+        assert fa.km.cfg is ef.original_cfg and fa.simplified is ef.original
+        assert ef.cfg.edges == build_cfg(ef.function).edges
+        assert ef.original_cfg.edges == build_cfg(ef.original).edges
+        assert ef.original_dom == dominators(build_cfg(ef.original))

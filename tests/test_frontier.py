@@ -1,12 +1,27 @@
 import random
 
-from declassiflow.cfg import ENTRY, Cfg
-from declassiflow.frontier import BlockKnowledge, compute_frontier
+from declassiflow.cfg import ENTRY, Cfg, CfgError
+from declassiflow.frontier import BlockKnowledge
 from declassiflow.ir import parse_program
 from declassiflow.knowledge import leak_model, summarize
 from declassiflow.pipeline import RunConfig, analyze_program
 
-from conftest import dfa, dfa_blocks, fixture_program
+from conftest import FIXTURES, dfa, dfa_blocks, fixture_program
+from generators import (random_acyclic_program, random_loop_program, random_tight_program,
+                        segments)
+
+
+def compute_frontier(kb: BlockKnowledge, var: str, cfg: Cfg) -> set[str]:
+    """Reference: one variable's frontier, the knowing blocks minus those
+    whose predecessors all know the variable. The entry block has no real
+    predecessors and is never removed."""
+    knowing = {b.label for b in cfg.function.blocks if var in kb.at(b.label)}
+    frontier = set()
+    for label in knowing:
+        preds = [e.src for e in cfg.in_edges[label] if e.src != ENTRY]
+        if not preds or not all(var in kb.at(p) for p in preds):
+            frontier.add(label)
+    return frontier
 
 
 def frontier_covers(kb: BlockKnowledge, var: str, frontier: set[str], cfg: Cfg) -> bool:
@@ -128,3 +143,35 @@ def test_full_declassification():
     efq, _, kbq, frq = dfa_blocks(quiet)
     assert summarize(quiet, efq, kbq.known, frq, {},
                      leak_model(quiet, {})).fully_declassified_vars == set()
+
+
+# refinement on these loop-rich seeds takes over a second each (the caps bound
+# each solve, not their number), so the gate runs them with refinement off only
+SLOW_REFINE_LOOP_SEEDS = {12, 22, 26, 38, 78}
+
+
+def test_all_frontiers_matches_per_variable_reference():
+    """Gate for the one-pass frontiers: after analyze_program, with refinement
+    on and off, every function's frontiers equal the per-variable reference
+    on its block knowledge, with the same keys in the same order."""
+    runs = [(random_acyclic_program(random.Random(seed)), True) for seed in range(300)]
+    runs += [(random_tight_program(random.Random(seed)), True) for seed in range(100)]
+    runs += [(random_loop_program(random.Random(seed)), seed not in SLOW_REFINE_LOOP_SEEDS)
+             for seed in range(100)]
+    runs += [(path.read_text(), True) for path in sorted(FIXTURES.glob("*.mir"))]
+    runs += [(segments(k), True) for k in range(1, 5)]
+    checked = {False: 0, True: 0}
+    for text, refine_too in runs:
+        program = parse_program(text)
+        for refine in (False, True) if refine_too else (False,):
+            try:
+                analyses = analyze_program(program, RunConfig(refine=refine, protect=False))[0]
+            except CfgError:
+                continue  # irreducible or too deeply nested: no frontiers to compare
+            for fa in analyses.values():
+                cfg = fa.km.cfg
+                reference = {v: compute_frontier(fa.kb, v, cfg)
+                             for v in sorted(cfg.function.defined_vars())}
+                assert list(fa.frontiers.items()) == list(reference.items()), (text, refine)
+                checked[refine] += 1
+    assert checked[False] >= 500 and checked[True] >= 500, checked

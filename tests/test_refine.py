@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from declassiflow.cfg import build_cfg, simplify_loops
+from declassiflow.cfg import build_cfg, dominators, simplify_loops
 from declassiflow.frontier import BlockKnowledge
 from declassiflow import refine
 from declassiflow.knowledge import AnalysisError, leak_model
@@ -24,6 +24,11 @@ def simplified(name, index=0):
 def spec_tblocks(f):
     """Speculative transmitter blocks of a call-free function."""
     return {t.block for t in leak_model(f, {}) if t.speculative}
+
+
+def regions_of(f):
+    """Candidate regions of a call-free function, from its own dominators."""
+    return candidate_regions(f, spec_tblocks(f), dominators(build_cfg(f)))
 
 
 def knowing(f, kb, var):
@@ -50,19 +55,19 @@ def flag_escapes(trace, fname, header, know):
 
 def test_candidate_regions_ordering_and_counts():
     f = simplified("djbsort_analog")
-    regions = candidate_regions(f, spec_tblocks(f))
+    regions = regions_of(f)
     assert [r.header for r in regions] == ["B1", "B2", "B3.ph", "B3"]
     assert len(regions) == 4
 
     g = simplified("chacha_analog")
-    regions_c = candidate_regions(g, spec_tblocks(g))
+    regions_c = regions_of(g)
     assert len(regions_c) == 3
     assert [r.header for r in regions_c] == ["B1", "B2.ph", "B2"]
 
 
 def test_candidate_region_single_block():
     f = parse_program("fn f(a) {\nB1:\n  transmit a\n  ret\n}").functions[0]
-    regions = candidate_regions(f, spec_tblocks(f))
+    regions = regions_of(f)
     assert len(regions) == 1
     assert regions[0].header == "B1" and regions[0].blocks == {"B1"}
 
@@ -84,7 +89,7 @@ def test_candidate_vars_empty_without_knowledge():
 def test_instrument_flags_both_transmitter_blocks():
     f = fixture_program("anticorrelated").functions[0]
     _, _, kb, _ = dfa_blocks(f)
-    regions = candidate_regions(f, spec_tblocks(f))
+    regions = regions_of(f)
     assert [r.header for r in regions] == ["B1"]
     assert knowing(f, kb, "x") == {"B2", "B4"}  # not the header B1
 
@@ -92,7 +97,7 @@ def test_instrument_flags_both_transmitter_blocks():
 def test_instrument_flags_single_block_region():
     f = parse_program("fn f(a) {\nB1:\n  transmit a\n  ret\n}").functions[0]
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f, spec_tblocks(f))[0]
+    region = regions_of(f)[0]
     assert knowing(f, kb, "a") == {"B1"}  # a knowing header never escapes
     result = query(f, region, "a", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == INEVITABLE
@@ -101,7 +106,7 @@ def test_instrument_flags_single_block_region():
 def test_anticorrelated_inevitable():
     f = fixture_program("anticorrelated").functions[0]
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f, spec_tblocks(f))[0]
+    region = regions_of(f)[0]
     result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == INEVITABLE
     kb2 = apply_refinement(kb, result)
@@ -111,7 +116,7 @@ def test_anticorrelated_inevitable():
 def test_sort_guard_region_inevitable_and_entry_escapable():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    regions = candidate_regions(f, spec_tblocks(f))
+    regions = regions_of(f)
     by_header = {r.header: r for r in regions}
     lim = Limits(domain_min=0, domain_max=15)
 
@@ -126,7 +131,7 @@ def test_sort_guard_region_inevitable_and_entry_escapable():
 def test_escapable_witness_replays():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f, spec_tblocks(f))[0]
+    region = regions_of(f)[0]
     result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=15))
     assert result.verdict == ESCAPABLE
     trace = interpret(Program([f]), result.witness_inputs)
@@ -136,7 +141,7 @@ def test_escapable_witness_replays():
 def test_entry_constraint_drives_inevitability():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    by_header = {r.header: r for r in candidate_regions(f, spec_tblocks(f))}
+    by_header = {r.header: r for r in regions_of(f)}
     lim = Limits(domain_min=0, domain_max=15)
     constraint = [parse_constraint("n >= 2")]
     # with the handrail constraint even the whole-function region is inevitable
@@ -147,7 +152,7 @@ def test_entry_constraint_drives_inevitability():
 def test_unsatisfiable_entry_constraints_error():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f, spec_tblocks(f))[0]
+    region = regions_of(f)[0]
     with pytest.raises(AnalysisError, match="unsatisfiable"):
         query(f, region, "x", kb, Limits(), [parse_constraint("n > 5"),
                                              parse_constraint("n < 3")])
@@ -156,7 +161,7 @@ def test_unsatisfiable_entry_constraints_error():
 def test_verdicts_monotone_in_limits():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    by_header = {r.header: r for r in candidate_regions(f, spec_tblocks(f))}
+    by_header = {r.header: r for r in regions_of(f)}
     small = Limits(loop_cap=2, path_cap=8, domain_min=0, domain_max=15)
     big = Limits(loop_cap=64, path_cap=8192, domain_min=0, domain_max=15)
     for header in ("B1", "B2"):
@@ -172,11 +177,11 @@ def test_regions_track_speculative_transmitters_only():
     # the only speculative transmitter sits in the entry block, so only the
     # entry dominates every site even though every block ends in a branch
     f = simplified("self_loop_linked")
-    regions = candidate_regions(f, spec_tblocks(f))
+    regions = regions_of(f)
     assert [r.header for r in regions] == ["B1"]
 
     quiet = parse_program("fn f(a) {\nB1:\n  br a, B2, B3\nB2:\n  jmp B3\nB3:\n  ret\n}").functions[0]
-    assert candidate_regions(quiet, spec_tblocks(quiet)) == []
+    assert regions_of(quiet) == []
 
 
 INPUT_LOOP = """
@@ -234,7 +239,7 @@ B3:
 def test_loop_cap_unknown_on_input_driven_loop(text, limits, note):
     f = simplify_loops(parse_program(text).functions[0])
     _, _, kb, _ = dfa_blocks(f)
-    by_header = {r.header: r for r in candidate_regions(f, spec_tblocks(f))}
+    by_header = {r.header: r for r in regions_of(f)}
     result = query(f, by_header["B1"], "a", kb, limits)
     assert result.verdict == UNKNOWN
     assert result.note == note
@@ -243,7 +248,7 @@ def test_loop_cap_unknown_on_input_driven_loop(text, limits, note):
 def test_apply_refinement_rejects_non_inevitable():
     f = simplified("djbsort_analog")
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f, spec_tblocks(f))[0]
+    region = regions_of(f)[0]
     result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=15))
     assert result.verdict == ESCAPABLE
     with pytest.raises(AnalysisError):
@@ -269,7 +274,7 @@ def test_refinement_sound_against_interpreter():
         paths = PathLog(f, limits)
         traces = [interpret(f, inputs)
                   for inputs in input_grid(input_slots(f), range(4))]
-        for region in candidate_regions(f, spec_tblocks(f)):
+        for region in regions_of(f):
             for var in sorted(candidate_vars(kb, spec_tblocks(f))):
                 know = knowing(f, kb, var)
                 result = check_inevitable(paths, region, var, know)
@@ -301,7 +306,7 @@ B3:
 """
     f = parse_program(text).functions[0]
     _, _, kb, _ = dfa_blocks(f)
-    region = candidate_regions(f, spec_tblocks(f))[0]
+    region = regions_of(f)[0]
     result = query(f, region, "in0", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == ESCAPABLE
     trace = interpret(Program([f]), result.witness_inputs)
