@@ -15,6 +15,7 @@ relationships between variables, not computed values.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .ir import Block, Function, Instruction, dominator_sets
 
@@ -116,9 +117,15 @@ def build_cfg(f: Function) -> Cfg:
 
 def prune_dead_blocks(f: Function) -> Function:
     """Drop unreachable blocks and fix up phi arms that referenced them."""
+    return _prune_dead_blocks(f)[0]
+
+
+def _prune_dead_blocks(f: Function) -> tuple[Function, Cfg | None]:
+    """prune_dead_blocks, plus f's graph when nothing was pruned (f is then
+    returned itself) or None when blocks were dropped."""
     cfg = build_cfg(f)
     if not cfg.dead_blocks:
-        return f
+        return f, cfg
     g = f.copy()
     g.blocks = [b for b in g.blocks if b.label not in cfg.dead_blocks]
     alive = {b.label for b in g.blocks}
@@ -128,7 +135,7 @@ def prune_dead_blocks(f: Function) -> Function:
                 keep = [(o, l) for o, l in zip(ins.operands, ins.phi_labels) if l in alive]
                 ins.operands = [o for o, _ in keep]
                 ins.phi_labels = [l for _, l in keep]
-    return g
+    return g, None
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +280,9 @@ def _simplify_loops(f: Function) -> tuple[Function, Cfg, DomInfo]:
     """simplify_loops, plus the CFG and dominators of the result. One analysis
     serves every insertion: a new preheader or latch changes no other loop's
     header, latches or outside predecessors."""
-    g = prune_dead_blocks(f).copy()
-    cfg = build_cfg(g)
+    pruned, cfg = _prune_dead_blocks(f)
+    g = pruned.copy()
+    cfg = build_cfg(g) if cfg is None else replace(cfg, function=g)
     dom = dominators(cfg)
     labels = {b.label for b in g.blocks}
     varnames = set(g.defined_vars())
@@ -321,6 +329,27 @@ def _insert_arm_block(g: Function, header: Block, preds: list[str], suffix: str,
 # Partial loop expansion
 # ---------------------------------------------------------------------------
 
+class VarIndex:
+    """Dense numbering of variable names. A set of names is one int whose
+    bit i stands for names[i]; original is the mask of the loop-simplified
+    function's variables, which take the lowest bits."""
+
+    def __init__(self, names: list[str], original: int):
+        self.names = names
+        self.bit = {v: 1 << i for i, v in enumerate(names)}
+        self.original = original
+
+    def mask(self, names) -> int:
+        m = 0
+        for v in names:
+            m |= self.bit[v]
+        return m
+
+    def decode(self, m: int) -> set[str]:
+        names = self.names
+        return {names[i] for i, c in enumerate(reversed(bin(m))) if c == "1"}
+
+
 @dataclass
 class ExpandedFunction:
     """Acyclic analysis copy of a function, with the graphs expansion built
@@ -346,6 +375,17 @@ class ExpandedFunction:
 
     def representative(self, var: str, edge_key: tuple[str, str]) -> str:
         return self.edge_subst.get(edge_key, {}).get(var, var)
+
+    @cached_property
+    def index(self) -> VarIndex:
+        """The variables of original, then the others function defines, each
+        group sorted and numbered once: edge knowledge of both graphs uses
+        this index. Every name either function uses is defined in one of
+        them (validate_ssa holds of the input, and expansion keeps it)."""
+        names = dict.fromkeys(sorted(self.original.defined_vars()))
+        low = (1 << len(names)) - 1
+        names.update(dict.fromkeys(sorted(self.function.defined_vars())))
+        return VarIndex(list(names), low)
 
 
 def expand_loops(f: Function) -> ExpandedFunction:

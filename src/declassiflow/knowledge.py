@@ -21,15 +21,23 @@ Propagation rules, applied to a fixpoint:
   R6         phi: each arm known on its own in-edge -> output on all out-edges.
   R7         phi: output known on all out-edges -> each arm on its in-edge.
 
-The least fixpoint is computed with a worklist of facts (edge e, variable v).
-A fact re-checks only the rules whose premises it can complete:
-  R2/R3      on e, the equations that mention v (as output or input);
-  R4, R6     at e.dst: v known on every in-edge; every arm of a phi fed by
-             (e, v) known on its in-edge;
-  R5, R7     at e.src: v known on every out-edge, then hoisted if not defined
-             there, or pushed onto the arms if v is a phi output there.
-The worklist starts from every initial fact plus the premise-free equations
-(no variable inputs, all-literal phis included).
+Each expanded function numbers its variables once, in a dense index
+(ExpandedFunction.index: the loop-simplified function's variables first), and
+an edge's knowledge is one int over it: bit i set means variable i is known.
+The least fixpoint is computed with a worklist of edges, each carrying the
+bits it gained since it was last taken (its delta). A delta re-checks only
+the rules whose premises it can complete:
+  R2/R3      on e, per new bit, the equations that mention it (as output or
+             input); their conclusions join the delta;
+  R4, R6     at e.dst: the delta ANDed over every in-edge moves to every
+             out-edge; a phi whose arm bit is in the delta fires when every
+             arm is known on its in-edge;
+  R5, R7     at e.src: the delta ANDed over every out-edge is hoisted where
+             not defined there, or pushed onto the arms for phi outputs.
+The worklist starts from every seeded edge plus the premise-free equations
+(no variable inputs, all-literal phis included). Projection onto the
+pre-expansion CFG ANDs per-counterpart masks in the same index; names are
+decoded only for the projected sets.
 
 All paths are treated as realizable; that approximation loses precision but
 never soundness.
@@ -40,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cfg import ENTRY, EXIT, Cfg, Edge, ExpandedFunction
+from .cfg import ENTRY, EXIT, Cfg, ExpandedFunction, VarIndex
 from .ir import DETERMINISTIC, Function, Transmission, solvability, transmissions
 
 
@@ -50,6 +58,9 @@ class AnalysisError(Exception):
 
 @dataclass
 class KnowledgeMap:
+    """Edge sets of names by edge index: phase 1 projected onto the
+    simplified function's CFG, or the oracle's exact knowledge."""
+
     cfg: Cfg
     known: dict[int, set[str]]
     vacuous: dict[int, set[str]] = field(default_factory=dict)
@@ -87,30 +98,41 @@ def _callee_summary(f: Function, ins, summaries: dict[str, FunctionSummary]) -> 
     return summary
 
 
+@dataclass
+class EdgeBits:
+    """Knowledge on the expanded CFG: bits[e.index] is the set known on edge
+    e, as a mask over index."""
+
+    cfg: Cfg
+    index: VarIndex
+    bits: list[int]
+
+    @property
+    def known(self) -> dict[int, set[str]]:
+        """The edge sets, decoded."""
+        return {e.index: self.index.decode(self.bits[e.index]) for e in self.cfg.edges}
+
+
 def init_knowledge(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
-                   transmit_speculative: bool = True) -> KnowledgeMap:
+                   transmit_speculative: bool = True) -> EdgeBits:
     """Seed the edge sets: transmitter operands, constants, callee leaks."""
-    f, cfg = ef.function, ef.cfg
-    known: dict[int, set[str]] = {e.index: set() for e in cfg.edges}
-
-    consts = _const_outputs(f)
-    for e in cfg.edges:
-        known[e.index] |= consts
-
+    f, cfg, ix = ef.function, ef.cfg, ef.index
+    revealed: dict[str, int] = {}  # block -> what it reveals on its out-edges
     for t in transmissions(f, transmit_speculative):
         if isinstance(t.operand, str):
-            for e in cfg.out_edges[t.block]:
-                known[e.index].add(t.operand)
+            revealed[t.block] = revealed.get(t.block, 0) | ix.bit[t.operand]
+    for b, ins in f.instructions():
+        if ins.opcode != "call":
+            continue
+        for pos in _callee_summary(f, ins, summaries).declassified_args:
+            if isinstance(ins.operands[pos], str):
+                revealed[b.label] = revealed.get(b.label, 0) | ix.bit[ins.operands[pos]]
 
-    for b in f.blocks:
-        for ins in b.instructions:
-            if ins.opcode != "call":
-                continue
-            for pos in _callee_summary(f, ins, summaries).declassified_args:
-                if isinstance(ins.operands[pos], str):
-                    for e in cfg.out_edges[b.label]:
-                        known[e.index].add(ins.operands[pos])
-    return KnowledgeMap(cfg, known)
+    bits = [ix.mask(_const_outputs(f))] * len(cfg.edges)
+    for label, m in revealed.items():
+        for e in cfg.out_edges[label]:
+            bits[e.index] |= m
+    return EdgeBits(cfg, ix, bits)
 
 
 @dataclass
@@ -159,94 +181,142 @@ def close(known: set[str], eqs: list[Equation]) -> bool:
     return grew
 
 
-def propagate(km: KnowledgeMap, ef: ExpandedFunction,
-              order_seed: int | None = None) -> KnowledgeMap:
+def _bits_of(m: int):
+    """The single-bit masks of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
+
+
+def propagate(km: EdgeBits, ef: ExpandedFunction,
+              order_seed: int | None = None) -> EdgeBits:
     """Least fixpoint of R2-R7 over the initialized map, by worklist.
 
-    Every fact (edge, v) that joins the map re-checks only the rules it can
-    fire (see the module docstring). The rules only grow the per-edge sets,
-    so the fixpoint is unique; the optional order_seed shuffles the equation
-    and seed order to exercise that.
+    The worklist holds edges, each with the bits it gained since it was last
+    taken; those bits re-check only the rules they can fire (see the module
+    docstring). The rules only grow the per-edge sets, so the fixpoint is
+    unique; the optional order_seed shuffles the equation and seed order to
+    exercise that.
     """
-    f = ef.function
-    cfg = km.cfg
-    known = km.known
+    f, cfg, ix, known = ef.function, km.cfg, km.index, km.bits
+    bit = ix.bit
     eqs = equations(f)
-    work = [(e, v) for e in cfg.edges for v in known[e.index]]
+    work = [e.index for e in cfg.edges if known[e.index]]
     if order_seed is not None:
         rng = random.Random(order_seed)
         rng.shuffle(eqs)
         rng.shuffle(work)
+    pending = list(known)  # per edge: bits gained and not yet processed
 
-    def add(e: Edge, v: str):
-        if v not in known[e.index]:
-            known[e.index].add(v)
-            work.append((e, v))
+    def add(i: int, m: int):
+        new = m & ~known[i]
+        if new:
+            known[i] |= new
+            if not pending[i]:
+                work.append(i)
+            pending[i] |= new
 
-    def fire(eq: Equation, e: Edge):  # R2 / R3 on one edge
-        s = known[e.index]
-        if eq.output not in s and all(v in s for v in eq.var_inputs):
-            add(e, eq.output)
-        if eq.output in s:
-            for target, others in eq.backward:
-                if target not in s and all(v in s for v in others):
-                    add(e, target)
-
-    mentions: dict[str, list[Equation]] = {}
+    # R2/R3 as (output bit, input mask, ((recoverable bit, others mask), ...)),
+    # listed under every bit position the equation mentions
+    mentions: list[list] = [[] for _ in ix.names]
+    free = 0  # outputs of premise-free equations
     for eq in eqs:
-        for v in dict.fromkeys((eq.output, *eq.var_inputs)):
-            mentions.setdefault(v, []).append(eq)
-    # blocks the block rules R4-R7 apply to (in- and out-edges) -> definitions
-    defs = {b.label: b.defined_vars() for b in f.blocks
-            if cfg.in_edges[b.label] and cfg.out_edges[b.label]}
-    phi_arms: dict[str, dict[str, list]] = {}  # block -> phi output -> var arms
-    fed_by: dict[tuple[int, str], list] = {}  # (in-edge, arm var) -> phis
-    for b in f.blocks:
-        if b.label not in defs:
-            continue
-        for phi in b.phis():
-            arms = [(op, cfg.edge(lab, b.label)) for op, lab
-                    in zip(phi.operands, phi.phi_labels) if isinstance(op, str)]
-            phi_arms.setdefault(b.label, {})[phi.output] = arms
-            for op, e in arms:
-                fed_by.setdefault((e.index, op), []).append((phi.output, arms))
-
-    for eq in eqs:  # premise-free: no variable inputs (all-literal phis too)
+        rule = (bit[eq.output], ix.mask(eq.var_inputs),
+                tuple((bit[t], ix.mask(others)) for t, others in eq.backward))
         if not eq.var_inputs:
-            for e in cfg.edges:
-                add(e, eq.output)
+            free |= rule[0]
+        for low in _bits_of(rule[0] | rule[1]):
+            mentions[low.bit_length() - 1].append(rule)
+
+    # the block rules R4-R7 apply to blocks with in- and out-edges; per edge,
+    # (in-edges, out-edges) of its destination and (out-edges, in-edges that
+    # R5 may fill, definitions, phi outputs) of its source
+    n = len(cfg.edges)
+    at_dst: list = [None] * n
+    at_src: list = [None] * n
+    phi_arms: dict[int, list] = {}  # phi output bit -> [(arm bit, in-edge)]
+    fed_by: list[dict[int, list]] = [{} for _ in range(n)]  # arm bit -> phis
+    for b in f.blocks:
+        ins_e, outs_e = cfg.in_edges[b.label], cfg.out_edges[b.label]
+        if not (ins_e and outs_e):
+            continue
+        ins, outs = [e.index for e in ins_e], [e.index for e in outs_e]
+        outputs = 0
+        for phi in b.phis():
+            arms = [(bit[op], cfg.edge(lab, b.label).index) for op, lab
+                    in zip(phi.operands, phi.phi_labels) if isinstance(op, str)]
+            phi_arms[bit[phi.output]] = arms
+            outputs |= bit[phi.output]
+            for op, i in arms:
+                fed_by[i].setdefault(op, []).append((bit[phi.output], arms))
+        hoist = [e.index for e in ins_e if e.src != ENTRY]  # the dummy keeps its seeds
+        for i in ins:
+            at_dst[i] = (ins, outs)
+        src_rules = (outs, hoist, ix.mask(b.defined_vars()), outputs)
+        for o in outs:
+            at_src[o] = src_rules
+
+    if free:
+        for i in range(n):
+            add(i, free)
     while work:
-        e, v = work.pop()
-        for eq in mentions.get(v, ()):
-            fire(eq, e)
-        d, s = e.dst, e.src
-        if d in defs:
-            if all(v in known[i.index] for i in cfg.in_edges[d]):  # R4
-                for o in cfg.out_edges[d]:
-                    add(o, v)
-            for out, arms in fed_by.get((e.index, v), ()):  # R6
-                if all(op in known[i.index] for op, i in arms):
-                    for o in cfg.out_edges[d]:
-                        add(o, out)
-        if s in defs and all(v in known[o.index] for o in cfg.out_edges[s]):
-            if v in phi_arms.get(s, ()):  # R7
-                for op, i in phi_arms[s][v]:
-                    add(i, op)
-            elif v not in defs[s]:  # R5; the entry dummy keeps its initial set
-                for i in cfg.in_edges[s]:
-                    if i.src != ENTRY:
-                        add(i, v)
+        e = work.pop()
+        delta = pending[e]
+        pending[e] = 0
+        # R2/R3 on e, per new bit; what they derive joins this delta
+        todo, k = delta, known[e]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for out, need, backward in mentions[low.bit_length() - 1]:
+                if not k & out and k & need == need:
+                    k |= out
+                    todo |= out
+                if backward and k & out:
+                    for target, others in backward:
+                        if not k & target and k & others == others:
+                            k |= target
+                            todo |= target
+        delta |= k ^ known[e]
+        known[e] = k
+        if at_dst[e] is not None:
+            ins, outs = at_dst[e]
+            common = delta  # R4: known on every in-edge
+            for i in ins:
+                common &= known[i]
+            if common:
+                for o in outs:
+                    add(o, common)
+            for arm, phis in fed_by[e].items():  # R6: every arm known on its in-edge
+                if delta & arm:
+                    for out, arms in phis:
+                        if all(known[i] & op for op, i in arms):
+                            for o in outs:
+                                add(o, out)
+        if at_src[e] is not None:
+            outs, hoist, defined, outputs = at_src[e]
+            common = delta  # known on every out-edge
+            for o in outs:
+                common &= known[o]
+            if common & outputs:  # R7
+                for low in _bits_of(common & outputs):
+                    for op, i in phi_arms[low]:
+                        add(i, op)
+            if common & ~defined:  # R5
+                for i in hoist:
+                    add(i, common & ~defined)
     return km
 
 
 def analyze_edges(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
                   transmit_speculative: bool = True,
-                  order_seed: int | None = None) -> KnowledgeMap:
+                  order_seed: int | None = None) -> EdgeBits:
     km = init_knowledge(ef, summaries, transmit_speculative)
     return propagate(km, ef, order_seed)
 
 
-def project_to_original(km: KnowledgeMap, ef: ExpandedFunction) -> KnowledgeMap:
+def project_to_original(km: EdgeBits, ef: ExpandedFunction) -> KnowledgeMap:
     """Map expanded-edge knowledge onto the pre-expansion CFG.
 
     A variable is known on an original edge when every expanded edge standing
@@ -254,61 +324,73 @@ def project_to_original(km: KnowledgeMap, ef: ExpandedFunction) -> KnowledgeMap:
     a variable on an edge no run through that edge could ever define is kept
     but flagged vacuous.
     """
-    ocfg = ef.original_cfg
+    ocfg, ix = ef.original_cfg, km.index
     by_key = {e.key: e.index for e in km.cfg.edges}
-    counterparts: dict[tuple[str, str], list[tuple[str, str]]] = {e.key: [] for e in ocfg.edges}
+    masks: dict[tuple[str, str], int] = {}  # original edge -> AND of counterparts
     for ekey, origins in ef.edge_origin.items():
+        if not origins:
+            continue
+        k = km.bits[by_key[ekey]]
+        m = k & ix.original  # each counterpart once, in the original's variables
+        for v, rep in ef.edge_subst.get(ekey, {}).items():
+            b = ix.bit.get(v, 0) & ix.original
+            if b:
+                m = m | b if k & ix.bit.get(rep, 0) else m & ~b
         for ok in origins:
-            if ok in counterparts:
-                counterparts[ok].append(ekey)
+            masks[ok] = masks.get(ok, m) & m
 
-    out: dict[int, set[str]] = {}
-    ovars = sorted(ef.original.defined_vars())
-    for oe in ocfg.edges:
-        cps = counterparts[oe.key]
-        s: set[str] = set()
-        if cps:
-            for v in ovars:
-                if all(ef.representative(v, ck) in km.known[by_key[ck]] for ck in cps):
-                    s.add(v)
-        out[oe.index] = s
-
-    vac = _vacuous_flags(ocfg, ef.original, out)
-    return KnowledgeMap(ocfg, out, vac)
+    bits = [masks.get(oe.key, 0) for oe in ocfg.edges]
+    known = {oe.index: ix.decode(bits[oe.index]) for oe in ocfg.edges}
+    return KnowledgeMap(ocfg, known, _vacuous_flags(ocfg, ef.original, bits, ix))
 
 
-def _vacuous_flags(cfg: Cfg, f: Function, known: dict[int, set[str]]) -> dict[int, set[str]]:
-    def_block: dict[str, str | None] = {p: None for p in f.params}
-    for b in f.blocks:
-        for ins in b.instructions:
-            if ins.output is not None:
-                def_block[ins.output] = b.label
+def _vacuous_flags(cfg: Cfg, f: Function, bits: list[int],
+                   ix: VarIndex) -> dict[int, set[str]]:
+    """Per edge, the known non-parameters that no block reaching the edge's
+    source and no block reachable from its destination defines."""
+    defs = {b.label: ix.mask(b.defined_vars()) for b in f.blocks}
+    order: list[str] = []  # postorder from the entry block
+    seen = {cfg.entry}
+    stack = [(cfg.entry, iter(cfg.succs(cfg.entry)))]
+    while stack:
+        label, succs = stack[-1]
+        for s in succs:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(cfg.succs(s))))
+                break
+        else:
+            stack.pop()
+            order.append(label)
 
-    reach: dict[str, set[str]] = {}
-    for b in f.blocks:
-        seen = {b.label}
-        work = [b.label]
-        while work:
-            cur = work.pop()
-            for s in cfg.succs(cur):
-                if s not in seen:
-                    seen.add(s)
-                    work.append(s)
-        reach[b.label] = seen
+    def reach(labels, nexts) -> dict[str, int]:  # defs of every block reached, to a fixpoint
+        out = dict(defs)
+        changed = True
+        while changed:
+            changed = False
+            for label in labels:
+                m = out[label]
+                for s in nexts(label):
+                    m |= out[s]
+                if m != out[label]:
+                    out[label] = m
+                    changed = True
+        return out
 
+    after = reach(order, cfg.succs)  # defined in a block reachable from the key
+    before = reach(order[::-1], cfg.preds)  # defined in a block reaching the key
+    defined = 0
+    for m in defs.values():
+        defined |= m
     vac: dict[int, set[str]] = {}
     for e in cfg.edges:
-        flagged = set()
-        for v in known[e.index]:
-            db = def_block.get(v)
-            if db is None:
-                continue  # parameters are defined on every path
-            defined_before = e.src != ENTRY and e.src in reach[db]
-            defined_after = e.dst != EXIT and db in reach.get(e.dst, set())
-            if not (defined_before or defined_after):
-                flagged.add(v)
-        if flagged:
-            vac[e.index] = flagged
+        m = bits[e.index] & defined
+        if e.src != ENTRY:
+            m &= ~before[e.src]
+        if e.dst != EXIT:
+            m &= ~after[e.dst]
+        if m:
+            vac[e.index] = ix.decode(m)
     return vac
 
 
@@ -389,8 +471,9 @@ def _internal_leaks_rederivable(ef: ExpandedFunction, seed: set[str],
                                 internal_leaks: frozenset[str]) -> bool:
     """Check that knowledge of the leaked arguments alone re-derives every
     internally leaked value at the blocks where it escapes."""
-    known = {e.index: set(seed) | _const_outputs(ef.function) for e in ef.cfg.edges}
-    km = propagate(KnowledgeMap(ef.cfg, known), ef)
+    ix = ef.index
+    seeds = ix.mask(seed) | ix.mask(_const_outputs(ef.function))
+    km = propagate(EdgeBits(ef.cfg, ix, [seeds] * len(ef.cfg.edges)), ef)
     proj = project_to_original(km, ef)
     for v in internal_leaks:
         for b in revealed[v]:

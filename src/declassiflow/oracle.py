@@ -541,6 +541,10 @@ def check_frontier_property(program_or_fn, frontiers: dict[tuple[str, str], set[
     violations: list[Violation] = []
     n_exec = 0
     n_inputs = 0
+    entering: dict[tuple[str, str], list[tuple[str, str]]] = {}  # (fn, block) -> keys
+    for key, fr in frontiers.items():
+        for block in fr:
+            entering.setdefault((key[0], block), []).append(key)
     for inputs in inputs_sample:
         inputs = list(inputs)
         n_inputs += 1
@@ -551,12 +555,9 @@ def check_frontier_property(program_or_fn, frontiers: dict[tuple[str, str], set[
 
         crossed_at: dict[tuple[str, str], int] = {}
         for (fn, src, dst), t in zip(trace.edges, trace.edge_times):
-            nfn = _normalize_fn(fn)
-            for (vfn, var), fr in frontiers.items():
-                if vfn == nfn and dst in fr:
-                    key = (vfn, var)
-                    if key not in crossed_at or t < crossed_at[key]:
-                        crossed_at[key] = t
+            for key in entering.get((_normalize_fn(fn), dst), ()):
+                if key not in crossed_at or t < crossed_at[key]:
+                    crossed_at[key] = t
 
         for spec in specs:
             for obs in spec.observations:

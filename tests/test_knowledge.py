@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from declassiflow.cfg import ENTRY, expand_loops, prune_dead_blocks
+from declassiflow.cfg import ENTRY, EXIT, CfgError, expand_loops
 from declassiflow.ir import parse_program
 from declassiflow.knowledge import (AnalysisError, analyze_edges, close, equations,
                                     init_knowledge, project_to_original, propagate)
 from declassiflow.pipeline import RunConfig, analyze_program
 
 from conftest import FIXTURES, dfa, fixture_program
-from generators import random_acyclic_program, segments
+from generators import call_chain, random_acyclic_program, random_loop_program, segments
 
 
 def km_by_key(km):
@@ -274,12 +274,12 @@ B3:
     assert "v" not in km.at("B1", "B2")  # defined in B2: no hoist above it
 
 
-def _reference_sweep(km, ef):
-    """The whole-graph sweep the worklist replaced: re-close every edge and
-    re-run R4-R7 on every block until nothing changes."""
+def _reference_sweep(known, ef):
+    """The whole-graph sweep the worklist replaced, on decoded edge sets:
+    re-close every edge and re-run R4-R7 on every block until nothing
+    changes."""
     f = ef.function
-    cfg = km.cfg
-    known = km.known
+    cfg = ef.cfg
     eqs = equations(f)
 
     phi_arms = {}
@@ -334,27 +334,115 @@ def _reference_sweep(km, ef):
                         if isinstance(op, str) and op not in known[eidx]:
                             known[eidx].add(op)
                             changed = True
-    return km
+    return {e.key: frozenset(known[e.index]) for e in cfg.edges}
 
 
-def _differential_corpus():
-    rng = random.Random(4)
-    texts = [random_acyclic_program(rng) for _ in range(300)]
-    texts += [segments(k) for k in range(1, 7)]
-    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+def _analyzed(texts):
+    """(expanded function, summaries) of every function of every program
+    whose loops expand, with the summaries phase 1 gives its callees."""
     for text in texts:
-        for f in parse_program(text).functions:
-            if all(ins.opcode != "call" for _, ins in f.instructions()):
-                yield f
+        try:
+            analyses, summaries, _, _ = analyze_program(
+                parse_program(text), RunConfig(refine=False, protect=False))
+        except CfgError:
+            continue  # irreducible or too deeply nested
+        for fa in analyses.values():
+            yield fa.expanded, summaries
 
 
 def test_fixpoint_matches_reference_sweep():
-    checked = 0
-    for f in _differential_corpus():
-        ef = expand_loops(prune_dead_blocks(f))
-        expected = km_by_key(_reference_sweep(init_knowledge(ef, {}), ef))
+    """The bitset worklist reaches the reference sweep's fixpoint under every
+    order seed, on loop-free and loop-rich functions and on callers seeded
+    from their callees' summaries."""
+    rng = random.Random(4)
+    texts = [random_acyclic_program(rng) for _ in range(300)]
+    texts += [segments(k) for k in range(1, 7)]
+    texts += [random_loop_program(random.Random(seed)) for seed in range(100)]
+    texts += [call_chain(4)]
+    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    checked = callers = 0
+    for ef, summaries in _analyzed(texts):
+        expected = _reference_sweep(init_knowledge(ef, summaries).known, ef)
         for seed in (None, 0, 1, 2):
-            got = km_by_key(propagate(init_knowledge(ef, {}), ef, order_seed=seed))
-            assert got == expected, (f.name, seed)
+            got = km_by_key(propagate(init_knowledge(ef, summaries), ef, order_seed=seed))
+            assert got == expected, (ef.function.name, seed)
         checked += 1
-    assert checked >= 306
+        callers += any(ins.opcode == "call" for _, ins in ef.function.instructions())
+    assert checked >= 420 and callers >= 5, (checked, callers)
+
+
+def _reference_project(km, ef):
+    """The set-based projection the bitset one replaced: per original edge
+    and variable, test the representative on every counterpart edge."""
+    known_x = km.known
+    ocfg = ef.original_cfg
+    by_key = {e.key: e.index for e in km.cfg.edges}
+    counterparts = {e.key: [] for e in ocfg.edges}
+    for ekey, origins in ef.edge_origin.items():
+        for ok in origins:
+            if ok in counterparts:
+                counterparts[ok].append(ekey)
+    out = {}
+    ovars = sorted(ef.original.defined_vars())
+    for oe in ocfg.edges:
+        cps = counterparts[oe.key]
+        s = set()
+        if cps:
+            for v in ovars:
+                if all(ef.representative(v, ck) in known_x[by_key[ck]] for ck in cps):
+                    s.add(v)
+        out[oe.index] = s
+    return out, _reference_vacuous(ocfg, ef.original, out)
+
+
+def _reference_vacuous(cfg, f, known):
+    """The set-based vacuous flags: one reachability search per block."""
+    def_block = {p: None for p in f.params}
+    for b in f.blocks:
+        for ins in b.instructions:
+            if ins.output is not None:
+                def_block[ins.output] = b.label
+    reach = {}
+    for b in f.blocks:
+        seen = {b.label}
+        work = [b.label]
+        while work:
+            cur = work.pop()
+            for s in cfg.succs(cur):
+                if s not in seen:
+                    seen.add(s)
+                    work.append(s)
+        reach[b.label] = seen
+    vac = {}
+    for e in cfg.edges:
+        flagged = set()
+        for v in known[e.index]:
+            db = def_block.get(v)
+            if db is None:
+                continue
+            defined_before = e.src != ENTRY and e.src in reach[db]
+            defined_after = e.dst != EXIT and db in reach.get(e.dst, set())
+            if not (defined_before or defined_after):
+                flagged.add(v)
+        if flagged:
+            vac[e.index] = flagged
+    return vac
+
+
+def test_projection_matches_set_reference():
+    """The bitset projection and vacuous flags equal the set-based ones, also
+    on the cyclic original graphs of loop-rich programs."""
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    texts += [segments(k) for k in range(1, 17)]
+    texts += [random_loop_program(random.Random(seed)) for seed in range(150)]
+    checked = cyclic = flagged = 0
+    for ef, summaries in _analyzed(texts):
+        km = analyze_edges(ef, summaries)
+        got = project_to_original(km, ef)
+        known, vacuous = _reference_project(km, ef)
+        assert got.known == known, ef.function.name
+        assert got.vacuous == vacuous, ef.function.name
+        checked += 1
+        cyclic += len(ef.function.blocks) > len(ef.original.blocks)  # loops expanded
+        flagged += bool(vacuous)
+    assert checked >= 180 and cyclic >= 150 and flagged >= 75, (checked, cyclic, flagged)
