@@ -189,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IRError, CfgError, AnalysisError, OracleError, OSError) as exc:
+    except (IRError, CfgError, AnalysisError, OracleError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,12 @@ knowledge where transmission is inevitable.
 
 A bounded symbolic executor explores each function once, depth first. Each
 path carries an interval range per symbol, kept at the fixpoint of its path
-condition: a branch narrows only the symbol its condition compares with a
-literal, re-checks the other constraints only when that range moved, and
-prunes the path when the intervals prove its condition unsatisfiable. A shared
+condition. A branch whose condition the intervals decide takes its one live
+arm without forking and adds nothing to the path condition, which so holds
+only the constraints left open when they were added. An open branch forks:
+each arm narrows only the symbol its condition compares with a literal,
+re-checks the other constraints only when that range moved, and is pruned
+when the intervals prove its condition unsatisfiable. A shared
 path log keeps what it finds: every loop_cap hit and, for every path that
 reaches the exit, its path condition, its symbols, the last visit to each
 block of the function and its ranges. A (region, variable) query replays the
@@ -240,13 +243,6 @@ def _narrowed_symbol(term):
     return None
 
 
-def _interval_fails(term, truthy: bool, ranges: dict[str, tuple[int, int]]) -> bool:
-    iv = _interval(term, ranges)
-    if iv is None:
-        return False
-    return iv == (0, 0) if truthy else iv[0] > 0 or iv[1] < 0
-
-
 # ---------------------------------------------------------------------------
 # Bounded symbolic execution
 # ---------------------------------------------------------------------------
@@ -265,10 +261,13 @@ class _SymFrame:
 
 @dataclass
 class _SymState:
+    """One path. pc holds only the branch and entry constraints that the
+    intervals left open when they were added; ranges is its fixpoint."""
+
     frames: list[_SymFrame]
     pc: list  # [(term, truthy)]
     syms: list[str]
-    ranges: dict[str, tuple[int, int]]  # symbol -> (lo, hi), the fixpoint of pc
+    ranges: dict[str, tuple[int, int]]  # symbol -> (lo, hi)
     holes: dict[str, tuple] = field(default_factory=dict)  # x != c and truthy x
     complex: tuple = ()  # the constraints that are not symbol-vs-literal
     visits: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -284,19 +283,27 @@ class _SymState:
             self.complex, dict(self.visits), dict(self.last), self.clock,
             self.input_count)
 
+    def decide(self, cond):
+        """The truth of condition term cond at every point of ranges, or None
+        when the intervals leave both arms open. A decided constraint stays
+        decided: ranges only shrink along a path, and _interval is monotone."""
+        lo, hi = _interval(cond, self.ranges) or (0, 1)
+        return None if lo <= 0 <= hi and (lo, hi) != (0, 0) else hi != 0
+
     def assume(self, term, truthy: bool) -> bool:
         """Add a constraint to pc; False when intervals prove pc unsatisfiable.
-        This is the answer of narrowing all of pc from the domain: each rule of
-        _refine_ranges reads and narrows one symbol's own range, only the
-        holes are not plain intersections, so they alone need re-running, and
-        once narrowing succeeds no symbol-vs-literal constraint fails its
-        interval check."""
+        _sym_run adds only what decide() leaves open, as a decided constraint
+        narrows nothing. The answer is that of narrowing all of pc from the
+        domain: each rule of _refine_ranges reads and narrows one symbol's own
+        range, only the holes are not plain intersections, so they alone need
+        re-running, and once narrowing succeeds no symbol-vs-literal
+        constraint fails its interval check."""
         c = (term, truthy)
         self.pc.append(c)
         sym = _narrowed_symbol(term)
         if sym is None:
             self.complex += (c,)
-            return not _interval_fails(term, truthy, self.ranges)
+            return self.decide(term) in (None, truthy)
         before = self.ranges[sym]
         # c first: a falsy bare symbol narrows without asking for another
         # round, so the holes must come after it
@@ -304,8 +311,11 @@ class _SymState:
             return False
         if term[0] == ("sym" if truthy else "eq"):
             self.holes[sym] = self.holes.get(sym, ()) + (c,)
-        return self.ranges[sym] == before or not any(
-            _interval_fails(t, tr, self.ranges) for t, tr in self.complex)
+        return self.ranges[sym] == before or all(
+            self.decide(t) in (None, tr) for t, tr in self.complex)
+
+
+_TOO_DEEP = "symbolic term nested past the Python recursion limit"
 
 
 class PathLog:
@@ -335,6 +345,8 @@ class PathLog:
                     return
                 except AnalysisError as exc:  # the generator is finished too
                     self._events.append(exc.with_traceback(None))
+                except RecursionError:
+                    self._events.append(AnalysisError(_TOO_DEEP))
             event = self._events[i]
             if isinstance(event, AnalysisError):
                 raise AnalysisError(*event.args)
@@ -353,12 +365,15 @@ class PathLog:
             if (lim.domain_max - lim.domain_min + 1) ** len(syms) <= lim.enum_budget:
                 answer = "unsat", None
                 boxes = (range(ranges[s][0], ranges[s][1] + 1) for s in syms)
-                for combo in itertools.product(*boxes):
-                    assignment = dict(zip(syms, combo))
-                    if all(truthy == (eval_term(term, assignment) != 0)
-                           for term, truthy in pc):
-                        answer = "sat", assignment
-                        break
+                try:
+                    for combo in itertools.product(*boxes):
+                        assignment = dict(zip(syms, combo))
+                        if all(truthy == (eval_term(term, assignment) != 0)
+                               for term, truthy in pc):
+                            answer = "sat", assignment
+                            break
+                except RecursionError:
+                    raise AnalysisError(_TOO_DEEP) from None
             self._solved[i] = answer
         return self._solved[i]
 
@@ -416,7 +431,8 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
                           {p: ("sym", p) for p in f.params}, None)],
         pc=[], syms=list(f.params),
         ranges=dict.fromkeys(f.params, (limits.domain_min, limits.domain_max)))
-    if not all(root.assume(term, truthy) for term, truthy in entry_pc):
+    if not all(root.decide(term) == truthy or root.assume(term, truthy)
+               for term, truthy in entry_pc):
         raise AnalysisError("unsatisfiable entry constraints")
     if len(f.params) > limits.max_symbols:
         raise AnalysisError(f"too many symbolic inputs ({len(f.params)} > "
@@ -440,7 +456,8 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
 def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
              callee_blocks: dict[str, dict[str, Block]], limits: Limits):
     """Run a state forward until it exits, hits a cap, or forks at a branch
-    (returning the children whose branch constraint the intervals allow)."""
+    the intervals leave open (returning the children whose branch constraint
+    they allow)."""
     while True:
         frame = st.frames[-1]
         f = frame.function
@@ -527,9 +544,9 @@ def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
                 frame.prev_block, frame.block = frame.block, then_l
                 frame.idx, frame.phis_done = 0, False
                 continue
-            if isinstance(cond, int):
-                nxt = then_l if cond != 0 else else_l
-                frame.prev_block, frame.block = frame.block, nxt
+            live = st.decide(cond)
+            if live is not None:  # one arm is dead: go on without forking
+                frame.prev_block, frame.block = frame.block, then_l if live else else_l
                 frame.idx, frame.phis_done = 0, False
                 continue
             forks = []

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from declassiflow import cli
 from declassiflow.cli import load_config, main
 
@@ -233,3 +235,33 @@ def test_vacuous_knowledge_note_in_report(capsys):
     report = json.loads(capsys.readouterr().out)
     notes = report["functions"][0]["notes"]
     assert any("vacuous" in n for n in notes)
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_deep_term_ends_unknown(tmp_path, capsys, op):
+    """A branch on a chain of 1,500 operations nests its term past the
+    recursion limit: in the interval check during exploration (add) or in
+    the solver (mul). The query ends unknown instead of a traceback."""
+    body = [f"  v0 = {op} x, 1"] + [f"  v{i} = {op} v{i - 1}, 1" for i in range(1, 1500)]
+    src = tmp_path / "deep.mir"
+    src.write_text("\n".join(["fn main(x) {", "B1:", "  q = input", *body,
+                              "  c = lt v1499, 5", "  br c, B2, B3",
+                              "B2:", "  w = load q", "  jmp B4", "B3:", "  jmp B4",
+                              "B4:", "  ret", "}", ""]))
+    assert run(["protect", str(src)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(r["variable"], r["verdict"], r["note"])
+            for r in report["functions"][0]["refinements"]] == [
+        ("q", "unknown", "symbolic term nested past the Python recursion limit")]
+    assert report["barriers"] == {"main": ["B2"]}
+
+
+@pytest.mark.parametrize("which", ["input", "config"])
+def test_non_utf8_file_exit_two(tmp_path, capsys, which):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"[limits]\nloop_cap = 3\n\xff\n")
+    src = str(bad) if which == "input" else str(FIXTURES / "diamond_linked.mir")
+    extra = ["--config", str(bad)] if which == "config" else []
+    assert run(["analyze", src, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err, err

@@ -217,6 +217,22 @@ def test_frontier_property_differential():
     assert v.variable[0] == "encrypt"
 
 
+def test_frontier_crossed_at_first_entry():
+    """A frontier is crossed at its first entry. In frontier_reentry the loop
+    enters the frontier block F again after a mispredicted branch has
+    observed v, which the first entry already revealed."""
+    program = fixture_program("frontier_reentry")
+    report = run_pipeline(program, RunConfig(verify=True))
+    assert report["verification"]["passed"], report["verification"]["violations"]
+    # the fixture keeps its power: an observation of v between two entries to F
+    trace, specs = speculative_explore(parse_program(report["protected_program"]),
+                                       [2, 0], pad_inputs=True)
+    entries = [t for (_, _, dst), t in zip(trace.edges, trace.edge_times) if dst == "F"]
+    assert any(entries[0] <= spec.start_step < entries[-1]
+               and any(var == "v" for o in spec.observations for _, var in o.taint)
+               for spec in specs)
+
+
 def test_frontier_property_vacuous_pass():
     f = parse_program("""
 fn f(a) {

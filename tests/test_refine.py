@@ -1,6 +1,10 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from declassiflow.cfg import build_cfg, dominators, simplify_loops
 from declassiflow.frontier import BlockKnowledge
@@ -8,13 +12,13 @@ from declassiflow import refine
 from declassiflow.knowledge import AnalysisError, leak_model
 from declassiflow.oracle import input_grid, input_slots, interpret
 from declassiflow.refine import (ESCAPABLE, INEVITABLE, UNKNOWN, Limits, PathLog,
-                                 _interval, _refine_ranges, _SymState,
+                                 _interval, _refine_ranges, _SymState, eval_term,
                                  apply_refinement, candidate_regions, candidate_vars,
                                  check_inevitable, parse_constraint)
 from declassiflow.ir import Program, parse_program
 
-from conftest import dfa_blocks, fixture_program
-from generators import random_acyclic_program, segments
+from conftest import dfa_blocks, fixture_program, fixture_text
+from generators import call_chain, random_acyclic_program, segments
 
 
 def simplified(name, index=0):
@@ -376,17 +380,57 @@ def test_assume_matches_reference_quick_unsat():
     assert decided[False] > 2000 and decided[True] > 10000, decided
 
 
+def test_decide_settles_exactly_the_arm_assume_rejects():
+    """Property gate for the fork-free branch: whenever the intervals decide
+    a condition, the other arm is infeasible, the live arm narrows nothing,
+    and dropping the constraint from pc changes neither the reference check
+    nor the solutions in the box."""
+    seen = Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(hst.randoms(use_true_random=False), hst.sampled_from([(0, 7), (-3, 4)]))
+    def check(rng, domain):
+        limits = Limits(domain_min=domain[0], domain_max=domain[1])
+        lits = range(domain[0] - 2, domain[1] + 3)
+        syms = ["x", "y", "z"]
+        st = _SymState([], [], list(syms), dict.fromkeys(syms, domain))
+        for _ in range(rng.randint(0, 6)):  # a live path, built as _sym_run would
+            term, truthy = random_constraint(rng, lits)
+            child = st.fork()
+            if st.decide(term) is None and child.assume(term, truthy):
+                st = child
+        cond, _ = random_constraint(rng, lits)
+        v = st.decide(cond)
+        seen[v] += 1
+        if v is None:
+            return
+        assert not st.fork().assume(cond, not v)
+        live = st.fork()
+        assert live.assume(cond, v) and live.ranges == st.ranges
+        assert reference_quick_unsat(st.pc + [(cond, v)], syms, limits) == \
+            reference_quick_unsat(st.pc, syms, limits)
+        box = [dict(zip(syms, p)) for p in itertools.product(
+            *(range(st.ranges[s][0], st.ranges[s][1] + 1) for s in syms))]
+        assert all((eval_term(cond, a) != 0) == v for a in box)
+        sat = [a for a in box if all((eval_term(t, a) != 0) == tr for t, tr in st.pc)]
+        assert sat == [a for a in sat if (eval_term(cond, a) != 0) == v]
+
+    check()
+    assert min(seen.values()) > 20, seen
+
+
 @pytest.mark.parametrize("name,exits,caps,runs", [
-    ("anticorrelated", 2, 0, 5),
-    ("two_latch", 6, 0, 13),
-    ("djbsort_analog", 15, 0, 32),
-    ("segments(2)", 92, 0, 471),
-])
+    pytest.param(name, exits, caps, runs, id=name) for name, exits, caps, runs in [
+        ("anticorrelated", 2, 0, 4), ("two_latch", 6, 0, 11),
+        ("djbsort_analog", 15, 0, 29), ("segments-2", 92, 0, 183),
+        ("call_chain-4", 16, 0, 31)]])
 def test_exploration_counters(monkeypatch, name, exits, caps, runs):
     """Exact work counters of one fully drained exploration: a change in
-    pruning or forking shows here without timing anything."""
-    program = parse_program(segments(2)) if name == "segments(2)" else fixture_program(name)
-    f = simplify_loops(program.functions[0])
+    pruning or forking shows here without timing anything. A branch the
+    intervals decide does not fork, so only open branches add runs."""
+    generated = {"segments-2": segments(2), "call_chain-4": call_chain(4)}
+    program = parse_program(generated.get(name) or fixture_text(name))
+    bodies = {g.name: simplify_loops(g) for g in program.functions}
     calls = 0
     sym_run = refine._sym_run
 
@@ -396,7 +440,8 @@ def test_exploration_counters(monkeypatch, name, exits, caps, runs):
         return sym_run(*args)
 
     monkeypatch.setattr(refine, "_sym_run", counting)
-    events = [e for _, e in PathLog(f, Limits()).events()]
+    paths = PathLog(bodies[program.functions[0].name], Limits(), functions=bodies)
+    events = [e for _, e in paths.events()]
     assert (sum(e != "cap" for e in events), events.count("cap"), calls) == (
         exits, caps, runs)
 
