@@ -44,6 +44,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a decode error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise AnalysisError(f"{path}: {exc}") from None
+
+
 def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
     """Minimal TOML-like reader: [limits] and [constraints] sections of
     key = value lines, values optionally quoted. Anything else, any value
@@ -53,38 +62,37 @@ def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
     values: dict[str, int] = {}
     constraints: dict[str, list[Constraint]] = {}
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip()
+                if section not in ("limits", "constraints"):
+                    raise AnalysisError(f"unknown section [{section}]")
                 continue
-            try:
-                if line.startswith("[") and line.endswith("]"):
-                    section = line[1:-1].strip()
-                    if section not in ("limits", "constraints"):
-                        raise AnalysisError(f"unknown section [{section}]")
-                    continue
-                if "=" not in line:
-                    raise AnalysisError("expected key = value")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if len(val) > 1 and val.startswith('"') and val.endswith('"'):
-                    val = val[1:-1]
-                if section == "constraints":
-                    constraints[key] = [parse_constraint(p.strip())
-                                        for p in val.split(";") if p.strip()]
-                elif section == "limits" and key == "domain":
-                    r = _parse_domain(val)
-                    values.update(domain_min=r.start, domain_max=r.stop - 1)
-                elif section == "limits" and key in Limits.__dataclass_fields__:
-                    values[key] = int(val)
-                    if not key.startswith("domain_"):
-                        Limits(**{key: values[key]})  # a negative cap fails on its line
-                else:
-                    raise AnalysisError(f"unknown key '{key}'"
-                                        + (f" in [{section}]" if section else ""))
-            except (AnalysisError, ValueError, argparse.ArgumentTypeError) as exc:
-                raise AnalysisError(f"{path}:{lineno}: {exc}") from None
+            if "=" not in line:
+                raise AnalysisError("expected key = value")
+            key, _, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if len(val) > 1 and val.startswith('"') and val.endswith('"'):
+                val = val[1:-1]
+            if section == "constraints":
+                constraints[key] = [parse_constraint(p.strip())
+                                    for p in val.split(";") if p.strip()]
+            elif section == "limits" and key == "domain":
+                r = _parse_domain(val)
+                values.update(domain_min=r.start, domain_max=r.stop - 1)
+            elif section == "limits" and key in Limits.__dataclass_fields__:
+                values[key] = int(val)
+                if not key.startswith("domain_"):
+                    Limits(**{key: values[key]})  # a negative cap fails on its line
+            else:
+                raise AnalysisError(f"unknown key '{key}'"
+                                    + (f" in [{section}]" if section else ""))
+        except (AnalysisError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise AnalysisError(f"{path}:{lineno}: {exc}") from None
     try:
         return Limits(**values), constraints
     except AnalysisError as exc:
@@ -146,8 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
 
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            program = parse_program(fh.read())
+        program = parse_program(_read_text(args.input))
 
         limits, constraints = Limits(), {}
         if args.config:
@@ -189,8 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IRError, CfgError, AnalysisError, OracleError, OSError,
-            UnicodeDecodeError) as exc:
+    except (IRError, CfgError, AnalysisError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,13 @@
 """Ground-truth engines: a concrete interpreter, an exact-knowledge enumerator
 and a speculative explorer that checks the frontier protection property.
 
+One stepper, `execute`, runs the mini-IR for the verifier and for
+refinement's symbolic executor alike: it owns block entry with the parallel
+phi batch, calls and returns, `jmp` and `br` over a stack of `Frame`s, and a
+value domain supplies operand reads, the other instructions and the branch
+decision. The concrete domain here, `_Machine`, binds each variable to a
+(value, taint) pair; refine.py's `_SymState` binds terms.
+
 Memory is not modeled: a load returns a deterministic pseudo-value derived
 from its address, so traces are reproducible without a heap. Taint flows from
 every definition through operands, loads (address into result) and phi
@@ -9,10 +16,10 @@ observation whose taint contains x counts as transmitting a function of x.
 
 A machine snapshot, taken at every branch point so that a misprediction can
 roll back, shares what no execution mutates: the program's IR (each frame's
-`Function`), each function's label-to-block map and the input list. It
-copies what a speculative burst can change: each frame's block position and
-its `env` and `taint` dicts (the taint values are frozensets, so a shallow
-copy of the dict suffices).
+`Function` and label-to-block map) and the input list. It copies what a
+speculative burst can change: each frame's position and its one `env` dict of
+(value, taint) pairs (immutable, so a shallow copy suffices). Each snapshot
+is run by exactly one burst, in place.
 """
 
 from __future__ import annotations
@@ -100,75 +107,240 @@ class SpecExecution:
     stopped_by: str  # window | barrier | return
 
 
-@dataclass
-class _Frame:
+@dataclass(slots=True, eq=False)
+class Frame:
+    """One activation: the function, its label -> Block map, the position
+    (block, predecessor block, next instruction, whether the block's phis
+    ran), the env binding variables to the domain's values and the call
+    output awaiting the callee's return."""
+
     function: Function
+    blocks: dict
     block: str
     prev_block: str | None
     idx: int  # next instruction index; len(instructions) means the terminator
     phis_done: bool
-    env: dict[str, int]
-    taint: dict[str, frozenset]
-    pending_out: str | None  # call output awaiting the callee's return
+    env: dict
+    pending_out: str | None
+
+    def copy(self) -> "Frame":
+        return Frame(self.function, self.blocks, self.block, self.prev_block,
+                     self.idx, self.phis_done, dict(self.env), self.pending_out)
+
+    def goto(self, label: str) -> None:
+        self.prev_block, self.block, self.idx, self.phis_done = (
+            self.block, label, 0, False)
+
+
+def execute(st, limit: int):
+    """Step the frames of domain state st until the entry frame returns
+    ("return"), a hook stops the run (its stop value) or a step would begin
+    with `limit` steps taken ("window"); st.steps is then the steps taken.
+
+    The stepper owns the IR's control: block entry with its parallel phi
+    batch (one step per phi), calls and returns, jmp and br. The domain
+    supplies operand(frame, op) -> value, name(function, var, value) -> the
+    value bound to var, and the hooks enter(frame, block, steps) at block
+    entry, instruction(frame, block, ins, steps) for every instruction but
+    phi and call, leave(frame, block, value, steps) at a ret (value None for
+    a bare ret) and branch(frame, block, cond, then, else, steps), which
+    returns the label to take. enter and instruction return None to go on;
+    any other value, or a branch result that is not a label, stops the run.
+    Errors are raised as st.error."""
+    frames = st.frames
+    functions = st.functions
+    read, name = st.operand, st.name
+    enter, instruction, branch = st.enter, st.instruction, st.branch
+    steps = 0
+    while steps < limit:
+        frame = frames[-1]
+        block = frame.blocks[frame.block]
+        if not frame.phis_done:
+            frame.phis_done = True
+            stop = enter(frame, block, steps)
+            if stop is not None:
+                break
+            phis = block.phis()
+            if phis:
+                if frame.prev_block is None:
+                    raise st.error(f"phi in entry block '{block.label}'")
+                fname = frame.function.name
+                bound = {}
+                for phi in phis:
+                    try:
+                        k = phi.phi_labels.index(frame.prev_block)
+                    except ValueError:
+                        raise st.error(
+                            f"phi in '{block.label}' lacks an arm for predecessor "
+                            f"'{frame.prev_block}'") from None
+                    bound[phi.output] = name(fname, phi.output, read(frame, phi.operands[k]))
+                frame.env.update(bound)
+                frame.idx = len(phis)
+                steps += len(phis)
+                continue
+
+        if frame.idx < len(block.instructions):
+            ins = block.instructions[frame.idx]
+            frame.idx += 1
+            steps += 1
+            if ins.opcode == "call":
+                try:
+                    callee, blocks = functions[ins.callee]
+                except KeyError:
+                    raise st.error(f"execution needs the body of '{ins.callee}'") from None
+                env = {p: name(callee.name, p, read(frame, a))
+                       for p, a in zip(callee.params, ins.operands)}
+                frame.pending_out = ins.output
+                frames.append(Frame(callee, blocks, callee.entry_block, None, 0, False,
+                                    env, None))
+            elif ins.opcode != "phi":  # a phi already ran in the entry batch
+                stop = instruction(frame, block, ins, steps)
+                if stop is not None:
+                    break
+            continue
+
+        t = block.terminator
+        steps += 1
+        if t.opcode == "br":
+            taken = branch(frame, block, read(frame, t.operands[0]), t.operands[1],
+                           t.operands[2], steps)
+            if taken.__class__ is not str:
+                stop = taken
+                break
+            frame.goto(taken)
+        elif t.opcode == "jmp":
+            frame.goto(t.operands[0])
+        elif t.opcode == "ret":
+            val = read(frame, t.operands[0]) if t.operands else None
+            st.leave(frame, block, val, steps)
+            if len(frames) == 1:
+                stop = "return"
+                break
+            frames.pop()
+            caller = frames[-1]
+            if caller.pending_out is not None:
+                caller.env[caller.pending_out] = name(
+                    caller.function.name, caller.pending_out,
+                    read(caller, 0) if val is None else val)
+                caller.pending_out = None
+        else:
+            raise st.error(f"bad terminator '{t.opcode}'")
+    else:
+        stop = "window"
+    st.steps = steps
+    return stop
+
+
+_UNTAINTED = frozenset()
 
 
 class _Machine:
-    """Architectural state: frame stack plus the input cursor."""
+    """The concrete domain of `execute`: an env binds each variable to its
+    (value, taint) pair. The machine holds the input cursor and records into
+    `trace` (edges, pc and observations) and, when `branch_sink` is a list,
+    a `_BranchPoint` with a snapshot at every two-way branch."""
+
+    error = OracleError
 
     def __init__(self, program: Program, entry: str, inputs: list[int],
-                 pad_inputs: bool = False):
-        self.program = program
-        self.blocks = {g.name: g.block_map() for g in program.functions}
+                 pad_inputs: bool = False, transmit_speculative: bool = True,
+                 branch_sink: list | None = None):
+        self.functions = {g.name: (g, g.block_map()) for g in program.functions}
         self.inputs = list(inputs)
         self.cursor = 0
         self.pad_inputs = pad_inputs
-        f = program.function(entry)
-        env: dict[str, int] = {}
-        taint: dict[str, frozenset] = {}
-        for p in f.params:
-            env[p] = to_i32(self._take_param())
-            taint[p] = frozenset({(f.name, p)})
-        self.frames = [_Frame(f, f.entry_block, None, 0, False, env, taint, None)]
-        self.done = False
+        self.transmit_speculative = transmit_speculative
+        self.speculative = False
+        self.trace = Trace()
+        self.branch_sink = branch_sink
+        f, blocks = self.functions[entry]
+        missing = "input valuation does not cover all parameters"
+        env = {p: (self.next_input(missing), frozenset({(f.name, p)})) for p in f.params}
+        self.frames = [Frame(f, blocks, f.entry_block, None, 0, False, env, None)]
 
-    def _take_param(self) -> int:
+    def next_input(self, missing: str = "input valuation exhausted") -> int:
         if self.cursor < len(self.inputs):
-            v = self.inputs[self.cursor]
             self.cursor += 1
-            return v
-        if self.pad_inputs:
+            return to_i32(self.inputs[self.cursor - 1])
+        if self.speculative or self.pad_inputs:
             return 0
-        raise OracleError("input valuation does not cover all parameters")
-
-    def next_input(self, speculative: bool) -> int:
-        if self.cursor < len(self.inputs):
-            v = self.inputs[self.cursor]
-            self.cursor += 1
-            return to_i32(v)
-        if speculative or self.pad_inputs:
-            return 0
-        raise OracleError("input valuation exhausted")
+        raise OracleError(missing)
 
     def snapshot(self) -> "_Machine":
+        """The architectural state, without trace, speculation flag or branch
+        sink: the burst that runs the snapshot sets those."""
         m = object.__new__(_Machine)
-        m.program = self.program
-        m.blocks = self.blocks
+        m.functions = self.functions
         m.inputs = self.inputs
         m.cursor = self.cursor
         m.pad_inputs = self.pad_inputs
-        m.frames = [_Frame(fr.function, fr.block, fr.prev_block, fr.idx,
-                           fr.phis_done, dict(fr.env), dict(fr.taint),
-                           fr.pending_out) for fr in self.frames]
-        m.done = self.done
+        m.transmit_speculative = self.transmit_speculative
+        m.frames = [fr.copy() for fr in self.frames]
         return m
 
+    def operand(self, frame: Frame, op):
+        if isinstance(op, int):
+            return op, _UNTAINTED
+        try:
+            return frame.env[op]
+        except KeyError:
+            raise OracleError(f"read of undefined variable '{op}'") from None
 
-def _operand_value(frame: _Frame, op):
-    if isinstance(op, int):
-        return op, frozenset()
-    if op not in frame.env:
-        raise OracleError(f"read of undefined variable '{op}'")
-    return frame.env[op], frame.taint.get(op, frozenset())
+    def name(self, fname: str, var: str, value):
+        return value[0], value[1] | {(fname, var)}
+
+    def enter(self, frame: Frame, block, steps: int):
+        trace = self.trace
+        trace.edges.append((frame.function.name, frame.prev_block or ENTRY, block.label))
+        trace.edge_times.append(steps)
+        trace.pc.append((frame.function.name, block.label))
+
+    def leave(self, frame: Frame, block, val, steps: int):
+        self.trace.edges.append((frame.function.name, block.label, EXIT))
+        self.trace.edge_times.append(steps)
+        if len(self.frames) == 1:
+            self.trace.returned = None if val is None else val[0]
+            self.trace.final_env = {k: v for k, (v, _) in frame.env.items()}
+
+    def instruction(self, frame: Frame, block, ins, steps: int):
+        opcode, out, env = ins.opcode, ins.output, frame.env
+        fname = frame.function.name
+        if opcode == "specbarr":
+            return "barrier" if self.speculative else None
+        if opcode == "input":
+            env[out] = self.next_input(), frozenset({(fname, out)})
+        elif opcode in ("load", "store", "transmit"):  # observe the address or value
+            op = ins.operands[1 if opcode == "store" else 0]
+            val, tnt = self.operand(frame, op)
+            spec = self.speculative  # a store is observed once it retires
+            if not spec or opcode == "load" or (opcode == "transmit"
+                                                and self.transmit_speculative):
+                self.trace.observations.append(Observation(
+                    fname, block.label, opcode, op, val, tnt, steps, spec))
+            if opcode == "load":
+                env[out] = load_value(val), tnt | {(fname, out)}
+        else:
+            args = []
+            tnt_all = _UNTAINTED
+            for op in ins.operands:
+                v, tnt = self.operand(frame, op)
+                args.append(v)
+                tnt_all |= tnt
+            env[out] = eval_op(opcode, args), tnt_all | {(fname, out)}
+        return None
+
+    def branch(self, frame: Frame, block, cond, then_l: str, else_l: str, steps: int):
+        val, tnt = cond
+        fname = frame.function.name
+        if not self.speculative:
+            self.trace.observations.append(Observation(
+                fname, block.label, "br", block.terminator.operands[0], val, tnt,
+                steps, False))
+        taken, wrong = (then_l, else_l) if val != 0 else (else_l, then_l)
+        if self.branch_sink is not None and then_l != else_l:
+            self.branch_sink.append(_BranchPoint(steps, fname, block.label, taken,
+                                                 wrong, self.snapshot()))
+        return taken
 
 
 @dataclass
@@ -178,147 +350,7 @@ class _BranchPoint:
     block: str
     taken: str
     wrong: str
-    machine: "_Machine"
-
-
-def _step(m: _Machine, trace: Trace, *, speculative: bool,
-          transmit_speculative: bool, branch_sink: list | None = None) -> str | None:
-    """Execute one dynamic instruction. Returns "barrier" when a speculative
-    execution reaches a speculation barrier, None otherwise."""
-    frame = m.frames[-1]
-    f = frame.function
-    block = m.blocks[f.name][frame.block]
-
-    if not frame.phis_done:
-        frame.phis_done = True
-        phis = block.phis()
-        if phis:
-            if frame.prev_block is None:
-                raise OracleError(f"phi in entry block '{block.label}'")
-            new_vals = {}
-            for phi in phis:
-                try:
-                    k = phi.phi_labels.index(frame.prev_block)
-                except ValueError:
-                    raise OracleError(
-                        f"phi in '{block.label}' lacks an arm for predecessor "
-                        f"'{frame.prev_block}'") from None
-                val, tnt = _operand_value(frame, phi.operands[k])
-                new_vals[phi.output] = (val, tnt | {(f.name, phi.output)})
-            for out, (val, tnt) in new_vals.items():
-                frame.env[out] = val
-                frame.taint[out] = tnt
-            frame.idx = len(phis)
-            trace.steps += len(phis)
-            trace.pc.append((f.name, block.label))
-            return None
-        trace.pc.append((f.name, block.label))
-
-    if frame.idx < len(block.instructions):
-        ins = block.instructions[frame.idx]
-        frame.idx += 1
-        trace.steps += 1
-        if ins.opcode == "phi":
-            return None  # already applied in the block-entry batch
-        if ins.opcode == "specbarr":
-            return "barrier" if speculative else None
-        if ins.opcode == "input":
-            frame.env[ins.output] = m.next_input(speculative)
-            frame.taint[ins.output] = frozenset({(f.name, ins.output)})
-            return None
-        if ins.opcode == "load":
-            addr, tnt = _operand_value(frame, ins.operands[0])
-            trace.observations.append(Observation(
-                f.name, block.label, "load", ins.operands[0], addr, tnt,
-                trace.steps, speculative))
-            frame.env[ins.output] = load_value(addr)
-            frame.taint[ins.output] = tnt | {(f.name, ins.output)}
-            return None
-        if ins.opcode == "store":
-            addr, tnt = _operand_value(frame, ins.operands[1])
-            if not speculative:
-                trace.observations.append(Observation(
-                    f.name, block.label, "store", ins.operands[1], addr, tnt,
-                    trace.steps, False))
-            return None
-        if ins.opcode == "transmit":
-            val, tnt = _operand_value(frame, ins.operands[0])
-            if not speculative or transmit_speculative:
-                trace.observations.append(Observation(
-                    f.name, block.label, "transmit", ins.operands[0], val, tnt,
-                    trace.steps, speculative))
-            return None
-        if ins.opcode == "call":
-            callee = m.program.function(ins.callee)
-            env, taint = {}, {}
-            for p, a in zip(callee.params, ins.operands):
-                val, tnt = _operand_value(frame, a)
-                env[p] = val
-                taint[p] = tnt | {(callee.name, p)}
-            frame.pending_out = ins.output
-            m.frames.append(_Frame(callee, callee.entry_block, None, 0, False,
-                                   env, taint, None))
-            trace.edges.append((callee.name, ENTRY, callee.entry_block))
-            trace.edge_times.append(trace.steps)
-            return None
-        args = []
-        tnt_all = frozenset()
-        for op in ins.operands:
-            v, tnt = _operand_value(frame, op)
-            args.append(v)
-            tnt_all |= tnt
-        frame.env[ins.output] = eval_op(ins.opcode, args)
-        frame.taint[ins.output] = tnt_all | {(f.name, ins.output)}
-        return None
-
-    # terminator
-    t = block.terminator
-    trace.steps += 1
-    if t.opcode == "ret":
-        val: int | None = None
-        tnt: frozenset = frozenset()
-        if t.operands:
-            val, tnt = _operand_value(frame, t.operands[0])
-        trace.edges.append((f.name, block.label, EXIT))
-        trace.edge_times.append(trace.steps)
-        m.frames.pop()
-        if not m.frames:
-            m.done = True
-            trace.returned = val
-            trace.final_env = dict(frame.env)
-            return None
-        caller = m.frames[-1]
-        if caller.pending_out is not None:
-            caller.env[caller.pending_out] = val if val is not None else 0
-            caller.taint[caller.pending_out] = tnt | {(caller.function.name,
-                                                       caller.pending_out)}
-            caller.pending_out = None
-        return None
-    if t.opcode == "jmp":
-        nxt = t.operands[0]
-        trace.edges.append((f.name, block.label, nxt))
-        trace.edge_times.append(trace.steps)
-        frame.prev_block, frame.block, frame.idx, frame.phis_done = (
-            frame.block, nxt, 0, False)
-        return None
-    if t.opcode == "br":
-        cond, tnt = _operand_value(frame, t.operands[0])
-        then_l, else_l = t.operands[1], t.operands[2]
-        if not speculative:
-            trace.observations.append(Observation(
-                f.name, block.label, "br", t.operands[0], cond, tnt,
-                trace.steps, False))
-        taken = then_l if cond != 0 else else_l
-        wrong = else_l if cond != 0 else then_l
-        if branch_sink is not None and then_l != else_l:
-            branch_sink.append(_BranchPoint(trace.steps, f.name, block.label,
-                                            taken, wrong, m.snapshot()))
-        trace.edges.append((f.name, block.label, taken))
-        trace.edge_times.append(trace.steps)
-        frame.prev_block, frame.block, frame.idx, frame.phis_done = (
-            frame.block, taken, 0, False)
-        return None
-    raise OracleError(f"bad terminator '{t.opcode}'")
+    machine: _Machine
 
 
 def _as_program(program_or_fn) -> Program:
@@ -338,17 +370,12 @@ def _run(program_or_fn, inputs: list[int], entry: str | None, fuel: int,
          transmit_speculative: bool, pad_inputs: bool, branch_sink: list | None) -> Trace:
     """The non-speculative run, recording each branch point in branch_sink."""
     program = _as_program(program_or_fn)
-    entry = entry or program.entry_function
-    m = _Machine(program, entry, inputs, pad_inputs)
-    trace = Trace()
-    trace.edges.append((entry, ENTRY, m.frames[0].block))
-    trace.edge_times.append(0)
-    while not m.done:
-        if trace.steps > fuel:
-            raise OracleError("fuel exhausted (possible non-termination)")
-        _step(m, trace, speculative=False, transmit_speculative=transmit_speculative,
-              branch_sink=branch_sink)
-    return trace
+    m = _Machine(program, entry or program.entry_function, inputs, pad_inputs,
+                 transmit_speculative, branch_sink)
+    if execute(m, fuel + 1) != "return":
+        raise OracleError("fuel exhausted (possible non-termination)")
+    m.trace.steps = m.steps
+    return m.trace
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +482,9 @@ def speculative_explore(program_or_fn, inputs: list[int], window: int = 16,
     branch_points: list[_BranchPoint] = []
     trace = _run(program_or_fn, inputs, entry, fuel, transmit_speculative, pad_inputs,
                  branch_points)
-
     executions: list[SpecExecution] = []
     for bp in branch_points:
-        variants = _burst(bp.machine, bp.wrong, window, depth - 1,
-                          transmit_speculative)
-        for mis, obs, stopped in variants:
+        for mis, obs, stopped in _burst(bp, window, depth - 1):
             executions.append(SpecExecution(
                 start_step=bp.step,
                 mispredictions=[(bp.function, bp.block, bp.wrong)] + mis,
@@ -469,38 +493,23 @@ def speculative_explore(program_or_fn, inputs: list[int], window: int = 16,
     return trace, executions
 
 
-def _burst(machine: _Machine, wrong: str, window: int,
-           depth_left: int, transmit_speculative: bool):
-    """Run one speculative burst from a misprediction; returns variants of
-    (extra mispredictions, observations, stop reason)."""
-    m = machine.snapshot()
-    frame = m.frames[-1]
-    subtrace = Trace()
-    subtrace.edges.append((frame.function.name, frame.block, wrong))
-    frame.prev_block, frame.block, frame.idx, frame.phis_done = (
-        frame.block, wrong, 0, False)
-
-    variants = []
-    nested: list[_BranchPoint] = []
-    stopped = "window"
-    while subtrace.steps < window:
-        if m.done:
-            stopped = "return"
-            break
-        sink = nested if depth_left > 0 else None
-        res = _step(m, subtrace, speculative=True,
-                    transmit_speculative=transmit_speculative, branch_sink=sink)
-        if res == "barrier":
-            stopped = "barrier"
-            break
-    variants.append(([], list(subtrace.observations), stopped))
-
-    for bp in nested:
-        inner = _burst(bp.machine, bp.wrong, window - bp.step, depth_left - 1,
-                       transmit_speculative)
-        prefix_obs = [o for o in subtrace.observations if o.time <= bp.step]
-        for mis, obs, stop in inner:
-            variants.append(([(bp.function, bp.block, bp.wrong)] + mis,
+def _burst(bp: _BranchPoint, window: int, depth_left: int):
+    """Run one speculative burst from a misprediction, on the branch point's
+    own snapshot (exactly one burst runs each); returns variants of (extra
+    mispredictions, observations, stop reason)."""
+    m = bp.machine
+    m.trace, m.speculative = Trace(), True
+    m.branch_sink = nested = [] if depth_left > 0 else None
+    m.frames[-1].goto(bp.wrong)
+    stopped = execute(m, window)
+    if stopped == "return" and m.steps >= window:
+        stopped = "window"  # the window is checked before the return
+    observations = m.trace.observations
+    variants = [([], observations, stopped)]
+    for inner_bp in nested or ():
+        prefix_obs = [o for o in observations if o.time <= inner_bp.step]
+        for mis, obs, stop in _burst(inner_bp, window - inner_bp.step, depth_left - 1):
+            variants.append(([(inner_bp.function, inner_bp.block, inner_bp.wrong)] + mis,
                              prefix_obs + obs, stop))
     return variants
 

@@ -2,9 +2,11 @@
 transmitted on every realizable path through a region, and upgrade block
 knowledge where transmission is inevitable.
 
-A bounded symbolic executor explores each function once, depth first. Each
-path carries an interval range per symbol, kept at the fixpoint of its path
-condition. A branch whose condition the intervals decide takes its one live
+A bounded symbolic executor explores each function once, depth first, on
+the verifier's IR stepper (oracle.execute): `_SymState` is its domain of
+terms, counting block visits against loop_cap and forking at open branches.
+Each path carries an interval range per symbol, kept at the fixpoint of its
+path condition. A branch whose condition the intervals decide takes its one live
 arm without forking and adds nothing to the path condition, which so holds
 only the constraints left open when they were added. An open branch forks:
 each arm narrows only the symbol its condition compares with a literal,
@@ -28,9 +30,9 @@ from dataclasses import dataclass, field
 
 from .cfg import DomInfo
 from .frontier import BlockKnowledge
-from .ir import Block, Function
+from .ir import Function
 from .knowledge import AnalysisError
-from .oracle import eval_op, load_value
+from .oracle import Frame, eval_op, execute, load_value
 
 INEVITABLE = "inevitable"
 ESCAPABLE = "escapable"
@@ -133,9 +135,10 @@ def candidate_vars(kb: BlockKnowledge, tblocks: set[str]) -> set[str]:
 # deterministic pseudo-value as the concrete interpreter.
 
 def make_term(opcode: str, args: list):
-    if all(isinstance(a, int) for a in args):
-        return eval_op(opcode, args)
-    return (opcode,) + tuple(args)
+    for a in args:
+        if not isinstance(a, int):
+            return (opcode,) + tuple(args)
+    return eval_op(opcode, args)
 
 
 def eval_term(t, assignment: dict[str, int]) -> int:
@@ -248,23 +251,14 @@ def _narrowed_symbol(term):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _SymFrame:
-    function: Function
-    blocks: dict[str, Block]  # the function's label -> Block
-    block: str
-    prev_block: str | None
-    idx: int
-    phis_done: bool
-    env: dict
-    pending_out: str | None
-
-
-@dataclass
 class _SymState:
-    """One path. pc holds only the branch and entry constraints that the
-    intervals left open when they were added; ranges is its fixpoint."""
+    """One path, and the symbolic domain of oracle.execute: an env binds each
+    variable to a term. pc holds only the branch and entry constraints that
+    the intervals left open when they were added; ranges is its fixpoint.
+    functions, limits and fname (the explored function) are the
+    exploration's, shared by every path."""
 
-    frames: list[_SymFrame]
+    frames: list[Frame]
     pc: list  # [(term, truthy)]
     syms: list[str]
     ranges: dict[str, tuple[int, int]]  # symbol -> (lo, hi)
@@ -274,14 +268,83 @@ class _SymState:
     last: dict[str, int] = field(default_factory=dict)  # block of f -> last visit
     clock: int = 0  # visits to blocks of f so far
     input_count: int = 0
+    functions: dict = field(default_factory=dict)  # name -> (Function, block map)
+    limits: Limits = field(default_factory=Limits)
+    fname: str = ""
+
+    error = AnalysisError
 
     def fork(self) -> "_SymState":
         return _SymState(
-            [_SymFrame(fr.function, fr.blocks, fr.block, fr.prev_block, fr.idx,
-                       fr.phis_done, dict(fr.env), fr.pending_out) for fr in self.frames],
-            list(self.pc), list(self.syms), dict(self.ranges), dict(self.holes),
-            self.complex, dict(self.visits), dict(self.last), self.clock,
-            self.input_count)
+            [fr.copy() for fr in self.frames], list(self.pc), list(self.syms),
+            dict(self.ranges), dict(self.holes), self.complex, dict(self.visits),
+            dict(self.last), self.clock, self.input_count, self.functions,
+            self.limits, self.fname)
+
+    def run(self):
+        """Run the path until it exits ("return"), hits loop_cap ("cap") or
+        forks at a branch the intervals leave open (the list of children
+        whose branch constraint they allow)."""
+        return execute(self, _UNBOUNDED)
+
+    def operand(self, frame: Frame, op):
+        return op if isinstance(op, int) else frame.env[op]
+
+    def name(self, fname: str, var: str, value):
+        return value
+
+    def enter(self, frame: Frame, block, steps: int):
+        key = (frame.function.name, block.label)
+        visits = self.visits[key] = self.visits.get(key, 0) + 1
+        if visits > self.limits.loop_cap:
+            return "cap"
+        if key[0] == self.fname:
+            self.last[block.label] = self.clock
+            self.clock += 1
+        return None
+
+    def leave(self, frame: Frame, block, val, steps: int):
+        pass
+
+    def instruction(self, frame: Frame, block, ins, steps: int):
+        opcode, env = ins.opcode, frame.env
+        if opcode in _NO_VALUE:
+            return None
+        if opcode == "input":
+            name = f"#in{self.input_count}"  # no IR name starts with #
+            self.input_count += 1
+            lim = self.limits
+            if len(self.syms) >= lim.max_symbols:
+                raise AnalysisError(
+                    f"too many symbolic inputs (> max_symbols {lim.max_symbols})")
+            self.syms.append(name)
+            self.ranges[name] = (lim.domain_min, lim.domain_max)
+            env[ins.output] = ("sym", name)
+            return None
+        args = []
+        for op in ins.operands:
+            args.append(op if isinstance(op, int) else env[op])
+        if opcode == "load":
+            addr = args[0]
+            env[ins.output] = (load_value(addr) if isinstance(addr, int)
+                               else ("load", addr))
+        else:
+            env[ins.output] = make_term(opcode, args)
+        return None
+
+    def branch(self, frame: Frame, block, cond, then_l: str, else_l: str, steps: int):
+        if then_l == else_l:
+            return then_l
+        live = self.decide(cond)
+        if live is not None:  # one arm is dead: go on without forking
+            return then_l if live else else_l
+        forks = []
+        for target, truthy in ((then_l, True), (else_l, False)):
+            child = self.fork()
+            if child.assume(cond, truthy):
+                child.frames[-1].goto(target)
+                forks.append(child)
+        return forks
 
     def decide(self, cond):
         """The truth of condition term cond at every point of ranges, or None
@@ -292,7 +355,7 @@ class _SymState:
 
     def assume(self, term, truthy: bool) -> bool:
         """Add a constraint to pc; False when intervals prove pc unsatisfiable.
-        _sym_run adds only what decide() leaves open, as a decided constraint
+        branch adds only what decide() leaves open, as a decided constraint
         narrows nothing. The answer is that of narrowing all of pc from the
         domain: each rule of _refine_ranges reads and narrows one symbol's own
         range, only the holes are not plain intersections, so they alone need
@@ -315,6 +378,8 @@ class _SymState:
             self.decide(t) in (None, tr) for t, tr in self.complex)
 
 
+_NO_VALUE = frozenset({"specbarr", "store", "transmit"})  # bind no variable
+_UNBOUNDED = 1 << 62  # refinement bounds paths with loop_cap, not steps
 _TOO_DEEP = "symbolic term nested past the Python recursion limit"
 
 
@@ -427,10 +492,12 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
         args = [("sym", c.var), c.value]
         entry_pc.append((make_term(op, args[::-1] if flipped else args), truthy))
     root = _SymState(
-        frames=[_SymFrame(f, f.block_map(), f.entry_block, None, 0, False,
-                          {p: ("sym", p) for p in f.params}, None)],
+        frames=[Frame(f, f.block_map(), f.entry_block, None, 0, False,
+                      {p: ("sym", p) for p in f.params}, None)],
         pc=[], syms=list(f.params),
-        ranges=dict.fromkeys(f.params, (limits.domain_min, limits.domain_max)))
+        ranges=dict.fromkeys(f.params, (limits.domain_min, limits.domain_max)),
+        functions={name: (g, g.block_map()) for name, g in functions.items()},
+        limits=limits, fname=f.name)
     if not all(root.decide(term) == truthy or root.assume(term, truthy)
                for term, truthy in entry_pc):
         raise AnalysisError("unsatisfiable entry constraints")
@@ -439,132 +506,17 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
                             f"max_symbols {limits.max_symbols})")
 
     stack = [root]
-    callee_blocks: dict[str, dict[str, Block]] = {}
     exits = 0
     while stack and exits <= limits.path_cap:
         st = stack.pop()
-        outcome = _sym_run(st, f.name, functions, callee_blocks, limits)
+        outcome = st.run()
         if outcome == "cap":
             yield "cap"
-        elif outcome == "exit":
+        elif outcome == "return":
             exits += 1
             yield st.pc, st.syms, st.last, st.ranges
         else:  # the live children of a branch
             stack.extend(reversed(outcome))
-
-
-def _sym_run(st: _SymState, fname: str, functions: dict[str, Function],
-             callee_blocks: dict[str, dict[str, Block]], limits: Limits):
-    """Run a state forward until it exits, hits a cap, or forks at a branch
-    the intervals leave open (returning the children whose branch constraint
-    they allow)."""
-    while True:
-        frame = st.frames[-1]
-        f = frame.function
-        block = frame.blocks[frame.block]
-
-        if not frame.phis_done:
-            frame.phis_done = True
-            key = (f.name, block.label)
-            st.visits[key] = st.visits.get(key, 0) + 1
-            if st.visits[key] > limits.loop_cap:
-                return "cap"
-            if f.name == fname:
-                st.last[block.label] = st.clock
-                st.clock += 1
-            phis = block.phis()
-            if phis:
-                new_vals = {}
-                for phi in phis:
-                    k = phi.phi_labels.index(frame.prev_block)
-                    new_vals[phi.output] = _sym_operand(frame, phi.operands[k])
-                frame.env.update(new_vals)
-                frame.idx = len(phis)
-
-        if frame.idx < len(block.instructions):
-            ins = block.instructions[frame.idx]
-            frame.idx += 1
-            if ins.opcode == "phi":
-                continue
-            if ins.opcode in ("specbarr", "store", "transmit"):
-                continue
-            if ins.opcode == "input":
-                name = f"#in{st.input_count}"  # no IR name starts with #
-                st.input_count += 1
-                if len(st.syms) >= limits.max_symbols:
-                    raise AnalysisError(
-                        f"too many symbolic inputs (> max_symbols "
-                        f"{limits.max_symbols})")
-                st.syms.append(name)
-                st.ranges[name] = (limits.domain_min, limits.domain_max)
-                frame.env[ins.output] = ("sym", name)
-                continue
-            if ins.opcode == "load":
-                addr = _sym_operand(frame, ins.operands[0])
-                frame.env[ins.output] = (load_value(addr) if isinstance(addr, int)
-                                         else ("load", addr))
-                continue
-            if ins.opcode == "call":
-                callee = functions.get(ins.callee)
-                if callee is None:
-                    raise AnalysisError(
-                        f"symbolic execution needs the body of '{ins.callee}'")
-                env = {p: _sym_operand(frame, a)
-                       for p, a in zip(callee.params, ins.operands)}
-                frame.pending_out = ins.output
-                if ins.callee not in callee_blocks:
-                    callee_blocks[ins.callee] = callee.block_map()
-                st.frames.append(_SymFrame(callee, callee_blocks[ins.callee],
-                                           callee.entry_block, None, 0,
-                                           False, env, None))
-                continue
-            args = [_sym_operand(frame, o) for o in ins.operands]
-            frame.env[ins.output] = make_term(ins.opcode, args)
-            continue
-
-        t = block.terminator
-        if t.opcode == "ret":
-            val = _sym_operand(frame, t.operands[0]) if t.operands else 0
-            st.frames.pop()
-            if not st.frames:
-                return "exit"
-            caller = st.frames[-1]
-            if caller.pending_out is not None:
-                caller.env[caller.pending_out] = val
-                caller.pending_out = None
-            continue
-        if t.opcode == "jmp":
-            frame.prev_block, frame.block = frame.block, t.operands[0]
-            frame.idx, frame.phis_done = 0, False
-            continue
-        if t.opcode == "br":
-            cond = _sym_operand(frame, t.operands[0])
-            then_l, else_l = t.operands[1], t.operands[2]
-            if then_l == else_l:
-                frame.prev_block, frame.block = frame.block, then_l
-                frame.idx, frame.phis_done = 0, False
-                continue
-            live = st.decide(cond)
-            if live is not None:  # one arm is dead: go on without forking
-                frame.prev_block, frame.block = frame.block, then_l if live else else_l
-                frame.idx, frame.phis_done = 0, False
-                continue
-            forks = []
-            for target, truthy in ((then_l, True), (else_l, False)):
-                child = st.fork()
-                if child.assume(cond, truthy):
-                    cf = child.frames[-1]
-                    cf.prev_block, cf.block = cf.block, target
-                    cf.idx, cf.phis_done = 0, False
-                    forks.append(child)
-            return forks
-        raise AnalysisError(f"bad terminator '{t.opcode}'")
-
-
-def _sym_operand(frame: _SymFrame, op):
-    if isinstance(op, int):
-        return op
-    return frame.env[op]
 
 
 # ---------------------------------------------------------------------------

@@ -185,12 +185,17 @@ def test_config_constraints_flow_into_refinement(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    import os
+    import pathlib
     import subprocess
     import sys
     src = FIXTURES / "diamond_linked.mir"
+    path = os.pathsep.join([str(pathlib.Path(cli.__file__).resolve().parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-m", "declassiflow.cli",
                            "analyze", str(src)],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["entry"] == "main"
@@ -264,4 +269,4 @@ def test_non_utf8_file_exit_two(tmp_path, capsys, which):
     extra = ["--config", str(bad)] if which == "config" else []
     assert run(["analyze", src, *extra]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "can't decode byte 0xff" in err, err
+    assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err, err

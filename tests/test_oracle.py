@@ -1,13 +1,15 @@
 import copy
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from declassiflow.cfg import ENTRY, EXIT
-from declassiflow.ir import Program, parse_program
-from declassiflow.oracle import (OracleError, _Machine, check_frontier_property,
-                                 exact_knowledge, input_grid, input_slots, interpret,
-                                 load_value, speculative_explore)
+from declassiflow.ir import Function, Program, parse_program, to_i32
+from declassiflow.oracle import (Observation, OracleError, SpecExecution, Trace,
+                                 _BranchPoint, _Machine, check_frontier_property,
+                                 eval_op, exact_knowledge, input_grid, input_slots,
+                                 interpret, load_value, speculative_explore)
 from declassiflow.pipeline import RunConfig, analyze_program, property_map, run_pipeline
 
 from conftest import FIXTURES, dfa, fixture_program
@@ -330,14 +332,269 @@ def _deepcopy_snapshot(self):
     """Reference snapshot: a deep copy of the whole frame stack, the IR that
     every frame holds included."""
     m = object.__new__(_Machine)
-    m.program = self.program
-    m.blocks = self.blocks
+    m.functions = self.functions
     m.inputs = self.inputs
     m.cursor = self.cursor
     m.pad_inputs = self.pad_inputs
+    m.transmit_speculative = self.transmit_speculative
     m.frames = copy.deepcopy(self.frames)
-    m.done = self.done
     return m
+
+
+# ---------------------------------------------------------------------------
+# Reference explorer: the concrete stepper the shared one replaced, kept as an
+# independent check of the control semantics (phi batches, calls and
+# returns, jmp and br, step counting, window and barrier stops).
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _RefFrame:
+    function: Function
+    block: str
+    prev_block: str | None
+    idx: int
+    phis_done: bool
+    env: dict[str, int]
+    taint: dict[str, frozenset]
+    pending_out: str | None
+
+
+class _RefMachine:
+    def __init__(self, program: Program, entry: str, inputs: list[int],
+                 pad_inputs: bool = False):
+        self.program = program
+        self.blocks = {g.name: g.block_map() for g in program.functions}
+        self.inputs = list(inputs)
+        self.cursor = 0
+        self.pad_inputs = pad_inputs
+        f = program.function(entry)
+        env: dict[str, int] = {}
+        taint: dict[str, frozenset] = {}
+        for p in f.params:
+            env[p] = to_i32(self._take_param())
+            taint[p] = frozenset({(f.name, p)})
+        self.frames = [_RefFrame(f, f.entry_block, None, 0, False, env, taint, None)]
+        self.done = False
+
+    def _take_param(self) -> int:
+        if self.cursor < len(self.inputs):
+            v = self.inputs[self.cursor]
+            self.cursor += 1
+            return v
+        if self.pad_inputs:
+            return 0
+        raise OracleError("input valuation does not cover all parameters")
+
+    def next_input(self, speculative: bool) -> int:
+        if self.cursor < len(self.inputs):
+            v = self.inputs[self.cursor]
+            self.cursor += 1
+            return to_i32(v)
+        if speculative or self.pad_inputs:
+            return 0
+        raise OracleError("input valuation exhausted")
+
+    def snapshot(self) -> "_RefMachine":
+        m = object.__new__(_RefMachine)
+        m.program = self.program
+        m.blocks = self.blocks
+        m.inputs = self.inputs
+        m.cursor = self.cursor
+        m.pad_inputs = self.pad_inputs
+        m.frames = [_RefFrame(fr.function, fr.block, fr.prev_block, fr.idx,
+                              fr.phis_done, dict(fr.env), dict(fr.taint),
+                              fr.pending_out) for fr in self.frames]
+        m.done = self.done
+        return m
+
+
+def _ref_operand(frame: _RefFrame, op):
+    if isinstance(op, int):
+        return op, frozenset()
+    if op not in frame.env:
+        raise OracleError(f"read of undefined variable '{op}'")
+    return frame.env[op], frame.taint.get(op, frozenset())
+
+
+def _ref_step(m: _RefMachine, trace: Trace, *, speculative: bool,
+              transmit_speculative: bool, branch_sink: list | None = None) -> str | None:
+    frame = m.frames[-1]
+    f = frame.function
+    block = m.blocks[f.name][frame.block]
+
+    if not frame.phis_done:
+        frame.phis_done = True
+        phis = block.phis()
+        if phis:
+            if frame.prev_block is None:
+                raise OracleError(f"phi in entry block '{block.label}'")
+            new_vals = {}
+            for phi in phis:
+                try:
+                    k = phi.phi_labels.index(frame.prev_block)
+                except ValueError:
+                    raise OracleError(
+                        f"phi in '{block.label}' lacks an arm for predecessor "
+                        f"'{frame.prev_block}'") from None
+                val, tnt = _ref_operand(frame, phi.operands[k])
+                new_vals[phi.output] = (val, tnt | {(f.name, phi.output)})
+            for out, (val, tnt) in new_vals.items():
+                frame.env[out] = val
+                frame.taint[out] = tnt
+            frame.idx = len(phis)
+            trace.steps += len(phis)
+            trace.pc.append((f.name, block.label))
+            return None
+        trace.pc.append((f.name, block.label))
+
+    if frame.idx < len(block.instructions):
+        ins = block.instructions[frame.idx]
+        frame.idx += 1
+        trace.steps += 1
+        if ins.opcode == "phi":
+            return None
+        if ins.opcode == "specbarr":
+            return "barrier" if speculative else None
+        if ins.opcode == "input":
+            frame.env[ins.output] = m.next_input(speculative)
+            frame.taint[ins.output] = frozenset({(f.name, ins.output)})
+            return None
+        if ins.opcode == "load":
+            addr, tnt = _ref_operand(frame, ins.operands[0])
+            trace.observations.append(Observation(
+                f.name, block.label, "load", ins.operands[0], addr, tnt,
+                trace.steps, speculative))
+            frame.env[ins.output] = load_value(addr)
+            frame.taint[ins.output] = tnt | {(f.name, ins.output)}
+            return None
+        if ins.opcode == "store":
+            addr, tnt = _ref_operand(frame, ins.operands[1])
+            if not speculative:
+                trace.observations.append(Observation(
+                    f.name, block.label, "store", ins.operands[1], addr, tnt,
+                    trace.steps, False))
+            return None
+        if ins.opcode == "transmit":
+            val, tnt = _ref_operand(frame, ins.operands[0])
+            if not speculative or transmit_speculative:
+                trace.observations.append(Observation(
+                    f.name, block.label, "transmit", ins.operands[0], val, tnt,
+                    trace.steps, speculative))
+            return None
+        if ins.opcode == "call":
+            callee = m.program.function(ins.callee)
+            env, taint = {}, {}
+            for p, a in zip(callee.params, ins.operands):
+                val, tnt = _ref_operand(frame, a)
+                env[p] = val
+                taint[p] = tnt | {(callee.name, p)}
+            frame.pending_out = ins.output
+            m.frames.append(_RefFrame(callee, callee.entry_block, None, 0, False,
+                                      env, taint, None))
+            trace.edges.append((callee.name, ENTRY, callee.entry_block))
+            trace.edge_times.append(trace.steps)
+            return None
+        args = []
+        tnt_all = frozenset()
+        for op in ins.operands:
+            v, tnt = _ref_operand(frame, op)
+            args.append(v)
+            tnt_all |= tnt
+        frame.env[ins.output] = eval_op(ins.opcode, args)
+        frame.taint[ins.output] = tnt_all | {(f.name, ins.output)}
+        return None
+
+    t = block.terminator
+    trace.steps += 1
+    if t.opcode == "ret":
+        val: int | None = None
+        tnt: frozenset = frozenset()
+        if t.operands:
+            val, tnt = _ref_operand(frame, t.operands[0])
+        trace.edges.append((f.name, block.label, EXIT))
+        trace.edge_times.append(trace.steps)
+        m.frames.pop()
+        if not m.frames:
+            m.done = True
+            trace.returned = val
+            trace.final_env = dict(frame.env)
+            return None
+        caller = m.frames[-1]
+        if caller.pending_out is not None:
+            caller.env[caller.pending_out] = val if val is not None else 0
+            caller.taint[caller.pending_out] = tnt | {(caller.function.name,
+                                                       caller.pending_out)}
+            caller.pending_out = None
+        return None
+    if t.opcode == "jmp":
+        nxt = t.operands[0]
+        trace.edges.append((f.name, block.label, nxt))
+        trace.edge_times.append(trace.steps)
+        frame.prev_block, frame.block, frame.idx, frame.phis_done = (
+            frame.block, nxt, 0, False)
+        return None
+    cond, tnt = _ref_operand(frame, t.operands[0])
+    then_l, else_l = t.operands[1], t.operands[2]
+    if not speculative:
+        trace.observations.append(Observation(
+            f.name, block.label, "br", t.operands[0], cond, tnt,
+            trace.steps, False))
+    taken = then_l if cond != 0 else else_l
+    wrong = else_l if cond != 0 else then_l
+    if branch_sink is not None and then_l != else_l:
+        branch_sink.append(_BranchPoint(trace.steps, f.name, block.label,
+                                        taken, wrong, m.snapshot()))
+    trace.edges.append((f.name, block.label, taken))
+    trace.edge_times.append(trace.steps)
+    frame.prev_block, frame.block, frame.idx, frame.phis_done = (
+        frame.block, taken, 0, False)
+    return None
+
+
+def _ref_burst(machine: _RefMachine, wrong: str, window: int, depth_left: int):
+    m = machine.snapshot()
+    frame = m.frames[-1]
+    subtrace = Trace()
+    frame.prev_block, frame.block, frame.idx, frame.phis_done = (
+        frame.block, wrong, 0, False)
+    variants = []
+    nested: list[_BranchPoint] = []
+    stopped = "window"
+    while subtrace.steps < window:
+        if m.done:
+            stopped = "return"
+            break
+        res = _ref_step(m, subtrace, speculative=True, transmit_speculative=True,
+                        branch_sink=nested if depth_left > 0 else None)
+        if res == "barrier":
+            stopped = "barrier"
+            break
+    variants.append(([], list(subtrace.observations), stopped))
+    for bp in nested:
+        inner = _ref_burst(bp.machine, bp.wrong, window - bp.step, depth_left - 1)
+        prefix_obs = [o for o in subtrace.observations if o.time <= bp.step]
+        for mis, obs, stop in inner:
+            variants.append(([(bp.function, bp.block, bp.wrong)] + mis,
+                             prefix_obs + obs, stop))
+    return variants
+
+
+def _ref_explore(program: Program, inputs: list[int], window: int, depth: int):
+    """speculative_explore(..., pad_inputs=True) on the reference stepper."""
+    m = _RefMachine(program, program.entry_function, inputs, pad_inputs=True)
+    trace = Trace()
+    trace.edges.append((program.entry_function, ENTRY, m.frames[0].block))
+    trace.edge_times.append(0)
+    branch_points: list[_BranchPoint] = []
+    while not m.done:
+        _ref_step(m, trace, speculative=False, transmit_speculative=True,
+                  branch_sink=branch_points)
+    executions = []
+    for bp in branch_points:
+        for mis, obs, stopped in _ref_burst(bp.machine, bp.wrong, window, depth - 1):
+            executions.append(SpecExecution(bp.step, [(bp.function, bp.block, bp.wrong)]
+                                            + mis, obs, stopped))
+    return trace, executions
 
 
 # a speculative return into the caller, which then transmits what it got back
@@ -364,13 +621,15 @@ B3:
 
 def test_snapshot_matches_deepcopy_reference(monkeypatch):
     """A snapshot that copies only frame state explores exactly what the
-    deep-copying one did: same trace, same speculative executions."""
+    deep-copying one did, and the shared stepper explores exactly what the
+    reference stepper does: same trace, same speculative executions."""
     texts = [random_acyclic_program(random.Random(seed)) for seed in range(300)]
     texts += [random_tight_program(random.Random(seed)) for seed in range(100)]
     texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
     texts += [call_chain(4), RETURN_INTO_CALLER]
     rng = random.Random(7)
     returns_into_caller = 0
+    stops = set()
     for text in texts:
         program = parse_program(text)
         protected = parse_program(run_pipeline(program, RunConfig())["protected_program"])
@@ -384,19 +643,23 @@ def test_snapshot_matches_deepcopy_reference(monkeypatch):
                                                        depth=depth, pad_inputs=True)
                     with monkeypatch.context() as mp:
                         mp.setattr(_Machine, "snapshot", _deepcopy_snapshot)
-                        ref, ref_specs = speculative_explore(
+                        deep = speculative_explore(
                             prog, inputs, window=16, depth=depth, pad_inputs=True)
-                    assert trace.edges == ref.edges
-                    assert trace.edge_times == ref.edge_times
-                    assert trace.pc == ref.pc
-                    assert trace.observations == ref.observations
-                    assert trace.returned == ref.returned
-                    assert trace.final_env == ref.final_env
-                    assert specs == ref_specs, (text, inputs, depth)
+                    for ref, ref_specs in (deep, _ref_explore(prog, inputs, 16, depth)):
+                        assert trace.edges == ref.edges
+                        assert trace.edge_times == ref.edge_times
+                        assert trace.pc == ref.pc
+                        assert trace.observations == ref.observations
+                        assert trace.returned == ref.returned
+                        assert trace.steps == ref.steps
+                        assert trace.final_env == ref.final_env
+                        assert specs == ref_specs, (text, inputs, depth)
+                    stops.update(spec.stopped_by for spec in specs)
                     returns_into_caller += sum(
                         1 for spec in specs for o in spec.observations
                         if (o.function, spec.mispredictions[0][0]) in calls)
     assert returns_into_caller > 0  # a speculative ret resumed a caller frame
+    assert stops == {"window", "barrier", "return"}
 
 
 @pytest.mark.parametrize("k,executions,inputs_checked", [

@@ -394,7 +394,7 @@ def test_decide_settles_exactly_the_arm_assume_rejects():
         lits = range(domain[0] - 2, domain[1] + 3)
         syms = ["x", "y", "z"]
         st = _SymState([], [], list(syms), dict.fromkeys(syms, domain))
-        for _ in range(rng.randint(0, 6)):  # a live path, built as _sym_run would
+        for _ in range(rng.randint(0, 6)):  # a live path, built as branch would
             term, truthy = random_constraint(rng, lits)
             child = st.fork()
             if st.decide(term) is None and child.assume(term, truthy):
@@ -432,14 +432,14 @@ def test_exploration_counters(monkeypatch, name, exits, caps, runs):
     program = parse_program(generated.get(name) or fixture_text(name))
     bodies = {g.name: simplify_loops(g) for g in program.functions}
     calls = 0
-    sym_run = refine._sym_run
+    run = refine._SymState.run
 
-    def counting(*args):
+    def counting(st):
         nonlocal calls
         calls += 1
-        return sym_run(*args)
+        return run(st)
 
-    monkeypatch.setattr(refine, "_sym_run", counting)
+    monkeypatch.setattr(refine._SymState, "run", counting)
     paths = PathLog(bodies[program.functions[0].name], Limits(), functions=bodies)
     events = [e for _, e in paths.events()]
     assert (sum(e != "cap" for e in events), events.count("cap"), calls) == (
