@@ -5,8 +5,8 @@ execution oracle for verification."""
 from .cfg import (Cfg, CfgError, DomInfo, ExpandedFunction, NaturalLoop, build_cfg,
                   dominators, expand_loops, natural_loops, simplify_loops)
 from .frontier import BlockKnowledge, all_frontiers, block_knowledge
-from .ir import (Block, Function, Instruction, IRError, Program, SolvClass,
-                 parse_program, pretty_print, solvability, validate_ssa)
+from .ir import (Block, Function, Instruction, IRError, Program, parse_program,
+                 pretty_print, validate_ssa)
 from .knowledge import (AnalysisError, EdgeBits, FunctionSummary, KnowledgeMap,
                         analyze_edges, init_knowledge, project_to_original, propagate,
                         summarize)

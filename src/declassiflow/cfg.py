@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .ir import Block, Function, Instruction, dominator_sets
+from .ir import OPCODES, Block, Function, Instruction, dominator_sets
 
 ENTRY = "@entry"
 EXIT = "@exit"
@@ -104,13 +104,11 @@ def build_cfg(f: Function) -> Cfg:
 
     reachable = {f.entry_block}
     work = [f.entry_block]
-    bm = f.block_map()
     while work:
-        cur = work.pop()
-        for s in bm[cur].successor_labels():
-            if s in bm and s not in reachable:
-                reachable.add(s)
-                work.append(s)
+        for e in out_edges[work.pop()]:
+            if e.dst in out_edges and e.dst not in reachable:  # a block, not EXIT
+                reachable.add(e.dst)
+                work.append(e.dst)
     dead = {b.label for b in f.blocks} - reachable
     return Cfg(f, edges, out_edges, in_edges, dead)
 
@@ -256,15 +254,10 @@ def _fresh(taken: set[str], base: str) -> str:
 
 
 def _retarget(block: Block, old: str, new: str):
-    t = block.terminator
-    if t.opcode == "br":
-        if t.operands[1] == old:
-            t.operands[1] = new
-        if t.operands[2] == old:
-            t.operands[2] = new
-    elif t.opcode == "jmp":
-        if t.operands[0] == old:
-            t.operands[0] = new
+    ops = block.terminator.operands
+    for i in OPCODES[block.terminator.opcode].labels:
+        if ops[i] == old:
+            ops[i] = new
 
 
 def simplify_loops(f: Function) -> Function:
@@ -358,11 +351,10 @@ class ExpandedFunction:
 
     edge_origin maps an expanded edge key to the set of pre-expansion edge
     keys it stands for (empty for synthetic merge plumbing). edge_subst gives,
-    per expanded edge, the rename of each duplicated variable that is current
-    there; names absent from the map are represented by themselves (the merge
-    phis reuse original names, so post-loop edges need no entries). edge_subst
-    and representative are meaningful only on edges with a non-empty
-    edge_origin, the only ones project_to_original reads.
+    per expanded edge with an origin, the rename of each duplicated variable
+    that is current there; names absent from the map are represented by
+    themselves (the merge phis reuse original names, so post-loop edges need
+    no entries).
     """
 
     function: Function
@@ -430,6 +422,8 @@ def _compose(base: ExpandedFunction, step) -> ExpandedFunction:
             acc |= base.edge_origin.get(mk, set())
             prior.update(base.edge_subst.get(mk, {}))
         edge_origin[ek] = acc
+        if not acc:  # synthetic plumbing: nothing reads its names
+            continue
         s2 = step_subst.get(ek, {})
         chain: dict[str, str] = {}
         for orig, mid_name in prior.items():
@@ -453,7 +447,7 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
     body = sorted(lp.body, key=order.get)
     loop_defs: set[str] = set()
     for lab in body:
-        loop_defs |= f.block(lab).defined_vars()
+        loop_defs |= f.blocks[order[lab]].defined_vars()
 
     taken_labels = {b.label for b in f.blocks}
     taken_vars = set(f.defined_vars())
@@ -487,7 +481,7 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
     copies: dict[tuple[str, int], Block] = {}
     for c in (1, 2):
         for lab in body:
-            src = f.block(lab)
+            src = f.blocks[order[lab]]
             nb = Block(block_rename[c][lab])
             for ins in src.instructions:
                 if ins.opcode == "phi" and lab == lp.header:
@@ -506,18 +500,16 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
                     ni.phi_labels = [block_rename[c].get(l, l) for l in ni.phi_labels]
                 nb.instructions.append(ni)
             t = src.terminator.copy()
-            if t.opcode in ("br", "ret") and t.operands:
-                t.operands[0] = sub(c, t.operands[0])
-            if t.opcode in ("br", "jmp"):
-                idxs = (1, 2) if t.opcode == "br" else (0,)
-                for i in idxs:
-                    tgt = t.operands[i]
-                    if tgt == lp.header:
-                        t.operands[i] = block_rename[2][lp.header] if c == 1 else fallback_merge
-                    elif tgt in lp.body:
-                        t.operands[i] = block_rename[c][tgt]
-                    else:
-                        t.operands[i] = merge_of[tgt]
+            labels = OPCODES[t.opcode].labels
+            for i, o in enumerate(t.operands):
+                if i not in labels:
+                    t.operands[i] = sub(c, o)
+                elif o == lp.header:
+                    t.operands[i] = block_rename[2][lp.header] if c == 1 else fallback_merge
+                elif o in lp.body:
+                    t.operands[i] = block_rename[c][o]
+                else:
+                    t.operands[i] = merge_of[o]
             nb.terminator = t
             copies[(lab, c)] = nb
 
@@ -535,16 +527,15 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
     # guarantees the real exit arms are dominated.
     def_block: dict[str, str] = {}
     for lab in body:
-        for v in f.block(lab).defined_vars():
+        for v in f.blocks[order[lab]].defined_vars():
             def_block[v] = lab
     used_after: set[str] = set()
     for b in f.blocks:
-        if b.label in lp.body:
-            continue
-        for ins in b.instructions + ([b.terminator] if b.terminator else []):
-            for o in ins.operands:
-                if isinstance(o, str) and o in loop_defs:
-                    used_after.add(o)
+        if b.label not in lp.body:
+            for ins in b.instructions:  # only a terminator has label operands
+                used_after.update(ins.operands)
+            used_after.update(b.terminator.var_operands())
+    used_after &= loop_defs
 
     merge_blocks: list[Block] = []
     merged_name: dict[str, dict[str, str]] = {}
@@ -567,9 +558,9 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
         merge_blocks.append(mb)
 
     # outside predecessors enter the loop through copy 1 of the header
-    for b in f.blocks:
-        if b.label not in lp.body:
-            _retarget(b, lp.header, block_rename[1][lp.header])
+    for p in cfg.preds(lp.header):
+        if p not in lp.body:
+            _retarget(f.blocks[order[p]], lp.header, block_rename[1][lp.header])
 
     if not single_merge and exit_targets:
         _rewrite_multi_merge_uses(f, dom, lp, loop_defs, merge_of, merged_name)
@@ -633,10 +624,7 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
         sc = copy_of_block.get(src)
         dc = copy_of_block.get(dst)
         if sc and dc:
-            if sc == 1 and dc == 2 and inv_block[src] == latch and inv_block[dst] == lp.header:
-                edge_origin[e.key] = {(latch, lp.header)}
-            else:
-                edge_origin[e.key] = {(inv_block[src], inv_block[dst])}
+            edge_origin[e.key] = {(inv_block[src], inv_block[dst])}
             edge_subst[e.key] = dict(rename[sc])
         elif sc and dst in merge_labels:
             x = merge_exit[dst]
@@ -649,8 +637,6 @@ def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
             edge_subst[e.key] = dict(rename[sc])
         elif src in merge_labels:
             edge_origin[e.key] = set()
-            if not single_merge:
-                edge_subst[e.key] = dict(merged_name[src])
         elif dc:
             edge_origin[e.key] = {(src, inv_block[dst])}
         else:
@@ -675,16 +661,15 @@ def _rewrite_multi_merge_uses(f: Function, dom: DomInfo, lp: NaturalLoop, loop_d
     for b in f.blocks:
         if b.label in lp.body:
             continue
-        for ins in b.instructions + ([b.terminator] if b.terminator else []):
+        for ins in b.instructions + [b.terminator]:
             if ins.opcode == "phi":
                 for i, (o, l) in enumerate(zip(ins.operands, ins.phi_labels)):
                     if isinstance(o, str) and o in loop_defs and l not in lp.body:
                         ins.operands[i] = pick(l, o)
             else:
+                labels = OPCODES[ins.opcode].labels
                 for i, o in enumerate(ins.operands):
-                    if isinstance(o, str) and o in loop_defs:
-                        if ins.opcode in ("br", "jmp") and i > (0 if ins.opcode == "br" else -1):
-                            continue
+                    if i not in labels and isinstance(o, str) and o in loop_defs:
                         ins.operands[i] = pick(b.label, o)
 
 

@@ -1,4 +1,5 @@
-"""Textual SSA mini-IR: types, parser, validator, solvability table, printer.
+"""Textual SSA mini-IR: the opcode table, types, parser, validator, printer
+and transmitter model.
 
 The language is line-oriented: one instruction per line, `#` starts a comment.
 
@@ -12,50 +13,85 @@ The language is line-oriented: one instruction per line, `#` starts a comment.
     }
 
 Operands are either variable names or integer literals. Integers are 32-bit
-two's-complement. Transmitting instructions: `load` (address, may run
-speculatively), `store` (address only, non-speculative), `br` (condition,
-non-speculative) and the explicit `transmit`.
+two's-complement.
+
+Each opcode's facts sit in one row of OPCODES: whether it defines a variable,
+its arity, its concrete semantics, the operands its equation recovers
+backward and the operands that are block labels. The parser, the validator,
+the CFG and loop expansion, the edge-knowledge equations, the oracle and the
+symbolic executor all read that row, so adding an opcode is adding a row.
+The leak model is kept apart, in `transmissions` here and in the oracle's
+observation rules: `load` (address, may run speculatively), `store` (address
+only, non-speculative), `br` (condition, non-speculative) and the explicit
+`transmit`.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 MASK32 = 0xFFFFFFFF
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
 
-# opcode -> (has_output, operand_count); -1 means variable arity
+
+def to_i32(v: int) -> int:
+    """Canonical signed 32-bit value."""
+    v &= MASK32
+    return v - (1 << 32) if v > INT32_MAX else v
+
+
+@dataclass(frozen=True, slots=True)
+class Op:
+    """Everything the pipeline knows about one opcode but its leak model.
+
+    output: the instruction defines a variable. arity: the operand count, -1
+    when it varies (phi arms, call arguments, ret's optional value). eval: the
+    concrete semantics, from the list of operand values to the result, on
+    canonical signed 32-bit values; None when the opcode has no defining
+    equation y = f(x1..xN).
+    backward: the operand positions R3 recovers from the output and the other
+    operands. labels: the operand positions that hold block labels, which
+    come after every other operand.
+    """
+
+    output: bool
+    arity: int
+    eval: Callable | None = None
+    backward: tuple[int, ...] = ()
+    labels: tuple[int, ...] = ()
+
+
 OPCODES = {
-    "const": (True, 1),
-    "input": (True, 0),
-    "add": (True, 2),
-    "sub": (True, 2),
-    "neg": (True, 1),
-    "xor": (True, 2),
-    "not": (True, 1),
-    "mul": (True, 2),
-    "and": (True, 2),
-    "or": (True, 2),
-    "shl": (True, 2),
-    "eq": (True, 2),
-    "lt": (True, 2),
-    "gep": (True, 3),
-    "load": (True, 1),
-    "store": (False, 2),
-    "transmit": (False, 1),
-    "phi": (True, -1),
-    "call": (True, -1),
-    "specbarr": (False, 0),
+    "const": Op(True, 1, lambda x: to_i32(x[0])),
+    "input": Op(True, 0),
+    "add": Op(True, 2, lambda x: to_i32(x[0] + x[1]), (0, 1)),
+    "sub": Op(True, 2, lambda x: to_i32(x[0] - x[1]), (0, 1)),
+    "neg": Op(True, 1, lambda x: to_i32(-x[0]), (0,)),
+    "xor": Op(True, 2, lambda x: to_i32(x[0] ^ x[1]), (0, 1)),
+    "not": Op(True, 1, lambda x: to_i32(~x[0]), (0,)),
+    "mul": Op(True, 2, lambda x: to_i32(x[0] * x[1])),
+    "and": Op(True, 2, lambda x: to_i32(x[0] & x[1])),
+    "or": Op(True, 2, lambda x: to_i32(x[0] | x[1])),
+    "shl": Op(True, 2, lambda x: to_i32(x[0] << (x[1] & 31))),
+    "eq": Op(True, 2, lambda x: 1 if x[0] == x[1] else 0),
+    "lt": Op(True, 2, lambda x: 1 if x[0] < x[1] else 0),
+    # x[0] + x[1] * x[2]: recovering the index would need exact division, so
+    # only the base is recoverable.
+    "gep": Op(True, 3, lambda x: to_i32(x[0] + x[1] * x[2]), (0,)),
+    "load": Op(True, 1),
+    "store": Op(False, 2),
+    "transmit": Op(False, 1),
+    "phi": Op(True, -1),
+    "call": Op(True, -1),
+    "specbarr": Op(False, 0),
+    "br": Op(False, 3, labels=(1, 2)),
+    "jmp": Op(False, 1, labels=(0,)),
+    "ret": Op(False, -1),
 }
 TERMINATORS = {"br", "jmp", "ret"}
-
-# Deterministic opcodes have a defining equation y = f(x1..xN).
-DETERMINISTIC = {
-    "const", "add", "sub", "neg", "xor", "not",
-    "mul", "and", "or", "shl", "eq", "lt", "gep",
-}
 
 Operand = "str | int"  # variable name or 32-bit literal
 
@@ -88,7 +124,12 @@ class Instruction:
     line: int = 0
 
     def var_operands(self) -> list[str]:
-        return [o for o in self.operands if isinstance(o, str)]
+        """The variables among the operands: every name but block labels."""
+        ops = self.operands
+        labels = OPCODES[self.opcode].labels
+        if labels:
+            ops = ops[:labels[0]]
+        return [o for o in ops if isinstance(o, str)]
 
     def is_terminator(self) -> bool:
         return self.opcode in TERMINATORS
@@ -112,11 +153,8 @@ class Block:
         t = self.terminator
         if t is None:
             return []
-        if t.opcode == "br":
-            return [t.operands[1], t.operands[2]]
-        if t.opcode == "jmp":
-            return [t.operands[0]]
-        return []
+        labels = OPCODES[t.opcode].labels
+        return t.operands[labels[0]:] if labels else []
 
     def defined_vars(self) -> set[str]:
         return {i.output for i in self.instructions if i.output is not None}
@@ -179,57 +217,6 @@ class Program:
 
     def function_names(self) -> list[str]:
         return [f.name for f in self.functions]
-
-    def copy(self) -> "Program":
-        return Program([f.copy() for f in self.functions])
-
-
-@dataclass(frozen=True)
-class SolvClass:
-    """Solvability of a deterministic instruction's defining equation."""
-
-    forward: bool
-    backward_operands: frozenset
-
-    def __post_init__(self):
-        if self.backward_operands and not self.forward:
-            raise ValueError("backward solvability requires forward solvability")
-
-
-_SOLVABILITY = {
-    "const": SolvClass(True, frozenset()),
-    "add": SolvClass(True, frozenset({0, 1})),
-    "sub": SolvClass(True, frozenset({0, 1})),
-    "xor": SolvClass(True, frozenset({0, 1})),
-    "neg": SolvClass(True, frozenset({0})),
-    "not": SolvClass(True, frozenset({0})),
-    "mul": SolvClass(True, frozenset()),
-    "and": SolvClass(True, frozenset()),
-    "or": SolvClass(True, frozenset()),
-    "shl": SolvClass(True, frozenset()),
-    "eq": SolvClass(True, frozenset()),
-    "lt": SolvClass(True, frozenset()),
-    # Recovering the index would need exact division; only the base is safe.
-    "gep": SolvClass(True, frozenset({0})),
-}
-
-
-def solvability(opcode: str, operand_count: int | None = None) -> SolvClass:
-    """Solvability class of a deterministic opcode.
-
-    phi is excluded: its value depends on the incoming edge, so it is handled
-    by dedicated per-edge rules in the knowledge analysis.
-    """
-    if opcode == "phi":
-        raise IRError("phi has no fixed equation; handled by dedicated rules")
-    if opcode not in DETERMINISTIC:
-        raise IRError(f"no equation for non-deterministic opcode '{opcode}'")
-    sc = _SOLVABILITY[opcode]
-    if operand_count is not None:
-        expected = OPCODES[opcode][1]
-        if expected >= 0 and operand_count != expected:
-            raise IRError(f"{opcode} takes {expected} operands, got {operand_count}")
-    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +286,6 @@ class _Lexer:
 
     def at_end(self) -> bool:
         return self.peek() is None
-
-
-def to_i32(v: int) -> int:
-    """Canonical signed 32-bit value."""
-    v &= MASK32
-    return v - (1 << 32) if v > INT32_MAX else v
 
 
 def _strip_comment(line: str) -> str:
@@ -410,42 +391,22 @@ def parse_program(text: str) -> Program:
 
 
 def _parse_instruction(lex: _Lexer) -> Instruction:
-    line = lex.line
+    """`v = opcode operands` for an opcode with an output, `opcode operands`
+    for one without; a phi, a call and a const have their own operand forms,
+    the others read the table's arity, with a label at each label position."""
     first = lex.take_ident()
-
-    if first in ("store", "transmit", "specbarr", "br", "jmp", "ret"):
-        ins = Instruction(first, line=line)
-        if first == "store":
-            ins.operands = [lex.take_operand()]
-            lex.expect(",")
-            ins.operands.append(lex.take_operand())
-        elif first == "transmit":
-            ins.operands = [lex.take_operand()]
-        elif first == "br":
-            ins.operands = [lex.take_operand()]
-            lex.expect(",")
-            ins.operands.append(lex.take_ident())
-            lex.expect(",")
-            ins.operands.append(lex.take_ident())
-        elif first == "jmp":
-            ins.operands = [lex.take_ident()]
-        elif first == "ret":
-            if not lex.at_end():
-                ins.operands = [lex.take_operand()]
-        if not lex.at_end():
-            raise lex.error("unexpected trailing text")
-        return ins
-
-    # output form: v = opcode ...
-    output = first
-    lex.expect("=")
-    opcode = lex.take_ident()
-    if opcode not in OPCODES or opcode in ("store", "transmit", "specbarr"):
-        raise lex.error(f"unknown opcode '{opcode}'")
-    has_output, arity = OPCODES[opcode]
-    if not has_output:
-        raise lex.error(f"'{opcode}' produces no output")
-    ins = Instruction(opcode, output=output, line=line)
+    op = OPCODES.get(first)
+    if op is not None and not op.output:
+        opcode, output = first, None
+    else:
+        lex.expect("=")
+        opcode, output = lex.take_ident(), first
+        op = OPCODES.get(opcode)
+        if op is None:
+            raise lex.error(f"unknown opcode '{opcode}'")
+        if not op.output:
+            raise lex.error(f"'{opcode}' produces no output")
+    ins = Instruction(opcode, output=output, line=lex.line)
 
     if opcode == "phi":
         while True:
@@ -467,13 +428,14 @@ def _parse_instruction(lex: _Lexer) -> Instruction:
                 lex.expect(",")
     elif opcode == "const":
         ins.operands = [lex.take_int()]
-    elif opcode == "input":
-        pass
     else:
+        arity, labels = op.arity, op.labels
+        if arity < 0:  # ret, whose value is optional
+            arity = 0 if lex.at_end() else 1
         for k in range(arity):
             if k:
                 lex.expect(",")
-            ins.operands.append(lex.take_operand())
+            ins.operands.append(lex.take_ident() if k in labels else lex.take_operand())
         if opcode == "gep" and not isinstance(ins.operands[2], int):
             raise lex.error("gep scale must be a literal")
     if not lex.at_end():
@@ -665,7 +627,8 @@ def _validate_function(f: Function, report: ValidationReport):
 
     for b in f.blocks:
         bpreds = sorted(set(preds[b.label]))
-        for ins in b.instructions:
+        body = b.instructions if b.terminator is None else b.instructions + [b.terminator]
+        for pos, ins in enumerate(body):
             if ins.opcode == "phi":
                 if sorted(ins.phi_labels) != bpreds:
                     report.add("phi-arity",
@@ -683,9 +646,7 @@ def _validate_function(f: Function, report: ValidationReport):
                                    f"phi input '{op}' not defined prior to block '{b.label}' "
                                    f"(via predecessor '{lab}')", f.name, b.label, ins.line)
                 continue
-            uses = list(ins.var_operands())
-            pos = b.instructions.index(ins)
-            for op in uses:
+            for op in ins.var_operands():
                 if op not in block_of_def:
                     report.add("undefined-use", f"use of undefined '{op}'", f.name, b.label, ins.line)
                     continue
@@ -699,38 +660,22 @@ def _validate_function(f: Function, report: ValidationReport):
                 elif db not in dom.get(b.label, set()):
                     report.add("use-not-dominated",
                                f"use of '{op}' not dominated by its definition", f.name, b.label, ins.line)
-        t = b.terminator
-        if t is not None and t.opcode in ("br", "ret") and t.operands:
-            op = t.operands[0]  # the condition / return value; the rest are labels
-            if isinstance(op, str):
-                if op not in block_of_def:
-                    report.add("undefined-use", f"use of undefined '{op}'", f.name, b.label, t.line)
-                else:
-                    db = block_of_def[op]
-                    if db is not None and db != b.label and db not in dom.get(b.label, set()):
-                        report.add("use-not-dominated",
-                                   f"use of '{op}' not dominated by its definition",
-                                   f.name, b.label, t.line)
 
 
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
 
-def _fmt_operand(op) -> str:
-    return str(op)
-
-
 def _fmt_instruction(ins: Instruction) -> str:
     if ins.opcode == "phi":
-        arms = ", ".join(f"[{_fmt_operand(o)}, {l}]" for o, l in zip(ins.operands, ins.phi_labels))
+        arms = ", ".join(f"[{o}, {l}]" for o, l in zip(ins.operands, ins.phi_labels))
         return f"{ins.output} = phi {arms}"
     if ins.opcode == "call":
-        args = ", ".join(_fmt_operand(o) for o in ins.operands)
+        args = ", ".join(map(str, ins.operands))
         return f"{ins.output} = call {ins.callee}({args})"
     if ins.opcode == "specbarr":
         return "specbarr"
-    ops = ", ".join(_fmt_operand(o) for o in ins.operands)
+    ops = ", ".join(map(str, ins.operands))
     if ins.output is not None:
         return f"{ins.output} = {ins.opcode} {ops}".rstrip()
     return f"{ins.opcode} {ops}".rstrip()

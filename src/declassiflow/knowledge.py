@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cfg import ENTRY, EXIT, Cfg, ExpandedFunction, VarIndex
-from .ir import DETERMINISTIC, Function, Transmission, solvability, transmissions
+from .ir import OPCODES, Function, Transmission, transmissions
 
 
 class AnalysisError(Exception):
@@ -150,12 +150,12 @@ def equations(f: Function) -> list[Equation]:
         if ins.opcode == "phi":
             eqs.append(Equation(ins.output, tuple(ins.var_operands()), ()))
             continue
-        if ins.opcode not in DETERMINISTIC:
+        op = OPCODES[ins.opcode]
+        if op.eval is None:
             continue
-        sc = solvability(ins.opcode)
         backward = []
-        for pos in sorted(sc.backward_operands):
-            if pos < len(ins.operands) and isinstance(ins.operands[pos], str):
+        for pos in op.backward:
+            if isinstance(ins.operands[pos], str):
                 others = tuple(o for i, o in enumerate(ins.operands)
                                if i != pos and isinstance(o, str))
                 backward.append((ins.operands[pos], others))

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .cfg import ENTRY, EXIT, build_cfg, dominators, natural_loops
-from .ir import Function, Program, callees_first, to_i32
+from .ir import OPCODES, Function, Program, callees_first, to_i32
 from .knowledge import KnowledgeMap, close, equations
 
 DEFAULT_FUEL = 200_000
@@ -39,36 +39,17 @@ class OracleError(Exception):
     pass
 
 
+_EVAL = {name: op.eval for name, op in OPCODES.items() if op.eval is not None}
+
+
 def eval_op(opcode: str, args: list[int]) -> int:
-    """Concrete semantics of the deterministic opcodes on canonical signed
-    32-bit values."""
-    if opcode == "const":
-        return to_i32(args[0])
-    if opcode == "add":
-        return to_i32(args[0] + args[1])
-    if opcode == "sub":
-        return to_i32(args[0] - args[1])
-    if opcode == "mul":
-        return to_i32(args[0] * args[1])
-    if opcode == "neg":
-        return to_i32(-args[0])
-    if opcode == "xor":
-        return to_i32(args[0] ^ args[1])
-    if opcode == "and":
-        return to_i32(args[0] & args[1])
-    if opcode == "or":
-        return to_i32(args[0] | args[1])
-    if opcode == "not":
-        return to_i32(~args[0])
-    if opcode == "shl":
-        return to_i32(args[0] << (args[1] & 31))
-    if opcode == "eq":
-        return 1 if args[0] == args[1] else 0
-    if opcode == "lt":
-        return 1 if args[0] < args[1] else 0
-    if opcode == "gep":
-        return to_i32(args[0] + args[1] * args[2])
-    raise OracleError(f"not a deterministic opcode: {opcode}")
+    """Concrete semantics of a deterministic opcode (its `eval` in
+    ir.OPCODES) on canonical signed 32-bit values."""
+    try:
+        f = _EVAL[opcode]
+    except KeyError:
+        raise OracleError(f"not a deterministic opcode: {opcode}") from None
+    return f(args)
 
 
 def load_value(addr: int) -> int:

@@ -308,7 +308,7 @@ class _SymState:
 
     def instruction(self, frame: Frame, block, ins, steps: int):
         opcode, env = ins.opcode, frame.env
-        if opcode in _NO_VALUE:
+        if ins.output is None:  # nothing to bind
             return None
         if opcode == "input":
             name = f"#in{self.input_count}"  # no IR name starts with #
@@ -378,7 +378,6 @@ class _SymState:
             self.decide(t) in (None, tr) for t, tr in self.complex)
 
 
-_NO_VALUE = frozenset({"specbarr", "store", "transmit"})  # bind no variable
 _UNBOUNDED = 1 << 62  # refinement bounds paths with loop_cap, not steps
 _TOO_DEEP = "symbolic term nested past the Python recursion limit"
 

@@ -509,6 +509,51 @@ E:
 """
 
 
+# The exit block branches to a block labelled X, and the loop defines a
+# variable X that nothing after the loop uses: the label is not a use, so
+# expansion must not consolidate X in the merge block (whose arms X.1 and X.2
+# do not reach it).
+LABEL_NAMED_LIKE_LOOP_VARIABLE = """
+fn main(n) {
+B1:
+  jmp B2
+B2:
+  i = phi [0, B1], [X, B3]
+  c = lt i, n
+  br c, B3, B4
+B3:
+  X = add i, 1
+  jmp B2
+B4:
+  br n, X, B5
+X:
+  ret
+B5:
+  ret
+}
+"""
+
+
+def test_label_is_not_a_use_of_a_same_named_variable():
+    program = parse_program(LABEL_NAMED_LIKE_LOOP_VARIABLE)
+    b4 = program.functions[0].block("B4")
+    assert b4.terminator.var_operands() == ["n"]
+    assert b4.successor_labels() == ["X", "B5"]
+    text = dump_expanded(program)
+    assert "X = phi" not in text
+    assert validate_ssa(parse_program(text)).ok()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.mir"))
+                         + ["BLOCK_ORDER_NOT_TOPOLOGICAL"])
+def test_edge_subst_only_on_edges_with_an_origin(name):
+    text = (BLOCK_ORDER_NOT_TOPOLOGICAL if name == "BLOCK_ORDER_NOT_TOPOLOGICAL"
+            else fixture_text(name))
+    for f in parse_program(text).functions:
+        ef = expand_loops(f)
+        assert set(ef.edge_subst) <= {k for k, o in ef.edge_origin.items() if o}
+
+
 @pytest.mark.parametrize("name,calls", [
     ("segments-8", 3), ("segments-16", 3), ("two_latch", 3), ("nested_loops", 3),
     ("self_loop_linked", 2), ("diamond_linked", 1)])

@@ -1,9 +1,12 @@
+import itertools
+import random
+
 import pytest
 
-from declassiflow.ir import (IRError, Program, parse_program, pretty_print, solvability,
-                             transmissions, validate_ssa)
-from declassiflow.knowledge import AnalysisError
-from declassiflow.oracle import OracleError, input_slots
+from declassiflow.ir import (INT32_MAX, INT32_MIN, OPCODES, TERMINATORS, IRError, Program,
+                             parse_program, pretty_print, to_i32, transmissions, validate_ssa)
+from declassiflow.knowledge import AnalysisError, equations
+from declassiflow.oracle import OracleError, eval_op, input_slots
 from declassiflow.pipeline import call_order
 
 from conftest import fixture_program, fixture_text
@@ -140,33 +143,97 @@ def test_validate_catches_single_mutations():
             parse_program(text)
 
 
+# Pinned solvability: every opcode here is forward solvable, with these
+# operand positions recoverable backward (R3); no other opcode has an equation.
+SOLVABLE_BACKWARD = {
+    "const": set(), "add": {0, 1}, "sub": {0, 1}, "xor": {0, 1}, "neg": {0},
+    "not": {0}, "mul": set(), "and": set(), "or": set(), "shl": set(),
+    "eq": set(), "lt": set(), "gep": {0},
+}
+
+
 def test_solvability_table():
-    add = solvability("add", 2)
-    assert add.forward and add.backward_operands == {0, 1}
-    mul = solvability("mul", 2)
-    assert mul.forward and mul.backward_operands == frozenset()
-    neg = solvability("neg", 1)
-    assert neg.forward and neg.backward_operands == {0}
-    gep = solvability("gep", 3)
-    assert gep.backward_operands == {0}
-    const = solvability("const")
-    assert const.forward
+    assert {name: set(op.backward) for name, op in OPCODES.items()
+            if op.eval is not None} == SOLVABLE_BACKWARD
 
 
 def test_solvability_total_and_consistent():
-    from declassiflow.ir import DETERMINISTIC, OPCODES
-    for op in DETERMINISTIC:
-        sc = solvability(op)
-        arity = OPCODES[op][1]
-        assert all(0 <= pos < arity for pos in sc.backward_operands)
-        assert not sc.backward_operands or sc.forward
+    for name, op in OPCODES.items():
+        assert list(op.backward) == sorted(set(op.backward)), name
+        assert all(0 <= pos < op.arity for pos in op.backward), name
+        assert not op.backward or op.eval is not None, name
+        # labels come last: var_operands and successor_labels slice them off
+        assert op.labels == tuple(range(op.arity - len(op.labels), op.arity)), name
+        assert not op.labels or name in TERMINATORS, name
+    assert TERMINATORS <= set(OPCODES)
 
 
 def test_solvability_rejects_non_deterministic():
-    with pytest.raises(IRError, match="no equation"):
-        solvability("load")
-    with pytest.raises(IRError, match="dedicated"):
-        solvability("phi")
+    for name in ("input", "load", "store", "transmit", "phi", "call", "specbarr",
+                 "br", "jmp", "ret"):
+        assert OPCODES[name].eval is None
+        with pytest.raises(OracleError, match="not a deterministic opcode"):
+            eval_op(name, [0])
+    f = parse_program("fn f(a) {\nB1:\n  w = load a\n  x = sub w, a\n  ret\n}\n").functions[0]
+    assert [(eq.output, eq.var_inputs, eq.backward) for eq in equations(f)] == [
+        ("x", ("w", "a"), (("w", ("a",)), ("a", ("w",))))]
+
+
+def reference_eval(opcode: str, args: list[int]) -> int:
+    """Reference semantics, one branch per opcode, kept apart from the table."""
+    if opcode == "const":
+        return to_i32(args[0])
+    if opcode == "add":
+        return to_i32(args[0] + args[1])
+    if opcode == "sub":
+        return to_i32(args[0] - args[1])
+    if opcode == "mul":
+        return to_i32(args[0] * args[1])
+    if opcode == "neg":
+        return to_i32(-args[0])
+    if opcode == "xor":
+        return to_i32(args[0] ^ args[1])
+    if opcode == "and":
+        return to_i32(args[0] & args[1])
+    if opcode == "or":
+        return to_i32(args[0] | args[1])
+    if opcode == "not":
+        return to_i32(~args[0])
+    if opcode == "shl":
+        return to_i32(args[0] << (args[1] & 31))
+    if opcode == "eq":
+        return 1 if args[0] == args[1] else 0
+    if opcode == "lt":
+        return 1 if args[0] < args[1] else 0
+    if opcode == "gep":
+        return to_i32(args[0] + args[1] * args[2])
+    raise AssertionError(f"no reference semantics for {opcode}")
+
+
+def test_table_semantics_match_reference():
+    edges = [INT32_MIN, INT32_MAX, -1, 0, 1, 31, 32, 33]
+    rng = random.Random(13)
+    deterministic = [name for name, op in OPCODES.items() if op.eval is not None]
+    assert set(deterministic) == set(SOLVABLE_BACKWARD)
+    for name in deterministic:
+        arity = OPCODES[name].arity
+        cases = list(itertools.product(edges, repeat=arity))
+        cases += [tuple(to_i32(rng.getrandbits(32)) for _ in range(arity))
+                  for _ in range(500)]
+        for args in cases:
+            want = reference_eval(name, list(args))
+            assert eval_op(name, list(args)) == want, (name, args)
+            assert OPCODES[name].eval(list(args)) == want, (name, args)
+
+
+@pytest.mark.parametrize("line", ["x = store a, p", "x = br c, B1, B1", "x = specbarr",
+                                  "x = ret"])
+def test_output_of_opcode_without_one_rejected(line):
+    opcode = line.split()[2]
+    with pytest.raises(IRError, match=f"line 3, col .*'{opcode}' produces no output"):
+        parse_program(f"fn f(a, p, c) {{\nB1:\n  {line}\n  ret\n}}\n")
+    with pytest.raises(IRError, match="unknown opcode 'bogus'"):
+        parse_program("fn f(a) {\nB1:\n  x = bogus a\n  ret\n}\n")
 
 
 def test_transmitter_model():
