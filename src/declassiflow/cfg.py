@@ -8,8 +8,9 @@ first, then each block's out-edges in block/terminator order.
 
 Partial loop expansion duplicates a simple loop body into an initial copy and
 an inductive copy, removes the back edge, and consolidates loop definitions in
-a merge block. The result is an analysis artifact: it preserves data-flow
-relationships between variables, not computed values.
+a merge block. It works one nesting level at a time: each round expands every
+innermost loop into one new function. The result is an analysis artifact: it
+preserves data-flow relationships between variables, not computed values.
 """
 
 from __future__ import annotations
@@ -381,31 +382,32 @@ class ExpandedFunction:
 
 
 def expand_loops(f: Function) -> ExpandedFunction:
-    """Innermost-first two-copy expansion until the CFG is acyclic.
+    """Two-copy expansion, one nesting level at a time, until the CFG is
+    acyclic.
 
-    Each step rewrites one innermost simple loop: copy 1 replaces inductive
+    Each round rewrites every innermost simple loop: copy 1 replaces inductive
     phis with initial-value assignments, copy 2 with the copy-1 inductive
     values; a merge block per exit target consolidates every loop definition.
     Nesting deeper than MAX_LOOP_DEPTH is rejected.
 
-    One loop analysis serves each round, which expands every innermost loop:
-    they are disjoint, and expanding one keeps dominance among the blocks
-    outside it. The order is topological: a step asks the round's dominators
-    about blocks below its header, and no earlier step of the round has
-    renamed those.
+    A round's loops are disjoint, and expanding one keeps dominance among the
+    blocks outside it, so one loop analysis, one new function with its CFG and
+    one composition of edge maps serve the round. The order is topological: a
+    loop asks the round's dominators about blocks below its header, and no
+    earlier loop of the round has renamed those.
     """
     g, cfg, dom = _simplify_loops(f)
     loops = natural_loops(cfg, dom)
     # expansion never deepens the nesting
     if loop_depth(loops) > MAX_LOOP_DEPTH:
         raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
-    work = g.copy()  # steps rewrite blocks outside their loop in place
+    work = g.copy()  # rounds rewrite blocks outside their loops in place
     result = ExpandedFunction(work, g, {e.key: {e.key} for e in cfg.edges}, {},
                               replace(cfg, function=work), cfg, dom)
     while loops:
-        for lp in loops:
-            if not any(other.body < lp.body for other in loops if other is not lp):
-                result = _compose(result, _expand_one(result.function, result.cfg, dom, lp))
+        inner = [lp for lp in loops
+                 if not any(other.body < lp.body for other in loops if other is not lp)]
+        result = _compose(result, _expand_round(result.function, dom, inner))
         dom = dominators(result.cfg)
         loops = natural_loops(result.cfg, dom)
     return result
@@ -436,231 +438,226 @@ def _compose(base: ExpandedFunction, step) -> ExpandedFunction:
                             base.original_cfg, base.original_dom)
 
 
-def _expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
-    """Expand one simple innermost loop of f, mutating non-loop blocks of f in
-    place (phi arms, post-loop uses). Returns the rebuilt function, its CFG,
-    edge_origin and edge_subst. cfg is f's; dom and lp are the round's."""
-    if len(lp.latches) != 1:
-        raise CfgError(f"loop at '{lp.header}' is not simple (latches: {lp.latches})")
-    latch = lp.latches[0]
+def _expand_round(f: Function, dom: DomInfo, loops: list[NaturalLoop]):
+    """Expand the disjoint innermost loops of one round of f, in the given
+    topological order, mutating blocks outside them in place (phi arms,
+    post-loop uses). Returns the rebuilt function, its CFG, edge_origin and
+    edge_subst. dom is f's."""
+    blocks = f.block_map()
     order = {b.label: i for i, b in enumerate(f.blocks)}
-    body = sorted(lp.body, key=order.get)
-    loop_defs: set[str] = set()
-    for lab in body:
-        loop_defs |= f.blocks[order[lab]].defined_vars()
-
-    taken_labels = {b.label for b in f.blocks}
+    taken_labels = set(order)
     taken_vars = set(f.defined_vars())
-    rename: dict[int, dict[str, str]] = {1: {}, 2: {}}
-    for v in sorted(loop_defs):
-        rename[1][v] = _fresh(taken_vars, f"{v}.1")
-        rename[2][v] = _fresh(taken_vars, f"{v}.2")
-    block_rename: dict[int, dict[str, str]] = {1: {}, 2: {}}
-    for lab in body:
-        block_rename[1][lab] = _fresh(taken_labels, f"{lab}.1")
-        block_rename[2][lab] = _fresh(taken_labels, f"{lab}.2")
-    inv_block = {v: k for c in (1, 2) for k, v in block_rename[c].items()}
-    copy_of_block = {v: c for c in (1, 2) for v in block_rename[c].values()}
-
-    exit_targets = list(lp.exits)
-    single_merge = len(exit_targets) <= 1
-    merge_of: dict[str, str] = {}
-    for k, x in enumerate(exit_targets):
-        merge_of[x] = _fresh(taken_labels,
-                             f"{lp.header}.m" if single_merge else f"{lp.header}.m{k + 1}")
-    if not exit_targets:
-        merge_of["@none"] = _fresh(taken_labels, f"{lp.header}.m")
-    fallback_merge = merge_of[exit_targets[0]] if exit_targets else merge_of["@none"]
-    merge_labels = set(merge_of.values())
-
-    def sub(c: int, op):
-        if isinstance(op, str) and op in loop_defs:
-            return rename[c][op]
-        return op
-
-    copies: dict[tuple[str, int], Block] = {}
-    for c in (1, 2):
-        for lab in body:
-            src = f.blocks[order[lab]]
-            nb = Block(block_rename[c][lab])
-            for ins in src.instructions:
-                if ins.opcode == "phi" and lab == lp.header:
-                    arms = dict(zip(ins.phi_labels, ins.operands))
-                    latch_val = arms[latch]
-                    init_val = next(v for l, v in arms.items() if l != latch)
-                    val = init_val if c == 1 else sub(1, latch_val)
-                    nb.instructions.append(Instruction(
-                        "add", output=rename[c][ins.output], operands=[val, 0]))
-                    continue
-                ni = ins.copy()
-                if ni.output is not None:
-                    ni.output = rename[c][ni.output]
-                ni.operands = [sub(c, o) for o in ni.operands]
-                if ni.opcode == "phi":
-                    ni.phi_labels = [block_rename[c].get(l, l) for l in ni.phi_labels]
-                nb.instructions.append(ni)
-            t = src.terminator.copy()
-            labels = OPCODES[t.opcode].labels
-            for i, o in enumerate(t.operands):
-                if i not in labels:
-                    t.operands[i] = sub(c, o)
-                elif o == lp.header:
-                    t.operands[i] = block_rename[2][lp.header] if c == 1 else fallback_merge
-                elif o in lp.body:
-                    t.operands[i] = block_rename[c][o]
-                else:
-                    t.operands[i] = merge_of[o]
-            nb.terminator = t
-            copies[(lab, c)] = nb
-
-    merge_preds: dict[str, list[tuple[str, int]]] = {m: [] for m in merge_labels}
-    for c in (1, 2):
-        for lab in body:
-            nb = copies[(lab, c)]
-            for s in nb.successor_labels():
-                if s in merge_preds and (nb.label, c) not in merge_preds[s]:
-                    merge_preds[s].append((nb.label, c))
-
-    # Consolidate a definition only when its phi would be well formed (every
-    # arm's definition dominates that arm's predecessor) or when code after
-    # the loop actually uses it; in the latter case SSA of the input already
-    # guarantees the real exit arms are dominated.
-    def_block: dict[str, str] = {}
-    for lab in body:
-        for v in f.blocks[order[lab]].defined_vars():
-            def_block[v] = lab
-    used_after: set[str] = set()
+    users: dict[str, set[str]] = {}  # variable -> labels of the blocks using it
     for b in f.blocks:
-        if b.label not in lp.body:
-            for ins in b.instructions:  # only a terminator has label operands
-                used_after.update(ins.operands)
-            used_after.update(b.terminator.var_operands())
-    used_after &= loop_defs
+        for ins in b.instructions + [b.terminator]:
+            for o in ins.var_operands():
+                users.setdefault(o, set()).add(b.label)
+    replaced: dict[str, list[Block]] = {}  # body label -> blocks taking its place
+    entry_copy: dict[str, str] = {}  # header -> its copy 1
+    copied: dict[str, tuple] = {}  # copy -> (original, {back edge} or {}, renames)
+    merge_exit: dict[str, str] = {}  # merge block -> its exit target
+    multi_names: dict[str, dict[str, str]] = {}  # merge of a multi-exit loop -> names
+    for lp in loops:
+        if len(lp.latches) != 1:
+            raise CfgError(f"loop at '{lp.header}' is not simple (latches: {lp.latches})")
+        latch = lp.latches[0]
+        body = sorted(lp.body, key=order.get)
+        loop_defs: set[str] = set()
+        for lab in body:
+            loop_defs |= blocks[lab].defined_vars()
 
-    merge_blocks: list[Block] = []
-    merged_name: dict[str, dict[str, str]] = {}
-    for x, m in merge_of.items():
-        mb = Block(m)
-        outs: dict[str, str] = {}
+        rename: dict[int, dict[str, str]] = {1: {}, 2: {}}
         for v in sorted(loop_defs):
-            arms_ok = all(dom.dom(def_block[v], inv_block[lab])
-                          for (lab, _) in merge_preds[m])
-            if v not in used_after and not arms_ok:
-                continue
-            out_name = v if single_merge else _fresh(taken_vars, f"{v}.m")
-            outs[v] = out_name
-            mb.instructions.append(Instruction(
-                "phi", output=out_name,
-                operands=[rename[c][v] for (_, c) in merge_preds[m]],
-                phi_labels=[lab for (lab, _) in merge_preds[m]]))
-        mb.terminator = Instruction("ret") if x == "@none" else Instruction("jmp", operands=[x])
-        merged_name[m] = outs
-        merge_blocks.append(mb)
+            rename[1][v] = _fresh(taken_vars, f"{v}.1")
+            rename[2][v] = _fresh(taken_vars, f"{v}.2")
+        block_rename: dict[int, dict[str, str]] = {1: {}, 2: {}}
+        for lab in body:
+            block_rename[1][lab] = _fresh(taken_labels, f"{lab}.1")
+            block_rename[2][lab] = _fresh(taken_labels, f"{lab}.2")
+        inv_block = {v: k for c in (1, 2) for k, v in block_rename[c].items()}
+        for c in (1, 2):
+            for lab, nl in block_rename[c].items():
+                back = {(latch, lp.header)} if c == 2 and lab == latch else set()
+                copied[nl] = (lab, back, rename[c])
+        entry_copy[lp.header] = block_rename[1][lp.header]
 
-    # outside predecessors enter the loop through copy 1 of the header
-    for p in cfg.preds(lp.header):
-        if p not in lp.body:
-            _retarget(f.blocks[order[p]], lp.header, block_rename[1][lp.header])
+        single_merge = len(lp.exits) <= 1
+        merge_of: dict[str, str] = {}  # exit target ("@none" if none) -> its merge
+        for k, x in enumerate(lp.exits or ["@none"]):
+            merge_of[x] = _fresh(taken_labels,
+                                 f"{lp.header}.m" if single_merge else f"{lp.header}.m{k + 1}")
+        fallback_merge = next(iter(merge_of.values()))
+        merge_exit.update((m, x) for x, m in merge_of.items())
 
-    if not single_merge and exit_targets:
-        _rewrite_multi_merge_uses(f, dom, lp, loop_defs, merge_of, merged_name)
+        def sub(c: int, op):
+            if isinstance(op, str) and op in loop_defs:
+                return rename[c][op]
+            return op
 
-    # exit-target phis: arms from exiting blocks collapse into one merge arm
-    for b in f.blocks:
-        if b.label in lp.body or b.label not in merge_of:
-            continue
-        m = merge_of[b.label]
-        for ins in b.instructions:
-            if ins.opcode != "phi":
-                continue
-            loop_arms = [(o, l) for o, l in zip(ins.operands, ins.phi_labels) if l in lp.body]
-            other = [(o, l) for o, l in zip(ins.operands, ins.phi_labels) if l not in lp.body]
-            if not loop_arms:
-                continue
-            if len(loop_arms) == 1 and len(merge_preds[m]) <= 2 and all(
-                    inv_block[pl] == loop_arms[0][1] or (inv_block[pl] == latch)
-                    for pl, _ in merge_preds[m]):
-                o = loop_arms[0][0]
-                val = merged_name[m][o] if isinstance(o, str) and o in loop_defs else o
-            else:
-                arm_of = {l: o for o, l in loop_arms}
-                aux = _fresh(taken_vars, f"{ins.output}.x")
-                mb = next(blk for blk in merge_blocks if blk.label == m)
-                ops, labs = [], []
-                for pl, c in merge_preds[m]:
-                    o = arm_of.get(inv_block[pl], next(iter(arm_of.values())))
-                    ops.append(rename[c][o] if isinstance(o, str) and o in loop_defs else o)
-                    labs.append(pl)
-                mb.instructions.append(Instruction("phi", output=aux, operands=ops,
-                                                   phi_labels=labs))
-                val = aux
-            ins.operands = [val] + [o for o, _ in other]
-            ins.phi_labels = [m] + [l for _, l in other]
+        copies: dict[tuple[str, int], Block] = {}
+        for c in (1, 2):
+            for lab in body:
+                src = blocks[lab]
+                nb = Block(block_rename[c][lab])
+                for ins in src.instructions:
+                    if ins.opcode == "phi" and lab == lp.header:
+                        arms = dict(zip(ins.phi_labels, ins.operands))
+                        init_val = next(v for l, v in arms.items() if l != latch)
+                        val = init_val if c == 1 else sub(1, arms[latch])
+                        nb.instructions.append(Instruction(
+                            "add", output=rename[c][ins.output], operands=[val, 0]))
+                        continue
+                    ni = ins.copy()
+                    if ni.output is not None:
+                        ni.output = rename[c][ni.output]
+                    ni.operands = [sub(c, o) for o in ni.operands]
+                    if ni.opcode == "phi":
+                        ni.phi_labels = [block_rename[c].get(l, l) for l in ni.phi_labels]
+                    nb.instructions.append(ni)
+                t = src.terminator.copy()
+                labels = OPCODES[t.opcode].labels
+                for i, o in enumerate(t.operands):
+                    if i not in labels:
+                        t.operands[i] = sub(c, o)
+                    elif o == lp.header:
+                        t.operands[i] = block_rename[2][lp.header] if c == 1 else fallback_merge
+                    elif o in lp.body:
+                        t.operands[i] = block_rename[c][o]
+                    else:
+                        t.operands[i] = merge_of[o]
+                nb.terminator = t
+                copies[(lab, c)] = nb
+
+        merge_preds: dict[str, list[tuple[str, int]]] = {m: [] for m in merge_of.values()}
+        for c in (1, 2):
+            for lab in body:
+                nb = copies[(lab, c)]
+                for s in nb.successor_labels():
+                    if s in merge_preds and (nb.label, c) not in merge_preds[s]:
+                        merge_preds[s].append((nb.label, c))
+
+        # Consolidate a definition only when its phi would be well formed (every
+        # arm's definition dominates that arm's predecessor) or when code after
+        # the loop actually uses it; in the latter case SSA of the input already
+        # guarantees the real exit arms are dominated. No earlier loop of the
+        # round adds a use of this loop's definitions.
+        def_block: dict[str, str] = {}
+        for lab in body:
+            for v in blocks[lab].defined_vars():
+                def_block[v] = lab
+        used_after = {v for v in loop_defs if not users.get(v, set()) <= lp.body}
+
+        merge_blocks: list[Block] = []
+        merged_name: dict[str, dict[str, str]] = {}
+        for x, m in merge_of.items():
+            mb = Block(m)
+            outs: dict[str, str] = {}
+            for v in sorted(loop_defs):
+                arms_ok = all(dom.dom(def_block[v], inv_block[lab])
+                              for (lab, _) in merge_preds[m])
+                if v not in used_after and not arms_ok:
+                    continue
+                out_name = v if single_merge else _fresh(taken_vars, f"{v}.m")
+                outs[v] = out_name
+                mb.instructions.append(Instruction(
+                    "phi", output=out_name,
+                    operands=[rename[c][v] for (_, c) in merge_preds[m]],
+                    phi_labels=[lab for (lab, _) in merge_preds[m]]))
+            mb.terminator = Instruction("ret") if x == "@none" else Instruction("jmp", operands=[x])
+            merged_name[m] = outs
+            merge_blocks.append(mb)
+
+        if not single_merge:
+            used_in = set().union(*(users.get(v, ()) for v in loop_defs)) - lp.body
+            _rewrite_multi_merge_uses([blocks[l] for l in sorted(used_in, key=order.get)],
+                                      dom, lp, loop_defs, merge_of, merged_name)
+            multi_names.update((m, names) for m, names in merged_name.items() if names)
+
+        # exit-target phis: arms from exiting blocks collapse into one merge arm
+        for x in lp.exits:
+            m = merge_of[x]
+            for ins in blocks[x].phis():
+                loop_arms = [(o, l) for o, l in zip(ins.operands, ins.phi_labels) if l in lp.body]
+                other = [(o, l) for o, l in zip(ins.operands, ins.phi_labels) if l not in lp.body]
+                if not loop_arms:
+                    continue
+                if len(loop_arms) == 1 and len(merge_preds[m]) <= 2 and all(
+                        inv_block[pl] == loop_arms[0][1] or (inv_block[pl] == latch)
+                        for pl, _ in merge_preds[m]):
+                    o = loop_arms[0][0]
+                    val = merged_name[m][o] if isinstance(o, str) and o in loop_defs else o
+                else:
+                    arm_of = {l: o for o, l in loop_arms}
+                    aux = _fresh(taken_vars, f"{ins.output}.x")
+                    mb = next(blk for blk in merge_blocks if blk.label == m)
+                    ops, labs = [], []
+                    for pl, c in merge_preds[m]:
+                        o = arm_of.get(inv_block[pl], next(iter(arm_of.values())))
+                        ops.append(rename[c][o] if isinstance(o, str) and o in loop_defs else o)
+                        labs.append(pl)
+                    mb.instructions.append(Instruction("phi", output=aux, operands=ops,
+                                                       phi_labels=labs))
+                    val = aux
+                ins.operands = [val] + [o for o, _ in other]
+                ins.phi_labels = [m] + [l for _, l in other]
+
+        replaced.update(dict.fromkeys(body, ()))
+        replaced[body[0]] = ([copies[(lab, 1)] for lab in body]
+                             + [copies[(lab, 2)] for lab in body] + merge_blocks)
+        # later loops of the round draw fresh names from what this one leaves
+        taken_labels -= lp.body
+        taken_vars -= loop_defs - (set(outs) if single_merge else set())
 
     final_blocks: list[Block] = []
-    placed = False
     for b in f.blocks:
-        if b.label in lp.body:
-            if not placed:
-                for lab in body:
-                    final_blocks.append(copies[(lab, 1)])
-                for lab in body:
-                    final_blocks.append(copies[(lab, 2)])
-                final_blocks.extend(merge_blocks)
-                placed = True
-            continue
-        final_blocks.append(b)
+        final_blocks.extend(replaced.get(b.label, (b,)))
+    # outside predecessors, merge blocks among them, enter through copy 1
+    for b in final_blocks:
+        ops = b.terminator.operands
+        for i in OPCODES[b.terminator.opcode].labels:
+            ops[i] = entry_copy.get(ops[i], ops[i])
     nf = Function(f.name, list(f.params), final_blocks, f.line)
 
-    old_edges = {e.key for e in cfg.edges}
-    merge_exit = {m: x for x, m in merge_of.items()}
     edge_origin: dict[tuple[str, str], set[tuple[str, str]]] = {}
     edge_subst: dict[tuple[str, str], dict[str, str]] = {}
     ncfg = build_cfg(nf)
-    # below several merge blocks, an edge uses the names of the one dominating it
-    ndom = dominators(ncfg) if not single_merge and exit_targets else None
+    # below a multi-exit loop, an edge uses the names of the merge dominating it
+    below: dict[str, dict[str, str]] = {}
+    if multi_names:
+        ndom = dominators(ncfg)
+        for m, names in multi_names.items():
+            for b in ndom.dominated_by(m):
+                below.setdefault(b, {}).update(names)
     for e in ncfg.edges:
         src, dst = e.key
-        sc = copy_of_block.get(src)
-        dc = copy_of_block.get(dst)
-        if sc and dc:
-            edge_origin[e.key] = {(inv_block[src], inv_block[dst])}
-            edge_subst[e.key] = dict(rename[sc])
-        elif sc and dst in merge_labels:
-            x = merge_exit[dst]
-            origins: set[tuple[str, str]] = set()
-            if x != "@none" and (inv_block[src], x) in old_edges:
-                origins.add((inv_block[src], x))
-            if sc == 2 and inv_block[src] == latch:
-                origins.add((latch, lp.header))
-            edge_origin[e.key] = origins
-            edge_subst[e.key] = dict(rename[sc])
-        elif src in merge_labels:
+        if src in merge_exit:  # synthetic plumbing
             edge_origin[e.key] = set()
-        elif dc:
-            edge_origin[e.key] = {(src, inv_block[dst])}
+            continue
+        s, d = copied.get(src), copied.get(dst)
+        if s and dst in merge_exit:  # an exit edge, or the back edge from copy 2
+            x = merge_exit[dst]
+            exit_edge = {(s[0], x)} if x in blocks[s[0]].successor_labels() else set()
+            edge_origin[e.key] = exit_edge | s[1]
         else:
-            edge_origin[e.key] = {e.key}
-            if ndom is not None and src != ENTRY:
-                which = [m for m in merge_labels if ndom.dom(m, src)]
-                if len(which) == 1 and merged_name[which[0]]:
-                    edge_subst[e.key] = dict(merged_name[which[0]])
+            edge_origin[e.key] = {(s[0] if s else src, d[0] if d else dst)}
+        subst = {**below.get(src, {}), **(s[2] if s else {})}
+        if subst:
+            edge_subst[e.key] = subst
     return nf, ncfg, edge_origin, edge_subst
 
 
-def _rewrite_multi_merge_uses(f: Function, dom: DomInfo, lp: NaturalLoop, loop_defs,
+def _rewrite_multi_merge_uses(blocks: list[Block], dom: DomInfo, lp: NaturalLoop, loop_defs,
                               merge_of, merged_name):
     """With several exit targets, loop definitions get per-merge names; uses
-    after the loop must name the merge output that dominates them."""
+    after the loop, in blocks outside it, must name the merge output that
+    dominates them."""
     def pick(use_block: str, var: str) -> str:
         candidates = [x for x in merge_of if x != "@none" and dom.dom(x, use_block)]
         if len(candidates) != 1:
             raise CfgError(f"variable '{var}' used past multiple loop exits; unsupported")
         return merged_name[merge_of[candidates[0]]][var]
 
-    for b in f.blocks:
-        if b.label in lp.body:
-            continue
+    for b in blocks:
         for ins in b.instructions + [b.terminator]:
             if ins.opcode == "phi":
                 for i, (o, l) in enumerate(zip(ins.operands, ins.phi_labels)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import Function, Instruction, Program, Transmission
-from .knowledge import FunctionSummary
+from .knowledge import AnalysisError, FunctionSummary
 
 PROTECTED_SUFFIX = ".p"
 
@@ -79,10 +79,16 @@ def emit_protected(program: Program, plans: dict[str, ProtectionPlan],
 
     Clones are built from the analyzed (loop-simplified) bodies, so frontier
     blocks introduced by simplification exist in the output; simplification
-    preserves semantics.
+    preserves semantics. A clone name that is already a function's name
+    raises AnalysisError.
     """
     analyzed = analyzed or {}
     entry = program.entry_function
+    names = set(program.function_names())
+    for f in program.functions:
+        if f.name + PROTECTED_SUFFIX in names:
+            raise AnalysisError(f"protected clone of '{f.name}' would clash with "
+                                f"function '{f.name}{PROTECTED_SUFFIX}'")
     clones: list[Function] = []
     for f in program.functions:
         body = analyzed.get(f.name, f)

@@ -8,12 +8,13 @@ import pytest
 
 import declassiflow
 from declassiflow import cfg as cfg_module
-from declassiflow.cfg import (ENTRY, EXIT, MAX_LOOP_DEPTH, Cfg, CfgError, ExpandedFunction,
-                              _compose, _expand_one, _fresh, _retarget, build_cfg,
-                              dominators, expand_loops, loop_depth, natural_loops,
-                              prune_dead_blocks, simplify_loops, to_dot)
-from declassiflow.ir import (Block, Instruction, Program, dominator_sets, parse_program,
-                             pretty_print, validate_ssa)
+from declassiflow.cfg import (ENTRY, EXIT, MAX_LOOP_DEPTH, Cfg, CfgError, DomInfo,
+                              ExpandedFunction, NaturalLoop, _compose, _fresh, _retarget,
+                              _rewrite_multi_merge_uses, build_cfg, dominators, expand_loops,
+                              loop_depth, natural_loops, prune_dead_blocks, simplify_loops,
+                              to_dot)
+from declassiflow.ir import (OPCODES, Block, Function, Instruction, Program, dominator_sets,
+                             parse_program, pretty_print, validate_ssa)
 from declassiflow.oracle import interpret
 from declassiflow.pipeline import RunConfig, analyze_program, dump_expanded, run_pipeline
 
@@ -361,8 +362,9 @@ def reference_simplify_loops(f):
 
 
 def reference_expand_loops(f) -> ExpandedFunction:
-    """Expansion in the same rounds and order as expand_loops, but with the
-    CFG, the dominators and the loop record built again before every step."""
+    """Expansion in the same rounds and order as expand_loops, but one loop per
+    step: the function, its CFG, the dominators and the loop record are built
+    again, and the edge maps composed, after every loop."""
     g = reference_simplify_loops(f)
     work = g.copy()
     cfg = build_cfg(work)
@@ -378,10 +380,224 @@ def reference_expand_loops(f) -> ExpandedFunction:
             cfg = build_cfg(result.function)
             dom = dominators(cfg)
             lp = next(lp for lp in natural_loops(cfg, dom) if lp.header == header)
-            result = _compose(result, _expand_one(result.function, cfg, dom, lp))
+            result = _compose(result, reference_expand_one(result.function, cfg, dom, lp))
         cfg = build_cfg(result.function)
         loops = natural_loops(cfg, dominators(cfg))
     return result
+
+
+def reference_expand_one(f: Function, cfg: Cfg, dom: DomInfo, lp: NaturalLoop):
+    """Expand one simple innermost loop of f, mutating non-loop blocks of f in
+    place (phi arms, post-loop uses), with its own scans over every block and
+    its own CFG. Returns the rebuilt function, its CFG, edge_origin and
+    edge_subst. cfg is f's; dom and lp are the round's."""
+    if len(lp.latches) != 1:
+        raise CfgError(f"loop at '{lp.header}' is not simple (latches: {lp.latches})")
+    latch = lp.latches[0]
+    order = {b.label: i for i, b in enumerate(f.blocks)}
+    body = sorted(lp.body, key=order.get)
+    loop_defs: set[str] = set()
+    for lab in body:
+        loop_defs |= f.blocks[order[lab]].defined_vars()
+
+    taken_labels = {b.label for b in f.blocks}
+    taken_vars = set(f.defined_vars())
+    rename: dict[int, dict[str, str]] = {1: {}, 2: {}}
+    for v in sorted(loop_defs):
+        rename[1][v] = _fresh(taken_vars, f"{v}.1")
+        rename[2][v] = _fresh(taken_vars, f"{v}.2")
+    block_rename: dict[int, dict[str, str]] = {1: {}, 2: {}}
+    for lab in body:
+        block_rename[1][lab] = _fresh(taken_labels, f"{lab}.1")
+        block_rename[2][lab] = _fresh(taken_labels, f"{lab}.2")
+    inv_block = {v: k for c in (1, 2) for k, v in block_rename[c].items()}
+    copy_of_block = {v: c for c in (1, 2) for v in block_rename[c].values()}
+
+    exit_targets = list(lp.exits)
+    single_merge = len(exit_targets) <= 1
+    merge_of: dict[str, str] = {}
+    for k, x in enumerate(exit_targets):
+        merge_of[x] = _fresh(taken_labels,
+                             f"{lp.header}.m" if single_merge else f"{lp.header}.m{k + 1}")
+    if not exit_targets:
+        merge_of["@none"] = _fresh(taken_labels, f"{lp.header}.m")
+    fallback_merge = merge_of[exit_targets[0]] if exit_targets else merge_of["@none"]
+    merge_labels = set(merge_of.values())
+
+    def sub(c: int, op):
+        if isinstance(op, str) and op in loop_defs:
+            return rename[c][op]
+        return op
+
+    copies: dict[tuple[str, int], Block] = {}
+    for c in (1, 2):
+        for lab in body:
+            src = f.blocks[order[lab]]
+            nb = Block(block_rename[c][lab])
+            for ins in src.instructions:
+                if ins.opcode == "phi" and lab == lp.header:
+                    arms = dict(zip(ins.phi_labels, ins.operands))
+                    latch_val = arms[latch]
+                    init_val = next(v for l, v in arms.items() if l != latch)
+                    val = init_val if c == 1 else sub(1, latch_val)
+                    nb.instructions.append(Instruction(
+                        "add", output=rename[c][ins.output], operands=[val, 0]))
+                    continue
+                ni = ins.copy()
+                if ni.output is not None:
+                    ni.output = rename[c][ni.output]
+                ni.operands = [sub(c, o) for o in ni.operands]
+                if ni.opcode == "phi":
+                    ni.phi_labels = [block_rename[c].get(l, l) for l in ni.phi_labels]
+                nb.instructions.append(ni)
+            t = src.terminator.copy()
+            labels = OPCODES[t.opcode].labels
+            for i, o in enumerate(t.operands):
+                if i not in labels:
+                    t.operands[i] = sub(c, o)
+                elif o == lp.header:
+                    t.operands[i] = block_rename[2][lp.header] if c == 1 else fallback_merge
+                elif o in lp.body:
+                    t.operands[i] = block_rename[c][o]
+                else:
+                    t.operands[i] = merge_of[o]
+            nb.terminator = t
+            copies[(lab, c)] = nb
+
+    merge_preds: dict[str, list[tuple[str, int]]] = {m: [] for m in merge_labels}
+    for c in (1, 2):
+        for lab in body:
+            nb = copies[(lab, c)]
+            for s in nb.successor_labels():
+                if s in merge_preds and (nb.label, c) not in merge_preds[s]:
+                    merge_preds[s].append((nb.label, c))
+
+    # Consolidate a definition only when its phi would be well formed (every
+    # arm's definition dominates that arm's predecessor) or when code after
+    # the loop actually uses it; in the latter case SSA of the input already
+    # guarantees the real exit arms are dominated.
+    def_block: dict[str, str] = {}
+    for lab in body:
+        for v in f.blocks[order[lab]].defined_vars():
+            def_block[v] = lab
+    used_after: set[str] = set()
+    for b in f.blocks:
+        if b.label not in lp.body:
+            for ins in b.instructions:  # only a terminator has label operands
+                used_after.update(ins.operands)
+            used_after.update(b.terminator.var_operands())
+    used_after &= loop_defs
+
+    merge_blocks: list[Block] = []
+    merged_name: dict[str, dict[str, str]] = {}
+    for x, m in merge_of.items():
+        mb = Block(m)
+        outs: dict[str, str] = {}
+        for v in sorted(loop_defs):
+            arms_ok = all(dom.dom(def_block[v], inv_block[lab])
+                          for (lab, _) in merge_preds[m])
+            if v not in used_after and not arms_ok:
+                continue
+            out_name = v if single_merge else _fresh(taken_vars, f"{v}.m")
+            outs[v] = out_name
+            mb.instructions.append(Instruction(
+                "phi", output=out_name,
+                operands=[rename[c][v] for (_, c) in merge_preds[m]],
+                phi_labels=[lab for (lab, _) in merge_preds[m]]))
+        mb.terminator = Instruction("ret") if x == "@none" else Instruction("jmp", operands=[x])
+        merged_name[m] = outs
+        merge_blocks.append(mb)
+
+    # outside predecessors enter the loop through copy 1 of the header
+    for p in cfg.preds(lp.header):
+        if p not in lp.body:
+            _retarget(f.blocks[order[p]], lp.header, block_rename[1][lp.header])
+
+    if not single_merge and exit_targets:
+        _rewrite_multi_merge_uses([b for b in f.blocks if b.label not in lp.body], dom, lp,
+                                  loop_defs, merge_of, merged_name)
+
+    # exit-target phis: arms from exiting blocks collapse into one merge arm
+    for b in f.blocks:
+        if b.label in lp.body or b.label not in merge_of:
+            continue
+        m = merge_of[b.label]
+        for ins in b.instructions:
+            if ins.opcode != "phi":
+                continue
+            loop_arms = [(o, l) for o, l in zip(ins.operands, ins.phi_labels) if l in lp.body]
+            other = [(o, l) for o, l in zip(ins.operands, ins.phi_labels) if l not in lp.body]
+            if not loop_arms:
+                continue
+            if len(loop_arms) == 1 and len(merge_preds[m]) <= 2 and all(
+                    inv_block[pl] == loop_arms[0][1] or (inv_block[pl] == latch)
+                    for pl, _ in merge_preds[m]):
+                o = loop_arms[0][0]
+                val = merged_name[m][o] if isinstance(o, str) and o in loop_defs else o
+            else:
+                arm_of = {l: o for o, l in loop_arms}
+                aux = _fresh(taken_vars, f"{ins.output}.x")
+                mb = next(blk for blk in merge_blocks if blk.label == m)
+                ops, labs = [], []
+                for pl, c in merge_preds[m]:
+                    o = arm_of.get(inv_block[pl], next(iter(arm_of.values())))
+                    ops.append(rename[c][o] if isinstance(o, str) and o in loop_defs else o)
+                    labs.append(pl)
+                mb.instructions.append(Instruction("phi", output=aux, operands=ops,
+                                                   phi_labels=labs))
+                val = aux
+            ins.operands = [val] + [o for o, _ in other]
+            ins.phi_labels = [m] + [l for _, l in other]
+
+    final_blocks: list[Block] = []
+    placed = False
+    for b in f.blocks:
+        if b.label in lp.body:
+            if not placed:
+                for lab in body:
+                    final_blocks.append(copies[(lab, 1)])
+                for lab in body:
+                    final_blocks.append(copies[(lab, 2)])
+                final_blocks.extend(merge_blocks)
+                placed = True
+            continue
+        final_blocks.append(b)
+    nf = Function(f.name, list(f.params), final_blocks, f.line)
+
+    old_edges = {e.key for e in cfg.edges}
+    merge_exit = {m: x for x, m in merge_of.items()}
+    edge_origin: dict[tuple[str, str], set[tuple[str, str]]] = {}
+    edge_subst: dict[tuple[str, str], dict[str, str]] = {}
+    ncfg = build_cfg(nf)
+    # below several merge blocks, an edge uses the names of the one dominating it
+    ndom = dominators(ncfg) if not single_merge and exit_targets else None
+    for e in ncfg.edges:
+        src, dst = e.key
+        sc = copy_of_block.get(src)
+        dc = copy_of_block.get(dst)
+        if sc and dc:
+            edge_origin[e.key] = {(inv_block[src], inv_block[dst])}
+            edge_subst[e.key] = dict(rename[sc])
+        elif sc and dst in merge_labels:
+            x = merge_exit[dst]
+            origins: set[tuple[str, str]] = set()
+            if x != "@none" and (inv_block[src], x) in old_edges:
+                origins.add((inv_block[src], x))
+            if sc == 2 and inv_block[src] == latch:
+                origins.add((latch, lp.header))
+            edge_origin[e.key] = origins
+            edge_subst[e.key] = dict(rename[sc])
+        elif src in merge_labels:
+            edge_origin[e.key] = set()
+        elif dc:
+            edge_origin[e.key] = {(src, inv_block[dst])}
+        else:
+            edge_origin[e.key] = {e.key}
+            if ndom is not None and src != ENTRY:
+                which = [m for m in merge_labels if ndom.dom(m, src)]
+                if len(which) == 1 and merged_name[which[0]]:
+                    edge_subst[e.key] = dict(merged_name[which[0]])
+    return nf, ncfg, edge_origin, edge_subst
 
 
 # Expanding the loops in block order (H2 first) would ask the first round's
@@ -416,6 +632,55 @@ E:
 """
 
 
+# The first loop of the round has a block L2.1 and defines x.1, which it does
+# not consolidate; the second has a block L2 and defines x. Per-loop expansion
+# names their copy 1 L2.1 and x.1, free again once the first loop is expanded,
+# so a round must not keep them taken (L2.12, x.12).
+LATER_LOOP_REUSES_A_DROPPED_NAME = """
+fn main(n) {
+B0:
+  jmp H1
+H1:
+  i = phi [0, B0], [j, L2.1]
+  c = lt i, n
+  br c, L2.1, P
+L2.1:
+  x.1 = add i, 1
+  j = add i, 1
+  jmp H1
+P:
+  jmp H2
+H2:
+  k = phi [0, P], [x, L2]
+  d = lt k, n
+  br d, L2, E
+L2:
+  x = add k, 1
+  jmp H2
+E:
+  ret
+}
+"""
+
+
+def test_round_reuses_names_its_earlier_loops_drop():
+    text = dump_expanded(parse_program(LATER_LOOP_REUSES_A_DROPPED_NAME))
+    assert "L2.1.1:\n  x.1.1 = add i.1, 1\n" in text
+    assert "L2.1:\n  x.1 = add k.1, 1\n" in text
+
+
+def _rounds(loops):
+    """The loops expand_loops expands together: those of one nesting height."""
+    height: dict[str, int] = {}
+    for lp in sorted(loops, key=lambda lp: len(lp.body)):
+        height[lp.header] = max((height[o.header] + 1 for o in loops if o.body < lp.body),
+                                default=0)
+    rounds: dict[int, list] = {}
+    for lp in loops:
+        rounds.setdefault(height[lp.header], []).append(lp)
+    return list(rounds.values())
+
+
 def _expansion_outcome(expand, f):
     try:
         ef = expand(f)
@@ -426,10 +691,12 @@ def _expansion_outcome(expand, f):
 
 
 def test_expansion_matches_per_step_reference():
-    programs = [random_loop_program(random.Random(seed)) for seed in range(500)]
+    programs = [random_loop_program(random.Random(seed)) for seed in range(1000)]
     programs += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
-    programs += [segments(k) for k in range(1, 9)] + [BLOCK_ORDER_NOT_TOPOLOGICAL]
-    shapes = {"nested": 0, "multi-exit": 0, "multi-latch": 0}
+    programs += [segments(k) for k in range(1, 9)]
+    programs += [BLOCK_ORDER_NOT_TOPOLOGICAL, LATER_LOOP_REUSES_A_DROPPED_NAME]
+    shapes = {"nested": 0, "multi-exit": 0, "multi-latch": 0, "multi-loop round": 0,
+              "multi-exit loop in a multi-loop round": 0}
     for text in programs:
         for f in parse_program(text).functions:
             assert (pretty_print(Program([simplify_loops(f)]))
@@ -441,6 +708,10 @@ def test_expansion_matches_per_step_reference():
             shapes["nested"] += loop_depth(loops) >= 2
             shapes["multi-exit"] += any(len(lp.exits) >= 2 for lp in loops)
             shapes["multi-latch"] += any(len(lp.latches) >= 2 for lp in loops)
+            shared = [r for r in _rounds(loops) if len(r) >= 2]
+            shapes["multi-loop round"] += bool(shared)
+            shapes["multi-exit loop in a multi-loop round"] += any(
+                len(lp.exits) >= 2 for r in shared for lp in r)
     assert min(shapes.values()) >= 20, shapes
 
 
@@ -554,29 +825,35 @@ def test_edge_subst_only_on_edges_with_an_origin(name):
         assert set(ef.edge_subst) <= {k for k, o in ef.edge_origin.items() if o}
 
 
-@pytest.mark.parametrize("name,calls", [
-    ("segments-8", 3), ("segments-16", 3), ("two_latch", 3), ("nested_loops", 3),
-    ("self_loop_linked", 2), ("diamond_linked", 1)])
-def test_expansion_dominator_computations(name, calls, monkeypatch):
+@pytest.mark.parametrize("name,calls,builds", [
+    pytest.param(name, calls, builds, id=f"{name}-{calls}") for name, calls, builds in [
+        ("segments-8", 3, 3), ("segments-16", 3, 3), ("two_latch", 3, 3),
+        ("nested_loops", 3, 3), ("self_loop_linked", 2, 2), ("diamond_linked", 1, 1),
+        ("BLOCK_ORDER_NOT_TOPOLOGICAL", 3, 2), ("random_loop-324", 4, 3)]])
+def test_expansion_dominator_computations(name, calls, builds, monkeypatch):
     """One dominator computation for the input, one more when simplification
-    inserts a block, and one after each round of expansion."""
-    program = (segments(int(name.split("-")[1])) if name.startswith("segments")
-               else fixture_text(name))
-    made = 0
+    inserts a block, and one after each round of expansion, plus one per round
+    with a multi-exit loop. One graph for the input, one more when
+    simplification inserts a block, and one per round. random_loop-324 has two
+    multi-exit loops in one round."""
+    program = {"BLOCK_ORDER_NOT_TOPOLOGICAL": BLOCK_ORDER_NOT_TOPOLOGICAL,
+               "random_loop-324": random_loop_program(random.Random(324))}.get(name)
+    if name.startswith("segments"):
+        program = segments(int(name.split("-")[1]))
+    made: Counter = Counter()
 
-    def counting(cfg):
-        nonlocal made
-        made += 1
-        return dominators(cfg)
-
-    monkeypatch.setattr(cfg_module, "dominators", counting)
-    expand_loops(parse_program(program).functions[0])
-    assert made == calls
+    for fn in (build_cfg, dominators):
+        def counting(*args, fn=fn):
+            made[fn.__name__] += 1
+            return fn(*args)
+        monkeypatch.setattr(cfg_module, fn.__name__, counting)
+    expand_loops(parse_program(program or fixture_text(name)).functions[0])
+    assert (made["dominators"], made["build_cfg"]) == (calls, builds)
 
 
 @pytest.mark.parametrize("name,builds,doms", [
     pytest.param(name, builds, doms, id=name) for name, builds, doms in [
-        ("segments-2", 4, 3), ("call_chain-4", 8, 8), ("aes_analog", 6, 6),
+        ("segments-2", 3, 3), ("call_chain-4", 8, 8), ("aes_analog", 6, 6),
         ("diamond_linked", 1, 1)]])
 def test_graph_builds_per_run(name, builds, doms, monkeypatch):
     """A run configured like protect builds each function's graphs in loop

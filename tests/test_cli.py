@@ -270,3 +270,36 @@ def test_non_utf8_file_exit_two(tmp_path, capsys, which):
     assert run(["analyze", src, *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err, err
+
+
+# main calls a function named like main's protected clone: emitting both would
+# leave two functions main.p, and verify would run the callee as the entry.
+CALLS_ITS_CLONE_NAME = """
+fn main(buf, n) {
+B1:
+  c = lt n, 4
+  br c, B2, B3
+B2:
+  p = gep buf, n, 4
+  w = load p
+  jmp B3
+B3:
+  d = call main.p(buf, n)
+  ret
+}
+
+fn main.p(buf, n) {
+B1:
+  transmit n
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["protect", "verify"])
+def test_protected_clone_name_clash_exit_two(tmp_path, capsys, command):
+    src = tmp_path / "clash.mir"
+    src.write_text(CALLS_ITS_CLONE_NAME)
+    assert run([command, str(src), "--domain", "0..3"]) == 2
+    err = capsys.readouterr().err
+    assert "'main'" in err and "'main.p'" in err
