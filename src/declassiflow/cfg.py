@@ -606,13 +606,16 @@ def _expand_round(f: Function, dom: DomInfo, loops: list[NaturalLoop]):
                              + [copies[(lab, 2)] for lab in body] + merge_blocks)
         # later loops of the round draw fresh names from what this one leaves
         taken_labels -= lp.body
-        taken_vars -= loop_defs - (set(outs) if single_merge else set())
+        taken_vars -= loop_defs - (set(merged_name[fallback_merge]) if single_merge else set())
 
     final_blocks: list[Block] = []
     for b in f.blocks:
         final_blocks.extend(replaced.get(b.label, (b,)))
-    # outside predecessors, merge blocks among them, enter through copy 1
+    # outside predecessors, merge blocks among them, enter through copy 1; a
+    # copy may bear a dropped header's name, but jumps only within its loop
     for b in final_blocks:
+        if b.label in copied:
+            continue
         ops = b.terminator.operands
         for i in OPCODES[b.terminator.opcode].labels:
             ops[i] = entry_copy.get(ops[i], ops[i])

@@ -663,10 +663,34 @@ E:
 """
 
 
-def test_round_reuses_names_its_earlier_loops_drop():
-    text = dump_expanded(parse_program(LATER_LOOP_REUSES_A_DROPPED_NAME))
-    assert "L2.1.1:\n  x.1.1 = add i.1, 1\n" in text
-    assert "L2.1:\n  x.1 = add k.1, 1\n" in text
+# The first loop of the round is headed L2.1, whose copy 1 is L2.1.1; the
+# second loop's copy 1 of L2 takes the dropped name L2.1, and its header copy
+# jumps there, not to the first loop's copy. With the first header named H2.m,
+# the second loop's merge takes the dropped name instead.
+LATER_LOOP_REUSES_A_DROPPED_HEADER = """
+fn main(n) {
+B0:
+  jmp L2.1
+L2.1:
+  i = phi [0, B0], [j, B1]
+  c = lt i, n
+  br c, B1, P
+B1:
+  j = add i, 1
+  jmp L2.1
+P:
+  jmp H2
+H2:
+  k = phi [0, P], [x, L2]
+  d = lt k, n
+  br d, L2, E
+L2:
+  x = add k, 1
+  jmp H2
+E:
+  ret
+}
+"""
 
 
 def _rounds(loops):
@@ -694,7 +718,9 @@ def test_expansion_matches_per_step_reference():
     programs = [random_loop_program(random.Random(seed)) for seed in range(1000)]
     programs += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
     programs += [segments(k) for k in range(1, 9)]
-    programs += [BLOCK_ORDER_NOT_TOPOLOGICAL, LATER_LOOP_REUSES_A_DROPPED_NAME]
+    programs += [BLOCK_ORDER_NOT_TOPOLOGICAL, LATER_LOOP_REUSES_A_DROPPED_NAME,
+                 LATER_LOOP_REUSES_A_DROPPED_HEADER,
+                 LATER_LOOP_REUSES_A_DROPPED_HEADER.replace("L2.1", "H2.m")]
     shapes = {"nested": 0, "multi-exit": 0, "multi-latch": 0, "multi-loop round": 0,
               "multi-exit loop in a multi-loop round": 0}
     for text in programs:
