@@ -6,6 +6,9 @@ virtual exit node absorbing all ret blocks, so every real block has at least
 one in-edge and one out-edge. Edge indices are stable: the entry dummy comes
 first, then each block's out-edges in block/terminator order.
 
+Dominators are ir.dominator_tree's, and natural loops read the reverse
+postorder of its one depth-first walk.
+
 Partial loop expansion duplicates a simple loop body into an initial copy and
 an inductive copy, removes the back edge, and consolidates loop definitions in
 a merge block. It works one nesting level at a time: each round expands every
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .ir import OPCODES, Block, Function, Instruction, dominator_sets
+from .ir import OPCODES, Block, DomInfo, Function, Instruction, dominator_tree
 
 ENTRY = "@entry"
 EXIT = "@exit"
@@ -141,25 +144,11 @@ def _prune_dead_blocks(f: Function) -> tuple[Function, Cfg | None]:
 # Dominators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DomInfo:
-    dom_sets: dict[str, set[str]]
-
-    def dom(self, a: str, b: str) -> bool:
-        return a in self.dom_sets[b]
-
-    def dominated_by(self, a: str) -> set[str]:
-        return {b for b, ds in self.dom_sets.items() if a in ds}
-
-    def depth(self, b: str) -> int:
-        return len(self.dom_sets[b]) - 1
-
-
 def dominators(cfg: Cfg) -> DomInfo:
-    """Dominator sets of a CFG whose blocks are all reachable."""
+    """Dominator tree of a CFG whose blocks are all reachable."""
     if cfg.dead_blocks:
         raise CfgError(f"unreachable blocks: {sorted(cfg.dead_blocks)}")
-    return DomInfo(dominator_sets({l: cfg.succs(l) for l in cfg.labels}, cfg.entry))
+    return dominator_tree({l: cfg.succs(l) for l in cfg.labels}, cfg.entry)
 
 
 # ---------------------------------------------------------------------------
@@ -177,38 +166,23 @@ class NaturalLoop:
 
 def natural_loops(cfg: Cfg, dom: DomInfo) -> list[NaturalLoop]:
     """One loop per header; back edges sharing a header merge into one loop.
-    Loops come in the irreducibility check's topological order of headers
-    over forward edges: each before every loop its blocks reach."""
+    Loops come in their headers' reverse postorder, which is topological over
+    forward edges: each before every loop its blocks reach. Loops with
+    different headers are nested or disjoint."""
+    rank = {l: i for i, l in enumerate(dom.order)}
     back: dict[str, list[str]] = {}
-    back_edge_set = set()
     for e in cfg.edges:
         if e.src == ENTRY or e.dst == EXIT:
             continue
         if dom.dom(e.dst, e.src):
             back.setdefault(e.dst, []).append(e.src)
-            back_edge_set.add((e.src, e.dst))
-
-    # Removing natural back edges must leave the graph acyclic.
-    succs = {l: [s for s in cfg.succs(l) if (l, s) not in back_edge_set] for l in cfg.labels}
-    indeg = {l: 0 for l in cfg.labels}
-    for l, ss in succs.items():
-        for s in ss:
-            indeg[s] += 1
-    queue = [l for l in cfg.labels if indeg[l] == 0]
-    topo = []
-    while queue:
-        cur = queue.pop()
-        topo.append(cur)
-        for s in succs[cur]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                queue.append(s)
-    if len(topo) != len(cfg.labels):
-        raise CfgError("irreducible control flow")
+        elif rank[e.dst] <= rank[e.src]:
+            # a retreating edge that is no back edge: Hecht and Ullman, JACM 1974
+            raise CfgError("irreducible control flow")
 
     loops: list[NaturalLoop] = []
     order = {l: i for i, l in enumerate(cfg.labels)}
-    for header in (l for l in topo if l in back):
+    for header in (l for l in dom.order if l in back):
         body = {header}
         work = list(back[header])
         while work:
@@ -224,14 +198,6 @@ def natural_loops(cfg: Cfg, dom: DomInfo) -> list[NaturalLoop]:
             preheader = non_latch_preds[0]
         loops.append(NaturalLoop(header, sorted(back[header], key=order.get), body,
                                  exits, preheader))
-
-    for a in loops:
-        for b in loops:
-            if a is b:
-                continue
-            inter = a.body & b.body
-            if inter and not (a.body <= b.body or b.body <= a.body):
-                raise CfgError(f"loops at '{a.header}' and '{b.header}' overlap without nesting")
     return loops
 
 
@@ -287,7 +253,7 @@ def _simplify_loops(f: Function) -> tuple[Function, Cfg, DomInfo]:
             _insert_arm_block(g, header, outside, ".ph", labels, varnames, first=True)
         if len(lp.latches) > 1:
             _insert_arm_block(g, header, lp.latches, ".lt", labels, varnames, first=False)
-    if len(g.blocks) > len(dom.dom_sets):  # something was inserted
+    if len(g.blocks) > len(dom.order):  # something was inserted
         cfg = build_cfg(g)
         dom = dominators(cfg)
     return g, cfg, dom
@@ -299,7 +265,8 @@ def _insert_arm_block(g: Function, header: Block, preds: list[str], suffix: str,
     a preheader before header (first) or a latch after the last of preds.
     Each header phi's arms from preds move into it, merged by a new phi unless
     there is one, and leave one arm from the new block, first or last."""
-    at = g.blocks.index(header) if first else max(g.blocks.index(g.block(p)) for p in preds) + 1
+    order = [b.label for b in g.blocks]
+    at = order.index(header.label) if first else max(map(order.index, preds)) + 1
     blk = Block(_fresh(labels, f"{header.label}{suffix}"))
     blk.terminator = Instruction("jmp", operands=[header.label])
     for phi in header.phis():
@@ -315,7 +282,7 @@ def _insert_arm_block(g: Function, header: Block, preds: list[str], suffix: str,
         phi.operands = [o for o, _ in arms]
         phi.phi_labels = [l for _, l in arms]
     for p in preds:
-        _retarget(g.block(p), header.label, blk.label)
+        _retarget(g.blocks[order.index(p)], header.label, blk.label)
     g.blocks.insert(at, blk)
 
 

@@ -1,5 +1,6 @@
 """Textual SSA mini-IR: the opcode table, types, parser, validator, printer
-and transmitter model.
+and transmitter model, and the dominator tree that the validator and the CFG
+share.
 
 The language is line-oriented: one instruction per line, `#` starts a comment.
 
@@ -467,38 +468,82 @@ class ValidationReport:
         self.issues.append(ValidationIssue(kind, message, function, block, line))
 
 
-def dominator_sets(succs: dict[str, list[str]], entry: str) -> dict[str, set[str]]:
-    """Dominator sets by iteration to a fixpoint over the graph `succs` (block
-    -> successor blocks, in block order); unreachable blocks get empty sets."""
-    labels = list(succs)
-    reachable = {entry}
-    work = [entry]
-    while work:
-        b = work.pop()
-        for s in succs.get(b, []):
-            if s not in reachable:
-                reachable.add(s)
-                work.append(s)
-    preds: dict[str, list[str]] = {l: [] for l in labels}  # reachable ones only
-    for l, ss in succs.items():
-        for s in ss:
-            if s in preds and l in reachable:
-                preds[s].append(l)
-    dom = {l: (set(labels) if l in reachable else set()) for l in labels}
-    dom[entry] = {entry}
+@dataclass
+class DomInfo:
+    """Dominator tree of the blocks reachable from the entry: order is their
+    reverse postorder, idom each one's immediate dominator (the entry's is
+    itself) and depths each one's depth in the tree (the entry's is 0).
+    Unreachable blocks are dominated by nothing."""
+    order: list[str]
+    idom: dict[str, str]
+    depths: dict[str, int]
+
+    def dom(self, a: str, b: str) -> bool:
+        da = self.depths.get(a)
+        if da is None or b not in self.depths:
+            return False
+        while self.depths[b] > da:
+            b = self.idom[b]
+        return a == b
+
+    def dominated_by(self, a: str) -> set[str]:
+        below: set[str] = set()
+        for b in self.order:  # a dominator comes before the blocks it dominates
+            if b == a or self.idom[b] in below:
+                below.add(b)
+        return below
+
+    def depth(self, b: str) -> int:
+        return self.depths[b]
+
+
+def dominator_tree(succs: dict[str, list[str]], entry: str) -> DomInfo:
+    """Dominator tree of the graph `succs` (block -> successor blocks): one
+    depth-first walk from entry, then the iteration of Cooper, Harvey and
+    Kennedy ("A Simple, Fast Dominance Algorithm", 2001) over its reverse
+    postorder."""
+    post: list[str] = []
+    seen = {entry}
+    stack = [(entry, iter(succs[entry]))]
+    while stack:
+        b, pending = stack[-1]
+        for s in pending:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(succs[s])))
+                break
+        else:
+            stack.pop()
+            post.append(b)
+    order = post[::-1]
+    rank = {b: i for i, b in enumerate(order)}
+    preds: dict[str, list[str]] = {b: [] for b in order}
+    for b in order:
+        for s in succs[b]:
+            preds[s].append(b)
+
+    idom = {entry: entry}
     changed = True
     while changed:
         changed = False
-        for l in labels:
-            if l == entry or l not in reachable:
-                continue
-            ps = preds[l]
-            new = set.intersection(*(dom[p] for p in ps)) if ps else set()
-            new.add(l)
-            if new != dom[l]:
-                dom[l] = new
+        for b in order[1:]:
+            new = None
+            for p in preds[b]:
+                if p not in idom:
+                    continue
+                while new is not None and p != new:  # meet the two tree paths
+                    while rank[p] > rank[new]:
+                        p = idom[p]
+                    while rank[new] > rank[p]:
+                        new = idom[new]
+                new = p
+            if idom.get(b) != new:
+                idom[b] = new
                 changed = True
-    return dom
+    depths = {entry: 0}
+    for b in order[1:]:
+        depths[b] = depths[idom[b]] + 1
+    return DomInfo(order, idom, depths)
 
 
 def callees_first(program: Program,
@@ -613,7 +658,7 @@ def _validate_function(f: Function, report: ValidationReport):
         report.add("entry-has-preds", f"entry block '{entry}' has predecessors {sorted(set(preds[entry]))}",
                    f.name, entry)
 
-    dom = dominator_sets(succs, entry)
+    dom = dominator_tree(succs, entry)
 
     # phi placement: only as a prefix of the block
     for b in f.blocks:
@@ -641,7 +686,7 @@ def _validate_function(f: Function, report: ValidationReport):
                         report.add("undefined-use", f"use of undefined '{op}'", f.name, b.label, ins.line)
                         continue
                     db = block_of_def[op]
-                    if db is not None and lab in dom and db not in dom.get(lab, set()):
+                    if db is not None and lab in label_set and not dom.dom(db, lab):
                         report.add("phi-input-not-prior",
                                    f"phi input '{op}' not defined prior to block '{b.label}' "
                                    f"(via predecessor '{lab}')", f.name, b.label, ins.line)
@@ -657,7 +702,7 @@ def _validate_function(f: Function, report: ValidationReport):
                     if def_index[op] >= pos:
                         report.add("use-not-dominated",
                                    f"use of '{op}' before its definition", f.name, b.label, ins.line)
-                elif db not in dom.get(b.label, set()):
+                elif not dom.dom(db, b.label):
                     report.add("use-not-dominated",
                                f"use of '{op}' not dominated by its definition", f.name, b.label, ins.line)
 

@@ -341,27 +341,17 @@ def project_to_original(km: EdgeBits, ef: ExpandedFunction) -> KnowledgeMap:
 
     bits = [masks.get(oe.key, 0) for oe in ocfg.edges]
     known = {oe.index: ix.decode(bits[oe.index]) for oe in ocfg.edges}
-    return KnowledgeMap(ocfg, known, _vacuous_flags(ocfg, ef.original, bits, ix))
+    return KnowledgeMap(ocfg, known, _vacuous_flags(ef, bits, ix))
 
 
-def _vacuous_flags(cfg: Cfg, f: Function, bits: list[int],
+def _vacuous_flags(ef: ExpandedFunction, bits: list[int],
                    ix: VarIndex) -> dict[int, set[str]]:
-    """Per edge, the known non-parameters that no block reaching the edge's
-    source and no block reachable from its destination defines."""
-    defs = {b.label: ix.mask(b.defined_vars()) for b in f.blocks}
-    order: list[str] = []  # postorder from the entry block
-    seen = {cfg.entry}
-    stack = [(cfg.entry, iter(cfg.succs(cfg.entry)))]
-    while stack:
-        label, succs = stack[-1]
-        for s in succs:
-            if s not in seen:
-                seen.add(s)
-                stack.append((s, iter(cfg.succs(s))))
-                break
-        else:
-            stack.pop()
-            order.append(label)
+    """Per edge of the original graph, the known non-parameters that no block
+    reaching the edge's source and no block reachable from its destination
+    defines."""
+    cfg = ef.original_cfg
+    defs = {b.label: ix.mask(b.defined_vars()) for b in ef.original.blocks}
+    order = ef.original_dom.order[::-1]  # postorder from the entry block
 
     def reach(labels, nexts) -> dict[str, int]:  # defs of every block reached, to a fixpoint
         out = dict(defs)

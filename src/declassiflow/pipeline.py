@@ -49,6 +49,7 @@ class FunctionAnalysis:
     kb: BlockKnowledge
     frontiers: dict[str, set[str]]
     summary: FunctionSummary
+    leaks: list[Transmission]  # the leak model, from the latest callee summaries
     refinements: list[RefinementResult] = field(default_factory=list)
     phase2: str = "skipped"
     notes: list[str] = field(default_factory=list)
@@ -77,16 +78,16 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
     if any(km.vacuous.values()):
         flagged = sorted({v for vs in km.vacuous.values() for v in vs})
         notes.append(f"vacuous knowledge recorded for: {', '.join(flagged)}")
-    return FunctionAnalysis(f.name, ef.original, ef, km, kb, frontiers, summary, notes=notes)
+    return FunctionAnalysis(f.name, ef.original, ef, km, kb, frontiers, summary, leaks,
+                            notes=notes)
 
 
-def refine_function(fa: FunctionAnalysis, leaks: list[Transmission],
-                    bodies: dict[str, Function], config: RunConfig):
+def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function], config: RunConfig):
     """Phase 2: region-by-variable inevitability queries, outermost first,
     all answered from one exploration of the function; Inevitable verdicts
     upgrade block knowledge immediately. Regions and candidates come from
     the blocks of the speculative leak sites."""
-    tblocks = {t.block for t in leaks if t.speculative}
+    tblocks = {t.block for t in fa.leaks if t.speculative}
     regions = candidate_regions(fa.simplified, tblocks, fa.expanded.original_dom)
     cands = sorted(candidate_vars(fa.kb, tblocks))
     paths = PathLog(fa.simplified, config.limits, config.constraints.get(fa.name, []),
@@ -136,13 +137,14 @@ def analyze_program(program: Program, config: RunConfig | None = None):
     if config.refine:
         for name in order:
             fa = analyses[name]
+            # callees were re-summarized earlier in this phase: their summaries
+            # are final, and so is this leak model
+            fa.leaks = leak_model(fa.simplified, summaries, config.transmit_speculative)
             if fa.summary.is_fully_declassified:
                 continue  # data-flow results already optimal for this function
-            # callees were re-summarized earlier in this phase
-            leaks = leak_model(fa.simplified, summaries, config.transmit_speculative)
-            refine_function(fa, leaks, bodies, config)
+            refine_function(fa, bodies, config)
             fa.summary = summarize(fa.simplified, fa.expanded, fa.kb.known,
-                                   fa.frontiers, summaries, leaks)
+                                   fa.frontiers, summaries, fa.leaks)
             summaries[name] = fa.summary
     else:
         for fa in analyses.values():
@@ -192,8 +194,7 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
         for name in order:
             fa = analyses[name]
             top = name == program.entry_function or name not in called
-            leaks = leak_model(fa.simplified, summaries, config.transmit_speculative)
-            plans[name] = plan_protection(fa.simplified, leaks, fa.frontiers,
+            plans[name] = plan_protection(fa.simplified, fa.leaks, fa.frontiers,
                                           fa.summary, top)
         protected = emit_protected(program, plans, bodies)
         report["plans"] = [plans[name].as_dict() for name in program.function_names()]

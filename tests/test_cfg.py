@@ -13,7 +13,7 @@ from declassiflow.cfg import (ENTRY, EXIT, MAX_LOOP_DEPTH, Cfg, CfgError, DomInf
                               _rewrite_multi_merge_uses, build_cfg, dominators, expand_loops,
                               loop_depth, natural_loops, prune_dead_blocks, simplify_loops,
                               to_dot)
-from declassiflow.ir import (OPCODES, Block, Function, Instruction, Program, dominator_sets,
+from declassiflow.ir import (OPCODES, Block, Function, Instruction, Program, dominator_tree,
                              parse_program, pretty_print, validate_ssa)
 from declassiflow.oracle import interpret
 from declassiflow.pipeline import RunConfig, analyze_program, dump_expanded, run_pipeline
@@ -93,8 +93,9 @@ def test_dominators_error_on_dead_blocks():
 
 def test_dominators_agree_with_path_oracle():
     rng = random.Random(9)
-    for _ in range(25):
-        text = random_acyclic_program(rng, max_blocks=12)
+    texts = [random_acyclic_program(rng, max_blocks=12) for _ in range(25)]
+    texts += [random_loop_program(random.Random(seed)) for seed in range(200)]  # cyclic
+    for text in texts:
         f = parse_program(text).functions[0]
         cfg = build_cfg(prune_dead_blocks(f))
         dom = dominators(cfg)
@@ -107,11 +108,11 @@ def test_dominators_agree_with_path_oracle():
                       "B3:\n  jmp B4\nB4:\n  ret\n}").functions[0]
     cfg = build_cfg(f)
     assert cfg.dead_blocks == {"B3"}
-    dom = dominator_sets({l: cfg.succs(l) for l in cfg.labels}, cfg.entry)
-    assert dom["B3"] == set()
+    dom = dominator_tree({l: cfg.succs(l) for l in cfg.labels}, cfg.entry)
+    assert not any(dom.dom(a, "B3") for a in cfg.labels)
     for a in ("B1", "B2", "B4"):
         for b in ("B1", "B2", "B4"):
-            assert (a in dom[b]) == brute_force_dominates(cfg, a, b), (a, b)
+            assert dom.dom(a, b) == brute_force_dominates(cfg, a, b), (a, b)
 
 
 def test_self_loop_detection():
@@ -151,6 +152,116 @@ B3:
     cfg = build_cfg(f)
     with pytest.raises(CfgError, match="irreducible"):
         natural_loops(cfg, dominators(cfg))
+
+
+def reference_natural_loops(cfg: Cfg) -> list[NaturalLoop]:
+    """Loop finding with back edges from the path oracle, a Kahn sort of the
+    remaining edges as the irreducibility check and the loop order, and an
+    explicit nesting check: the reference for the one-walk version."""
+    back: dict[str, list[str]] = {}
+    back_edge_set = set()
+    for e in cfg.edges:
+        if e.src == ENTRY or e.dst == EXIT:
+            continue
+        if brute_force_dominates(cfg, e.dst, e.src):
+            back.setdefault(e.dst, []).append(e.src)
+            back_edge_set.add((e.src, e.dst))
+
+    succs = {l: [s for s in cfg.succs(l) if (l, s) not in back_edge_set] for l in cfg.labels}
+    indeg = {l: 0 for l in cfg.labels}
+    for l, ss in succs.items():
+        for s in ss:
+            indeg[s] += 1
+    queue = [l for l in cfg.labels if indeg[l] == 0]
+    topo = []
+    while queue:
+        cur = queue.pop()
+        topo.append(cur)
+        for s in succs[cur]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                queue.append(s)
+    if len(topo) != len(cfg.labels):
+        raise CfgError("irreducible control flow")
+
+    loops: list[NaturalLoop] = []
+    order = {l: i for i, l in enumerate(cfg.labels)}
+    for header in (l for l in topo if l in back):
+        body = {header}
+        work = list(back[header])
+        while work:
+            cur = work.pop()
+            if cur in body:
+                continue
+            body.add(cur)
+            work.extend(cfg.preds(cur))
+        exits = sorted({s for b in body for s in cfg.succs(b) if s not in body}, key=order.get)
+        non_latch_preds = [p for p in cfg.preds(header) if p not in body]
+        preheader = None
+        if len(non_latch_preds) == 1 and len(cfg.succs(non_latch_preds[0])) == 1:
+            preheader = non_latch_preds[0]
+        loops.append(NaturalLoop(header, sorted(back[header], key=order.get), body,
+                                 exits, preheader))
+
+    for a in loops:
+        for b in loops:
+            if a is not b and a.body & b.body and not (a.body <= b.body or b.body <= a.body):
+                raise CfgError(f"loops at '{a.header}' and '{b.header}' overlap without nesting")
+    return loops
+
+
+def _random_digraph(rng: random.Random) -> Function:
+    """A function of up to 8 blocks whose terminators jump anywhere but to the
+    entry block: reducible or not, with or without dead blocks."""
+    labels = [f"B{i}" for i in range(rng.randint(1, 8))]
+    blocks = []
+    for label in labels:
+        b = Block(label)
+        targets = rng.sample(labels[1:], min(rng.choice((0, 1, 2, 2)), len(labels) - 1))
+        if len(targets) == 2:
+            b.terminator = Instruction("br", operands=["c", *targets])
+        elif targets:
+            b.terminator = Instruction("jmp", operands=targets)
+        else:
+            b.terminator = Instruction("ret")
+        blocks.append(b)
+    return Function("f", ["c"], blocks)
+
+
+def test_natural_loops_match_reference_on_random_digraphs():
+    def outcome(find):
+        try:
+            return find()
+        except CfgError as exc:
+            return str(exc)
+
+    shapes = {"irreducible": 0, "two or more loops": 0, "nested": 0}
+    rng = random.Random(15)
+    for _ in range(2000):
+        cfg = build_cfg(prune_dead_blocks(_random_digraph(rng)))
+        loops = outcome(lambda: natural_loops(cfg, dominators(cfg)))
+        want = outcome(lambda: reference_natural_loops(cfg))
+        if isinstance(want, str):
+            assert loops == want, to_dot(cfg)
+            shapes["irreducible"] += 1
+            continue
+        assert sorted(loops, key=lambda lp: lp.header) == sorted(want, key=lambda lp: lp.header)
+        shapes["two or more loops"] += len(loops) >= 2
+        shapes["nested"] += loop_depth(loops) >= 2
+        forward = {l: [s for s in cfg.succs(l) if not brute_force_dominates(cfg, s, l)]
+                   for l in cfg.labels}
+        for i, lp in enumerate(loops):
+            reached, work = set(), [lp.header]
+            while work:
+                cur = work.pop()
+                if cur not in reached:
+                    reached.add(cur)
+                    work.extend(forward[cur])
+            assert not any(earlier.header in reached for earlier in loops[:i]), to_dot(cfg)
+            for other in loops:
+                assert (lp.body <= other.body or other.body <= lp.body
+                        or not lp.body & other.body), to_dot(cfg)
+    assert min(shapes.values()) >= 20, shapes
 
 
 def test_simplify_two_latch_shape():
@@ -693,6 +804,29 @@ E:
 """
 
 
+# P is the last latch of both loops, and both need a new latch: the inner
+# loop's, made second, goes between P and the outer loop's. No other input of
+# the per-step comparison has two new latches after one block.
+SHARED_LAST_LATCH = """
+fn main(n) {
+E:
+  jmp HA
+HA:
+  jmp HB
+HB:
+  br n, Q, R
+Q:
+  br n, HB, P
+R:
+  br n, HA, X
+P:
+  br n, HB, HA
+X:
+  ret
+}
+"""
+
+
 def _rounds(loops):
     """The loops expand_loops expands together: those of one nesting height."""
     height: dict[str, int] = {}
@@ -720,7 +854,8 @@ def test_expansion_matches_per_step_reference():
     programs += [segments(k) for k in range(1, 9)]
     programs += [BLOCK_ORDER_NOT_TOPOLOGICAL, LATER_LOOP_REUSES_A_DROPPED_NAME,
                  LATER_LOOP_REUSES_A_DROPPED_HEADER,
-                 LATER_LOOP_REUSES_A_DROPPED_HEADER.replace("L2.1", "H2.m")]
+                 LATER_LOOP_REUSES_A_DROPPED_HEADER.replace("L2.1", "H2.m"),
+                 SHARED_LAST_LATCH]
     shapes = {"nested": 0, "multi-exit": 0, "multi-latch": 0, "multi-loop round": 0,
               "multi-exit loop in a multi-loop round": 0}
     for text in programs:

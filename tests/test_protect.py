@@ -1,3 +1,8 @@
+from collections import Counter
+
+import pytest
+
+from declassiflow import pipeline
 from declassiflow.ir import Program, parse_program, validate_ssa
 from declassiflow.oracle import interpret, speculative_explore
 from declassiflow.pipeline import RunConfig, run_pipeline
@@ -10,6 +15,24 @@ def plans_for(name, **cfg):
     program = fixture_program(name)
     report = run_pipeline(program, RunConfig(**cfg))
     return program, report
+
+
+@pytest.mark.parametrize("refine,calls", [(True, 2), (False, 1)])
+@pytest.mark.parametrize("name", ["aes_analog", "djbsort_analog"])
+def test_leak_model_once_per_function_per_phase(name, refine, calls, monkeypatch):
+    """Phase 1 builds each function's leak model; phase 2 rebuilds it once
+    from the final callee summaries, also where it skips refinement (all of
+    aes_analog), and protection reads that one."""
+    made: Counter = Counter()
+    leak_model = pipeline.leak_model
+
+    def counting(f, *args):
+        made[f.name] += 1
+        return leak_model(f, *args)
+
+    monkeypatch.setattr(pipeline, "leak_model", counting)
+    program, _ = plans_for(name, refine=refine)
+    assert made == {fn: calls for fn in program.function_names()}
 
 
 def test_aes_plan_single_entry_barrier():
