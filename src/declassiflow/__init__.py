@@ -7,9 +7,8 @@ from .cfg import (Cfg, CfgError, DomInfo, ExpandedFunction, NaturalLoop, build_c
 from .frontier import BlockKnowledge, all_frontiers, block_knowledge
 from .ir import (Block, Function, Instruction, IRError, Program, parse_program,
                  pretty_print, validate_ssa)
-from .knowledge import (AnalysisError, EdgeBits, FunctionSummary, KnowledgeMap,
-                        analyze_edges, init_knowledge, project_to_original, propagate,
-                        summarize)
+from .knowledge import (AnalysisError, FunctionSummary, KnowledgeMap, analyze_edges,
+                        init_knowledge, project_to_original, propagate, summarize)
 from .oracle import (OracleError, SpecExecution, Trace, check_frontier_property,
                      exact_knowledge, interpret, speculative_explore)
 from .pipeline import RunConfig, run_pipeline

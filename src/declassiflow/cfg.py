@@ -6,8 +6,9 @@ virtual exit node absorbing all ret blocks, so every real block has at least
 one in-edge and one out-edge. Edge indices are stable: the entry dummy comes
 first, then each block's out-edges in block/terminator order.
 
-Dominators are ir.dominator_tree's, and natural loops read the reverse
-postorder of its one depth-first walk.
+Each CFG carries its dominator tree, built by ir.dominator_tree when the
+graph is: that one depth-first walk from the entry finds the dead blocks, and
+natural loops read its reverse postorder.
 
 Partial loop expansion duplicates a simple loop body into an initial copy and
 an inductive copy, removes the back edge, and consolidates loop definitions in
@@ -50,6 +51,7 @@ class Cfg:
     edges: list[Edge]
     out_edges: dict[str, list[Edge]]
     in_edges: dict[str, list[Edge]]
+    dom: DomInfo  # the blocks reachable from the entry, and their dominators
     dead_blocks: set[str]
 
     @property
@@ -79,8 +81,8 @@ class Cfg:
 def build_cfg(f: Function) -> Cfg:
     """One edge per (terminator, successor) pair plus the dummy edges.
 
-    Duplicate successors of a br collapse into a single edge. Blocks not
-    reachable from the entry block are flagged dead.
+    Duplicate successors of a br collapse into a single edge. Blocks the
+    dominator tree's walk from the entry block misses are flagged dead.
     """
     edges: list[Edge] = []
     out_edges: dict[str, list[Edge]] = {b.label: [] for b in f.blocks}
@@ -106,15 +108,10 @@ def build_cfg(f: Function) -> Cfg:
             for s in b.successor_labels():
                 add(b.label, s)
 
-    reachable = {f.entry_block}
-    work = [f.entry_block]
-    while work:
-        for e in out_edges[work.pop()]:
-            if e.dst in out_edges and e.dst not in reachable:  # a block, not EXIT
-                reachable.add(e.dst)
-                work.append(e.dst)
-    dead = {b.label for b in f.blocks} - reachable
-    return Cfg(f, edges, out_edges, in_edges, dead)
+    dom = dominator_tree({b.label: [e.dst for e in out_edges[b.label] if e.dst in out_edges]
+                          for b in f.blocks}, f.entry_block)  # blocks, not EXIT
+    dead = {b.label for b in f.blocks if b.label not in dom.depths}
+    return Cfg(f, edges, out_edges, in_edges, dom, dead)
 
 
 def prune_dead_blocks(f: Function) -> Function:
@@ -145,10 +142,10 @@ def _prune_dead_blocks(f: Function) -> tuple[Function, Cfg | None]:
 # ---------------------------------------------------------------------------
 
 def dominators(cfg: Cfg) -> DomInfo:
-    """Dominator tree of a CFG whose blocks are all reachable."""
+    """The dominator tree of a CFG whose blocks are all reachable."""
     if cfg.dead_blocks:
         raise CfgError(f"unreachable blocks: {sorted(cfg.dead_blocks)}")
-    return dominator_tree({l: cfg.succs(l) for l in cfg.labels}, cfg.entry)
+    return cfg.dom
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +161,12 @@ class NaturalLoop:
     preheader: str | None
 
 
-def natural_loops(cfg: Cfg, dom: DomInfo) -> list[NaturalLoop]:
+def natural_loops(cfg: Cfg) -> list[NaturalLoop]:
     """One loop per header; back edges sharing a header merge into one loop.
     Loops come in their headers' reverse postorder, which is topological over
     forward edges: each before every loop its blocks reach. Loops with
     different headers are nested or disjoint."""
+    dom = dominators(cfg)
     rank = {l: i for i, l in enumerate(dom.order)}
     back: dict[str, list[str]] = {}
     for e in cfg.edges:
@@ -232,31 +230,34 @@ def simplify_loops(f: Function) -> Function:
 
     Multi-latch headers get a fresh latch whose consolidation phis merge the
     per-latch values, turning header phis two-way. Semantics are preserved.
+    f itself is returned when it has no dead blocks and its loops are simple.
     """
     return _simplify_loops(f)[0]
 
 
-def _simplify_loops(f: Function) -> tuple[Function, Cfg, DomInfo]:
-    """simplify_loops, plus the CFG and dominators of the result. One analysis
-    serves every insertion: a new preheader or latch changes no other loop's
-    header, latches or outside predecessors."""
-    pruned, cfg = _prune_dead_blocks(f)
-    g = pruned.copy()
-    cfg = build_cfg(g) if cfg is None else replace(cfg, function=g)
-    dom = dominators(cfg)
+def _simplify_loops(f: Function) -> tuple[Function, Cfg, list[NaturalLoop]]:
+    """simplify_loops, plus the CFG and natural loops of the result. One
+    analysis serves every insertion: a new preheader or latch changes no
+    other loop's header, latches or outside predecessors."""
+    g, cfg = _prune_dead_blocks(f)
+    if cfg is None:  # g is a pruned copy
+        cfg = build_cfg(g)
+    loops = natural_loops(cfg)
+    if all(lp.preheader is not None and len(lp.latches) == 1 for lp in loops):
+        return g, cfg, loops
+    if g is f:
+        g = f.copy()
     labels = {b.label for b in g.blocks}
     varnames = set(g.defined_vars())
-    for lp in natural_loops(cfg, dom):
+    for lp in loops:
         header = g.block(lp.header)
         if lp.preheader is None:
             outside = [p for p in cfg.preds(lp.header) if p not in lp.body]
             _insert_arm_block(g, header, outside, ".ph", labels, varnames, first=True)
         if len(lp.latches) > 1:
             _insert_arm_block(g, header, lp.latches, ".lt", labels, varnames, first=False)
-    if len(g.blocks) > len(dom.order):  # something was inserted
-        cfg = build_cfg(g)
-        dom = dominators(cfg)
-    return g, cfg, dom
+    cfg = build_cfg(g)
+    return g, cfg, natural_loops(cfg)
 
 
 def _insert_arm_block(g: Function, header: Block, preds: list[str], suffix: str,
@@ -313,9 +314,12 @@ class VarIndex:
 
 @dataclass
 class ExpandedFunction:
-    """Acyclic analysis copy of a function, with the graphs expansion built
-    for later phases: cfg is function's graph; original_cfg and original_dom
-    are the graph and dominators of original, the loop-simplified function.
+    """Acyclic analysis form of a function, with the graphs expansion built
+    for later phases, each carrying its dominator tree: cfg is function's
+    graph and original_cfg that of original, the loop-simplified function.
+    original is the input function itself when simplification changed
+    nothing, and function is original when there is no loop: neither may be
+    mutated.
 
     edge_origin maps an expanded edge key to the set of pre-expansion edge
     keys it stands for (empty for synthetic merge plumbing). edge_subst gives,
@@ -331,7 +335,6 @@ class ExpandedFunction:
     edge_subst: dict[tuple[str, str], dict[str, str]]
     cfg: Cfg
     original_cfg: Cfg
-    original_dom: DomInfo
 
     def representative(self, var: str, edge_key: tuple[str, str]) -> str:
         return self.edge_subst.get(edge_key, {}).get(var, var)
@@ -363,20 +366,18 @@ def expand_loops(f: Function) -> ExpandedFunction:
     loop asks the round's dominators about blocks below its header, and no
     earlier loop of the round has renamed those.
     """
-    g, cfg, dom = _simplify_loops(f)
-    loops = natural_loops(cfg, dom)
+    g, cfg, loops = _simplify_loops(f)
     # expansion never deepens the nesting
     if loop_depth(loops) > MAX_LOOP_DEPTH:
         raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
-    work = g.copy()  # rounds rewrite blocks outside their loops in place
+    work = g.copy() if loops else g  # rounds rewrite blocks outside their loops in place
     result = ExpandedFunction(work, g, {e.key: {e.key} for e in cfg.edges}, {},
-                              replace(cfg, function=work), cfg, dom)
+                              replace(cfg, function=work), cfg)
     while loops:
         inner = [lp for lp in loops
                  if not any(other.body < lp.body for other in loops if other is not lp)]
-        result = _compose(result, _expand_round(result.function, dom, inner))
-        dom = dominators(result.cfg)
-        loops = natural_loops(result.cfg, dom)
+        result = _compose(result, _expand_round(result.cfg, inner))
+        loops = natural_loops(result.cfg)
     return result
 
 
@@ -402,14 +403,15 @@ def _compose(base: ExpandedFunction, step) -> ExpandedFunction:
         if chain:
             edge_subst[ek] = chain
     return ExpandedFunction(function, base.original, edge_origin, edge_subst, cfg,
-                            base.original_cfg, base.original_dom)
+                            base.original_cfg)
 
 
-def _expand_round(f: Function, dom: DomInfo, loops: list[NaturalLoop]):
-    """Expand the disjoint innermost loops of one round of f, in the given
-    topological order, mutating blocks outside them in place (phi arms,
-    post-loop uses). Returns the rebuilt function, its CFG, edge_origin and
-    edge_subst. dom is f's."""
+def _expand_round(cfg: Cfg, loops: list[NaturalLoop]):
+    """Expand the disjoint innermost loops of one round of cfg's function, in
+    the given topological order, mutating blocks outside them in place (phi
+    arms, post-loop uses). Returns the rebuilt function, its CFG, edge_origin
+    and edge_subst."""
+    f, dom = cfg.function, cfg.dom
     blocks = f.block_map()
     order = {b.label: i for i, b in enumerate(f.blocks)}
     taken_labels = set(order)
@@ -593,11 +595,9 @@ def _expand_round(f: Function, dom: DomInfo, loops: list[NaturalLoop]):
     ncfg = build_cfg(nf)
     # below a multi-exit loop, an edge uses the names of the merge dominating it
     below: dict[str, dict[str, str]] = {}
-    if multi_names:
-        ndom = dominators(ncfg)
-        for m, names in multi_names.items():
-            for b in ndom.dominated_by(m):
-                below.setdefault(b, {}).update(names)
+    for m, names in multi_names.items():
+        for b in ncfg.dom.dominated_by(m):
+            below.setdefault(b, {}).update(names)
     for e in ncfg.edges:
         src, dst = e.key
         if src in merge_exit:  # synthetic plumbing

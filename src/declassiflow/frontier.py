@@ -10,6 +10,8 @@ All frontiers come from one pass over the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 from .cfg import ENTRY, Cfg
 from .knowledge import KnowledgeMap
@@ -31,13 +33,14 @@ class BlockKnowledge:
 
 
 def block_knowledge(km: KnowledgeMap) -> BlockKnowledge:
-    """Intersect each block's out-edge sets; ret blocks use their dummy edge."""
-    cfg = km.cfg
+    """Intersect each block's out-edge sets; ret blocks use their dummy edge.
+    The masks are ANDed, and each block's result decoded once."""
+    cfg, bits, decode = km.cfg, km.bits, km.index.decode
     known: dict[str, set[str]] = {}
     for b in cfg.function.blocks:
-        outs = cfg.out_edges[b.label]
-        known[b.label] = set.intersection(*(km.known[e.index] for e in outs)) if outs else set()
-    known[ENTRY] = set(km.known[cfg.entry_dummy().index])
+        masks = [bits[e.index] for e in cfg.out_edges[b.label]]
+        known[b.label] = decode(reduce(and_, masks)) if masks else set()
+    known[ENTRY] = decode(bits[cfg.entry_dummy().index])
     return BlockKnowledge(cfg, known)
 
 

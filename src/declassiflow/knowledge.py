@@ -36,8 +36,9 @@ the rules whose premises it can complete:
              not defined there, or pushed onto the arms for phi outputs.
 The worklist starts from every seeded edge plus the premise-free equations
 (no variable inputs, all-literal phis included). Projection onto the
-pre-expansion CFG ANDs per-counterpart masks in the same index; names are
-decoded only for the projected sets.
+pre-expansion CFG ANDs per-counterpart masks in the same index. Every map,
+expanded or projected, is a KnowledgeMap of masks; names are decoded only
+where a reader asks for them.
 
 All paths are treated as realizable; that approximation loses precision but
 never soundness.
@@ -58,15 +59,24 @@ class AnalysisError(Exception):
 
 @dataclass
 class KnowledgeMap:
-    """Edge sets of names by edge index: phase 1 projected onto the
-    simplified function's CFG, or the oracle's exact knowledge."""
+    """Edge knowledge: bits[e.index] is the set known on edge e of cfg, as a
+    mask over index. Phase 1's map on the expanded CFG, its projection onto
+    the simplified function's CFG (with vacuous flags), or the oracle's
+    exact knowledge."""
 
     cfg: Cfg
-    known: dict[int, set[str]]
+    index: VarIndex
+    bits: list[int]
     vacuous: dict[int, set[str]] = field(default_factory=dict)
 
+    @property
+    def known(self) -> dict[int, set[str]]:
+        """The edge sets, decoded on each access."""
+        decode = self.index.decode
+        return {e.index: decode(self.bits[e.index]) for e in self.cfg.edges}
+
     def at(self, src: str, dst: str) -> set[str]:
-        return self.known[self.cfg.edge(src, dst).index]
+        return self.index.decode(self.bits[self.cfg.edge(src, dst).index])
 
 
 @dataclass
@@ -98,27 +108,12 @@ def _callee_summary(f: Function, ins, summaries: dict[str, FunctionSummary]) -> 
     return summary
 
 
-@dataclass
-class EdgeBits:
-    """Knowledge on the expanded CFG: bits[e.index] is the set known on edge
-    e, as a mask over index."""
-
-    cfg: Cfg
-    index: VarIndex
-    bits: list[int]
-
-    @property
-    def known(self) -> dict[int, set[str]]:
-        """The edge sets, decoded."""
-        return {e.index: self.index.decode(self.bits[e.index]) for e in self.cfg.edges}
-
-
-def init_knowledge(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
-                   transmit_speculative: bool = True) -> EdgeBits:
+def init_knowledge(ef: ExpandedFunction,
+                   summaries: dict[str, FunctionSummary]) -> KnowledgeMap:
     """Seed the edge sets: transmitter operands, constants, callee leaks."""
     f, cfg, ix = ef.function, ef.cfg, ef.index
     revealed: dict[str, int] = {}  # block -> what it reveals on its out-edges
-    for t in transmissions(f, transmit_speculative):
+    for t in transmissions(f):
         if isinstance(t.operand, str):
             revealed[t.block] = revealed.get(t.block, 0) | ix.bit[t.operand]
     for b, ins in f.instructions():
@@ -132,7 +127,7 @@ def init_knowledge(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
     for label, m in revealed.items():
         for e in cfg.out_edges[label]:
             bits[e.index] |= m
-    return EdgeBits(cfg, ix, bits)
+    return KnowledgeMap(cfg, ix, bits)
 
 
 @dataclass
@@ -189,8 +184,8 @@ def _bits_of(m: int):
         m ^= low
 
 
-def propagate(km: EdgeBits, ef: ExpandedFunction,
-              order_seed: int | None = None) -> EdgeBits:
+def propagate(km: KnowledgeMap, ef: ExpandedFunction,
+              order_seed: int | None = None) -> KnowledgeMap:
     """Least fixpoint of R2-R7 over the initialized map, by worklist.
 
     The worklist holds edges, each with the bits it gained since it was last
@@ -310,13 +305,11 @@ def propagate(km: EdgeBits, ef: ExpandedFunction,
 
 
 def analyze_edges(ef: ExpandedFunction, summaries: dict[str, FunctionSummary],
-                  transmit_speculative: bool = True,
-                  order_seed: int | None = None) -> EdgeBits:
-    km = init_knowledge(ef, summaries, transmit_speculative)
-    return propagate(km, ef, order_seed)
+                  order_seed: int | None = None) -> KnowledgeMap:
+    return propagate(init_knowledge(ef, summaries), ef, order_seed)
 
 
-def project_to_original(km: EdgeBits, ef: ExpandedFunction) -> KnowledgeMap:
+def project_to_original(km: KnowledgeMap, ef: ExpandedFunction) -> KnowledgeMap:
     """Map expanded-edge knowledge onto the pre-expansion CFG.
 
     A variable is known on an original edge when every expanded edge standing
@@ -340,8 +333,7 @@ def project_to_original(km: EdgeBits, ef: ExpandedFunction) -> KnowledgeMap:
             masks[ok] = masks.get(ok, m) & m
 
     bits = [masks.get(oe.key, 0) for oe in ocfg.edges]
-    known = {oe.index: ix.decode(bits[oe.index]) for oe in ocfg.edges}
-    return KnowledgeMap(ocfg, known, _vacuous_flags(ef, bits, ix))
+    return KnowledgeMap(ocfg, ix, bits, _vacuous_flags(ef, bits, ix))
 
 
 def _vacuous_flags(ef: ExpandedFunction, bits: list[int],
@@ -351,7 +343,7 @@ def _vacuous_flags(ef: ExpandedFunction, bits: list[int],
     defines."""
     cfg = ef.original_cfg
     defs = {b.label: ix.mask(b.defined_vars()) for b in ef.original.blocks}
-    order = ef.original_dom.order[::-1]  # postorder from the entry block
+    order = cfg.dom.order[::-1]  # postorder from the entry block
 
     def reach(labels, nexts) -> dict[str, int]:  # defs of every block reached, to a fixpoint
         out = dict(defs)
@@ -463,11 +455,11 @@ def _internal_leaks_rederivable(ef: ExpandedFunction, seed: set[str],
     internally leaked value at the blocks where it escapes."""
     ix = ef.index
     seeds = ix.mask(seed) | ix.mask(_const_outputs(ef.function))
-    km = propagate(EdgeBits(ef.cfg, ix, [seeds] * len(ef.cfg.edges)), ef)
+    km = propagate(KnowledgeMap(ef.cfg, ix, [seeds] * len(ef.cfg.edges)), ef)
     proj = project_to_original(km, ef)
     for v in internal_leaks:
         for b in revealed[v]:
             for e in proj.cfg.out_edges[b]:
-                if v not in proj.known[e.index]:
+                if not proj.bits[e.index] & ix.bit[v]:
                     return False
     return True

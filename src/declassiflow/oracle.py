@@ -27,9 +27,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cfg import ENTRY, EXIT, build_cfg, dominators, natural_loops
+from .cfg import ENTRY, EXIT, VarIndex, build_cfg, natural_loops
 from .ir import OPCODES, Function, Program, callees_first, to_i32
 from .knowledge import KnowledgeMap, close, equations
+from .protect import PROTECTED_SUFFIX
 
 DEFAULT_FUEL = 200_000
 ENUM_LIMIT = 10 ** 6
@@ -341,10 +342,10 @@ def _as_program(program_or_fn) -> Program:
 
 
 def interpret(program_or_fn, inputs: list[int], entry: str | None = None,
-              fuel: int = DEFAULT_FUEL, transmit_speculative: bool = True,
-              pad_inputs: bool = False) -> Trace:
-    """Non-speculative execution: deterministic edge trace and observations."""
-    return _run(program_or_fn, inputs, entry, fuel, transmit_speculative, pad_inputs, None)
+              fuel: int = DEFAULT_FUEL, pad_inputs: bool = False) -> Trace:
+    """Non-speculative execution: deterministic edge trace and observations
+    (every transmit is observed, speculative or not)."""
+    return _run(program_or_fn, inputs, entry, fuel, True, pad_inputs, None)
 
 
 def _run(program_or_fn, inputs: list[int], entry: str | None, fuel: int,
@@ -363,8 +364,7 @@ def _run(program_or_fn, inputs: list[int], entry: str | None, fuel: int,
 # Exact knowledge (Definition-level oracle)
 # ---------------------------------------------------------------------------
 
-def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL,
-                    transmit_speculative: bool = True):
+def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL) -> KnowledgeMap:
     """Enumerate all executions over the domain and intersect, per edge, the
     closure of what each trace reveals.
 
@@ -375,8 +375,7 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL,
     trace crosses keep the full variable set (all knowledge there is vacuous).
     """
     cfg = build_cfg(f)
-    dom = dominators(cfg)
-    if natural_loops(cfg, dom):
+    if natural_loops(cfg):
         raise OracleError("exact knowledge requires an acyclic function")
     for _, ins in f.instructions():
         if ins.opcode == "call":
@@ -394,8 +393,7 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL,
     closures: dict[tuple, frozenset] = {}
 
     for vals in itertools.product(domain, repeat=slots) if slots else [()]:
-        tr = interpret(f, list(vals), fuel=fuel,
-                       transmit_speculative=transmit_speculative)
+        tr = interpret(f, list(vals), fuel=fuel)
         revealed = frozenset(o.operand for o in tr.observations
                              if isinstance(o.operand, str))
         pred_of = {}
@@ -409,16 +407,16 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL,
         for fn, src, dst in tr.edges:
             per_edge.setdefault((src, dst), set()).add(cl)
 
-    known: dict[int, set[str]] = {}
-    base = _closure(eqs, phis, set(), {})
+    ix = VarIndex(sorted(all_vars), (1 << len(all_vars)) - 1)  # every name is f's own
+    bits = []
     for e in cfg.edges:
         if e.src == ENTRY:
-            known[e.index] = set(base)
+            bits.append(ix.mask(_closure(eqs, phis, set(), {})))
         elif e.key in per_edge:
-            known[e.index] = set(frozenset.intersection(*per_edge[e.key]))
+            bits.append(ix.mask(frozenset.intersection(*per_edge[e.key])))
         else:
-            known[e.index] = set(all_vars)
-    return KnowledgeMap(cfg, known)
+            bits.append(ix.original)
+    return KnowledgeMap(cfg, ix, bits)
 
 
 def _closure(eqs, phis, known: set[str], pred_of: dict[str, str]) -> frozenset:
@@ -517,7 +515,7 @@ class Verdict:
 
 
 def _normalize_fn(name: str) -> str:
-    return name[:-2] if name.endswith(".p") else name
+    return name.removesuffix(PROTECTED_SUFFIX)
 
 
 def check_frontier_property(program_or_fn, frontiers: dict[tuple[str, str], set[str]],

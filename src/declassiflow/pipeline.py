@@ -68,7 +68,7 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
     """Phase 1 for one function: expand, solve the edge fixpoint, project,
     derive block knowledge, frontiers and the summary."""
     ef = expand_loops(f)
-    km_expanded = analyze_edges(ef, summaries, config.transmit_speculative)
+    km_expanded = analyze_edges(ef, summaries)
     km = project_to_original(km_expanded, ef)
     kb = block_knowledge(km)
     frontiers = all_frontiers(kb)
@@ -88,7 +88,7 @@ def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function], config: R
     upgrade block knowledge immediately. Regions and candidates come from
     the blocks of the speculative leak sites."""
     tblocks = {t.block for t in fa.leaks if t.speculative}
-    regions = candidate_regions(fa.simplified, tblocks, fa.expanded.original_dom)
+    regions = candidate_regions(fa.simplified, tblocks, fa.km.cfg.dom)
     cands = sorted(candidate_vars(fa.kb, tblocks))
     paths = PathLog(fa.simplified, config.limits, config.constraints.get(fa.name, []),
                     bodies)
@@ -244,10 +244,9 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
             "notes": fa.notes,
         }
         if config.emit_knowledge:
-            entry_fn["edges"] = [
-                {"from": e.src, "to": e.dst,
-                 "known": sorted(fa.km.known[e.index])}
-                for e in fa.km.cfg.edges]
+            known = fa.km.known
+            entry_fn["edges"] = [{"from": e.src, "to": e.dst, "known": sorted(known[e.index])}
+                                 for e in fa.km.cfg.edges]
             entry_fn["block_knowledge"] = {
                 label: sorted(vs) for label, vs in sorted(fa.kb.known.items())}
         if config.emit_frontiers:

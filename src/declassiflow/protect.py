@@ -75,7 +75,8 @@ def plan_protection(f: Function, leaks: list[Transmission],
 
 def emit_protected(program: Program, plans: dict[str, ProtectionPlan],
                    analyzed: dict[str, Function] | None = None) -> Program:
-    """Protected clones first (entry clone leading), originals retained.
+    """Protected clones first (entry clone leading), then program's own
+    functions, shared, not copied.
 
     Clones are built from the analyzed (loop-simplified) bodies, so frontier
     blocks introduced by simplification exist in the output; simplification
@@ -103,7 +104,7 @@ def emit_protected(program: Program, plans: dict[str, ProtectionPlan],
                 b.instructions.insert(len(b.phis()), Instruction("specbarr"))
         clones.append(clone)
     clones.sort(key=lambda c: 0 if c.name == (entry or "") + PROTECTED_SUFFIX else 1)
-    return Program(clones + [f.copy() for f in program.functions])
+    return Program(clones + program.functions)
 
 
 def barrier_count(program: Program) -> dict[str, list[str]]:

@@ -118,7 +118,7 @@ def test_dominators_agree_with_path_oracle():
 def test_self_loop_detection():
     f = fixture_program("self_loop_opaque").functions[0]
     cfg = build_cfg(f)
-    loops = natural_loops(cfg, dominators(cfg))
+    loops = natural_loops(cfg)
     assert len(loops) == 1
     lp = loops[0]
     assert lp.header == "B2" and lp.latches == ["B2"] and lp.body == {"B2"}
@@ -127,13 +127,13 @@ def test_self_loop_detection():
 def test_acyclic_has_no_loops():
     f = fixture_program("diamond_linked").functions[0]
     cfg = build_cfg(f)
-    assert natural_loops(cfg, dominators(cfg)) == []
+    assert natural_loops(cfg) == []
 
 
 def test_two_latch_loop_is_one_loop():
     f = fixture_program("two_latch").functions[0]
     cfg = build_cfg(f)
-    loops = natural_loops(cfg, dominators(cfg))
+    loops = natural_loops(cfg)
     assert len(loops) == 1
     assert loops[0].latches == ["B4", "B5"]
 
@@ -151,7 +151,7 @@ B3:
 """).functions[0]
     cfg = build_cfg(f)
     with pytest.raises(CfgError, match="irreducible"):
-        natural_loops(cfg, dominators(cfg))
+        natural_loops(cfg)
 
 
 def reference_natural_loops(cfg: Cfg) -> list[NaturalLoop]:
@@ -239,7 +239,7 @@ def test_natural_loops_match_reference_on_random_digraphs():
     rng = random.Random(15)
     for _ in range(2000):
         cfg = build_cfg(prune_dead_blocks(_random_digraph(rng)))
-        loops = outcome(lambda: natural_loops(cfg, dominators(cfg)))
+        loops = outcome(lambda: natural_loops(cfg))
         want = outcome(lambda: reference_natural_loops(cfg))
         if isinstance(want, str):
             assert loops == want, to_dot(cfg)
@@ -264,12 +264,35 @@ def test_natural_loops_match_reference_on_random_digraphs():
     assert min(shapes.values()) >= 20, shapes
 
 
+def reference_dead_blocks(cfg: Cfg) -> set[str]:
+    """Blocks a reachability walk over the out-edges from the entry block
+    misses: the reference for the dead blocks of the dominator tree's walk."""
+    reachable = {cfg.entry}
+    work = [cfg.entry]
+    while work:
+        for e in cfg.out_edges[work.pop()]:
+            if e.dst in cfg.out_edges and e.dst not in reachable:  # a block, not EXIT
+                reachable.add(e.dst)
+                work.append(e.dst)
+    return set(cfg.labels) - reachable
+
+
+def test_dead_blocks_match_reachability_walk():
+    rng = random.Random(16)
+    with_dead = 0
+    for _ in range(2000):
+        cfg = build_cfg(_random_digraph(rng))
+        assert cfg.dead_blocks == reference_dead_blocks(cfg), to_dot(cfg)
+        with_dead += bool(cfg.dead_blocks)
+    assert with_dead >= 200, with_dead
+
+
 def test_simplify_two_latch_shape():
     f = fixture_program("two_latch").functions[0]
     g = simplify_loops(f)
     assert validate_ssa(Program([g])).ok()
     cfg = build_cfg(g)
-    loops = natural_loops(cfg, dominators(cfg))
+    loops = natural_loops(cfg)
     assert len(loops) == 1
     lp = loops[0]
     assert len(lp.latches) == 1
@@ -309,7 +332,7 @@ def test_expansion_is_acyclic_everywhere(name):
     for f in fixture_program(name).functions:
         ef = expand_loops(prune_dead_blocks(f))
         cfg = build_cfg(ef.function)
-        assert natural_loops(cfg, dominators(cfg)) == []
+        assert natural_loops(cfg) == []
         assert not cfg.dead_blocks
         # on every counterpart of an original edge, each original variable
         # available there (a parameter, or defined in a block dominating the
@@ -413,8 +436,7 @@ def reference_simplify_loops(f):
     while changed:
         changed = False
         cfg = build_cfg(g)
-        dom = dominators(cfg)
-        loops = natural_loops(cfg, dom)
+        loops = natural_loops(cfg)
         labels = {b.label for b in g.blocks}
         varnames = set(g.defined_vars())
         for lp in loops:
@@ -480,9 +502,8 @@ def reference_expand_loops(f) -> ExpandedFunction:
     work = g.copy()
     cfg = build_cfg(work)
     gcfg = build_cfg(g)
-    result = ExpandedFunction(work, g, {e.key: {e.key} for e in cfg.edges}, {}, cfg, gcfg,
-                              dominators(gcfg))
-    loops = natural_loops(cfg, dominators(cfg))
+    result = ExpandedFunction(work, g, {e.key: {e.key} for e in cfg.edges}, {}, cfg, gcfg)
+    loops = natural_loops(cfg)
     if loop_depth(loops) > MAX_LOOP_DEPTH:
         raise CfgError(f"loop nesting exceeds the supported depth of {MAX_LOOP_DEPTH}")
     while loops:
@@ -490,10 +511,10 @@ def reference_expand_loops(f) -> ExpandedFunction:
                        if not any(other.body < lp.body for other in loops if other is not lp)]:
             cfg = build_cfg(result.function)
             dom = dominators(cfg)
-            lp = next(lp for lp in natural_loops(cfg, dom) if lp.header == header)
+            lp = next(lp for lp in natural_loops(cfg) if lp.header == header)
             result = _compose(result, reference_expand_one(result.function, cfg, dom, lp))
         cfg = build_cfg(result.function)
-        loops = natural_loops(cfg, dominators(cfg))
+        loops = natural_loops(cfg)
     return result
 
 
@@ -865,7 +886,7 @@ def test_expansion_matches_per_step_reference():
             assert (_expansion_outcome(expand_loops, f)
                     == _expansion_outcome(reference_expand_loops, f)), text
             cfg = build_cfg(prune_dead_blocks(f))
-            loops = natural_loops(cfg, dominators(cfg))
+            loops = natural_loops(cfg)
             shapes["nested"] += loop_depth(loops) >= 2
             shapes["multi-exit"] += any(len(lp.exits) >= 2 for lp in loops)
             shapes["multi-latch"] += any(len(lp.latches) >= 2 for lp in loops)
@@ -986,39 +1007,38 @@ def test_edge_subst_only_on_edges_with_an_origin(name):
         assert set(ef.edge_subst) <= {k for k, o in ef.edge_origin.items() if o}
 
 
-@pytest.mark.parametrize("name,calls,builds", [
-    pytest.param(name, calls, builds, id=f"{name}-{calls}") for name, calls, builds in [
-        ("segments-8", 3, 3), ("segments-16", 3, 3), ("two_latch", 3, 3),
-        ("nested_loops", 3, 3), ("self_loop_linked", 2, 2), ("diamond_linked", 1, 1),
-        ("BLOCK_ORDER_NOT_TOPOLOGICAL", 3, 2), ("random_loop-324", 4, 3)]])
-def test_expansion_dominator_computations(name, calls, builds, monkeypatch):
-    """One dominator computation for the input, one more when simplification
-    inserts a block, and one after each round of expansion, plus one per round
-    with a multi-exit loop. One graph for the input, one more when
-    simplification inserts a block, and one per round. random_loop-324 has two
-    multi-exit loops in one round."""
+@pytest.mark.parametrize("name,builds", [
+    pytest.param(name, builds, id=f"{name}-{builds}") for name, builds in [
+        ("segments-8", 3), ("segments-16", 3), ("two_latch", 3), ("nested_loops", 3),
+        ("self_loop_linked", 2), ("diamond_linked", 1), ("BLOCK_ORDER_NOT_TOPOLOGICAL", 2),
+        ("random_loop-324", 3)]])
+def test_expansion_dominator_computations(name, builds, monkeypatch):
+    """One graph for the input, one more when simplification inserts a block,
+    and one per round of expansion, each with one dominator tree computation.
+    A round with multi-exit loops reads its new graph's tree: random_loop-324
+    has two multi-exit loops in one round."""
     program = {"BLOCK_ORDER_NOT_TOPOLOGICAL": BLOCK_ORDER_NOT_TOPOLOGICAL,
                "random_loop-324": random_loop_program(random.Random(324))}.get(name)
     if name.startswith("segments"):
         program = segments(int(name.split("-")[1]))
     made: Counter = Counter()
 
-    for fn in (build_cfg, dominators):
+    for fn in (build_cfg, dominator_tree):
         def counting(*args, fn=fn):
             made[fn.__name__] += 1
             return fn(*args)
         monkeypatch.setattr(cfg_module, fn.__name__, counting)
     expand_loops(parse_program(program or fixture_text(name)).functions[0])
-    assert (made["dominators"], made["build_cfg"]) == (calls, builds)
+    assert (made["dominator_tree"], made["build_cfg"]) == (builds, builds)
 
 
-@pytest.mark.parametrize("name,builds,doms", [
-    pytest.param(name, builds, doms, id=name) for name, builds, doms in [
-        ("segments-2", 3, 3), ("call_chain-4", 8, 8), ("aes_analog", 6, 6),
-        ("diamond_linked", 1, 1)]])
-def test_graph_builds_per_run(name, builds, doms, monkeypatch):
-    """A run configured like protect builds each function's graphs in loop
-    normalization only; later phases read the ones ExpandedFunction carries."""
+@pytest.mark.parametrize("name,builds", [
+    pytest.param(name, builds, id=name) for name, builds in [
+        ("segments-2", 3), ("call_chain-4", 8), ("aes_analog", 6), ("diamond_linked", 1)]])
+def test_graph_builds_per_run(name, builds, monkeypatch):
+    """A run configured like protect builds each function's graphs, each with
+    its one dominator tree, in loop normalization only; later phases read the
+    ones ExpandedFunction carries."""
     generated = {"segments-2": segments(2), "call_chain-4": call_chain(4)}
     program = parse_program(generated.get(name) or fixture_text(name))
     calls: Counter = Counter()
@@ -1031,14 +1051,14 @@ def test_graph_builds_per_run(name, builds, doms, monkeypatch):
 
     modules = [declassiflow] + [importlib.import_module(f"declassiflow.{m.name}")
                                 for m in pkgutil.iter_modules(declassiflow.__path__)]
-    for fn in (build_cfg, dominators):
+    for fn in (build_cfg, dominator_tree):
         for module in modules:
             if getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counting(fn))
     run_pipeline(program, RunConfig())
-    assert {caller for _, caller in calls} == {"declassiflow.cfg"}, calls
-    assert sum(n for (fn, _), n in calls.items() if fn == "build_cfg") == builds
-    assert sum(n for (fn, _), n in calls.items() if fn == "dominators") == doms
+    assert {caller for fn, caller in calls if fn == "build_cfg"} == {"declassiflow.cfg"}, calls
+    assert calls["build_cfg", "declassiflow.cfg"] == builds
+    assert calls["dominator_tree", "declassiflow.cfg"] == builds
 
     for fa in analyze_program(program, RunConfig(protect=False))[0].values():
         ef = fa.expanded
@@ -1046,4 +1066,5 @@ def test_graph_builds_per_run(name, builds, doms, monkeypatch):
         assert fa.km.cfg is ef.original_cfg and fa.simplified is ef.original
         assert ef.cfg.edges == build_cfg(ef.function).edges
         assert ef.original_cfg.edges == build_cfg(ef.original).edges
-        assert ef.original_dom == dominators(build_cfg(ef.original))
+        assert ef.cfg.dom == build_cfg(ef.function).dom
+        assert ef.original_cfg.dom == build_cfg(ef.original).dom

@@ -1,14 +1,18 @@
+import random
 from collections import Counter
 
 import pytest
 
 from declassiflow import pipeline
-from declassiflow.ir import Program, parse_program, validate_ssa
+from declassiflow.cfg import CfgError
+from declassiflow.ir import Function, Program, parse_program, pretty_print, validate_ssa
 from declassiflow.oracle import interpret, speculative_explore
 from declassiflow.pipeline import RunConfig, run_pipeline
 from declassiflow.protect import (barrier_count, emit_protected, plan_protection)
+from declassiflow.refine import Limits
 
-from conftest import fixture_program
+from conftest import FIXTURES, fixture_program, fixture_text
+from generators import call_chain, random_loop_program, segments
 
 
 def plans_for(name, **cfg):
@@ -33,6 +37,50 @@ def test_leak_model_once_per_function_per_phase(name, refine, calls, monkeypatch
     monkeypatch.setattr(pipeline, "leak_model", counting)
     program, _ = plans_for(name, refine=refine)
     assert made == {fn: calls for fn in program.function_names()}
+
+
+def test_verify_run_leaves_its_input_unchanged():
+    """Phase 1 analyzes a function without copying it unless a step rewrites
+    it, and the protected program shares the input's functions, so no phase
+    may mutate them. Small caps and a two-value domain keep the runs short;
+    the loop-rich programs skip verification, whose runs of their random
+    loops can exhaust the fuel instead of returning."""
+    small = Limits(loop_cap=2, path_cap=64, max_symbols=6, enum_budget=4096)
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    texts += [segments(k) for k in range(1, 5)] + [call_chain(4)]
+    runs = [(text, True) for text in texts]
+    runs += [(random_loop_program(random.Random(seed)), False) for seed in range(50)]
+    ran = 0
+    for text, verify in runs:
+        program = parse_program(text)
+        before = pretty_print(program)
+        try:
+            run_pipeline(program, RunConfig(verify=verify, verify_domain=range(0, 2),
+                                            limits=small))
+            ran += 1
+        except CfgError:
+            pass  # expansion rejects a use past several loop exits
+        assert pretty_print(program) == before, text
+    assert ran >= len(texts) + 40, ran
+
+
+@pytest.mark.parametrize("name,copies", [("diamond_linked", 1), ("segments-2", 3)])
+def test_function_copies_per_verify_run(name, copies, monkeypatch):
+    """A function is copied only by the step that rewrites it: its protected
+    clone always, simplification when it inserts a block and expansion when
+    there is a loop. segments(2) needs preheaders and has loops;
+    diamond_linked has neither."""
+    made = Counter()
+    copy = Function.copy
+
+    def counting(f):
+        made[f.name] += 1
+        return copy(f)
+
+    program = parse_program(segments(2) if name == "segments-2" else fixture_text(name))
+    monkeypatch.setattr(Function, "copy", counting)
+    run_pipeline(program, RunConfig(verify=True))
+    assert sum(made.values()) == copies, made
 
 
 def test_aes_plan_single_entry_barrier():
