@@ -336,9 +336,6 @@ class ExpandedFunction:
     cfg: Cfg
     original_cfg: Cfg
 
-    def representative(self, var: str, edge_key: tuple[str, str]) -> str:
-        return self.edge_subst.get(edge_key, {}).get(var, var)
-
     @cached_property
     def index(self) -> VarIndex:
         """The variables of original, then the others function defines, each

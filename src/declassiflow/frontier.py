@@ -1,47 +1,46 @@
 """Block-level knowledge and per-variable knowledge frontiers.
 
-A block knows a variable when every out-edge of the block knows it. The
-frontier of a variable is the set of knowing blocks having at least one
-predecessor that does not know it: every entry-to-knowing-block path must
-cross the frontier, and crossing it makes the variable inevitably known.
-All frontiers come from one pass over the blocks.
+A block knows a variable when every out-edge of the block knows it: its mask
+over the edge map's index is the AND of its out-edge masks. The frontier of a
+variable is the set of knowing blocks having at least one predecessor that
+does not know it: every entry-to-knowing-block path must cross the frontier,
+and crossing it makes the variable inevitably known. All frontiers come from
+one pass: a block is on the frontier of each variable in its own mask AND NOT
+the AND of its predecessors' masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .cfg import ENTRY, Cfg
+from .cfg import ENTRY, Cfg, VarIndex
 from .knowledge import KnowledgeMap
 
 
 @dataclass
 class BlockKnowledge:
-    """Per-block knowledge, including the virtual entry pseudo-block used as
-    the entry block's predecessor in frontier queries."""
+    """Per-block knowledge as masks over index, including the virtual entry
+    pseudo-block used as the entry block's predecessor in frontier queries."""
 
     cfg: Cfg
-    known: dict[str, set[str]] = field(default_factory=dict)
+    index: VarIndex
+    bits: dict[str, int]
 
     def at(self, label: str) -> set[str]:
-        return self.known.get(label, set())
-
-    def copy(self) -> "BlockKnowledge":
-        return BlockKnowledge(self.cfg, {k: set(v) for k, v in self.known.items()})
+        return self.index.decode(self.bits.get(label, 0))
 
 
 def block_knowledge(km: KnowledgeMap) -> BlockKnowledge:
-    """Intersect each block's out-edge sets; ret blocks use their dummy edge.
-    The masks are ANDed, and each block's result decoded once."""
-    cfg, bits, decode = km.cfg, km.bits, km.index.decode
-    known: dict[str, set[str]] = {}
+    """AND each block's out-edge masks; ret blocks use their dummy edge."""
+    cfg, bits = km.cfg, km.bits
+    known: dict[str, int] = {}
     for b in cfg.function.blocks:
         masks = [bits[e.index] for e in cfg.out_edges[b.label]]
-        known[b.label] = decode(reduce(and_, masks)) if masks else set()
-    known[ENTRY] = decode(bits[cfg.entry_dummy().index])
-    return BlockKnowledge(cfg, known)
+        known[b.label] = reduce(and_, masks) if masks else 0
+    known[ENTRY] = bits[cfg.entry_dummy().index]
+    return BlockKnowledge(cfg, km.index, known)
 
 
 def all_frontiers(kb: BlockKnowledge) -> dict[str, set[str]]:
@@ -49,13 +48,16 @@ def all_frontiers(kb: BlockKnowledge) -> dict[str, set[str]]:
     is on the frontier of each variable it knows that not all of its
     predecessors know. The entry block has none, so it is on the frontier of
     all it knows (values known from the program text alone included)."""
-    cfg = kb.cfg
+    cfg, bits, names = kb.cfg, kb.bits, kb.index.names
     frontiers: dict[str, set[str]] = {v: set() for v in sorted(cfg.function.defined_vars())}
+    defined = kb.index.mask(frontiers)
     for b in cfg.function.blocks:
-        new = kb.at(b.label) & frontiers.keys()
+        new = bits.get(b.label, 0) & defined
         preds = cfg.preds(b.label)
         if preds:
-            new -= set.intersection(*map(kb.at, preds))
-        for v in new:
-            frontiers[v].add(b.label)
+            new &= ~reduce(and_, [bits.get(p, 0) for p in preds])
+        while new:
+            low = new & -new
+            frontiers[names[low.bit_length() - 1]].add(b.label)
+            new ^= low
     return frontiers

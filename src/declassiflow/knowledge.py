@@ -24,7 +24,9 @@ Propagation rules, applied to a fixpoint:
 Each expanded function numbers its variables once, in a dense index
 (ExpandedFunction.index: the loop-simplified function's variables first), and
 an edge's knowledge is one int over it: bit i set means variable i is known.
-The least fixpoint is computed with a worklist of edges, each carrying the
+The R2/R3 equations are rules over the same index: an output bit, an input
+mask and, per backward-solvable position, its bit and the others' mask. The
+least fixpoint is computed with a worklist of edges, each carrying the
 bits it gained since it was last taken (its delta). A delta re-checks only
 the rules whose premises it can complete:
   R2/R3      on e, per new bit, the equations that mention it (as output or
@@ -37,8 +39,8 @@ the rules whose premises it can complete:
 The worklist starts from every seeded edge plus the premise-free equations
 (no variable inputs, all-literal phis included). Projection onto the
 pre-expansion CFG ANDs per-counterpart masks in the same index. Every map,
-expanded or projected, is a KnowledgeMap of masks; names are decoded only
-where a reader asks for them.
+its vacuous flags, the block knowledge and the summaries' inputs stay masks;
+names are decoded only where they are printed.
 
 All paths are treated as realizable; that approximation loses precision but
 never soundness.
@@ -61,13 +63,13 @@ class AnalysisError(Exception):
 class KnowledgeMap:
     """Edge knowledge: bits[e.index] is the set known on edge e of cfg, as a
     mask over index. Phase 1's map on the expanded CFG, its projection onto
-    the simplified function's CFG (with vacuous flags), or the oracle's
-    exact knowledge."""
+    the simplified function's CFG (with vacuous flags, per edge the mask of
+    its vacuously known variables), or the oracle's exact knowledge."""
 
     cfg: Cfg
     index: VarIndex
     bits: list[int]
-    vacuous: dict[int, set[str]] = field(default_factory=dict)
+    vacuous: dict[int, int] = field(default_factory=dict)
 
     @property
     def known(self) -> dict[int, set[str]]:
@@ -130,50 +132,38 @@ def init_knowledge(ef: ExpandedFunction,
     return KnowledgeMap(cfg, ix, bits)
 
 
-@dataclass
-class Equation:
-    output: str
-    var_inputs: tuple[str, ...]
-    backward: tuple[tuple[str, tuple[str, ...]], ...]  # (recoverable input, other var inputs)
-
-
-def equations(f: Function) -> list[Equation]:
-    """R2/R3 equations of f's deterministic instructions; a phi counts as
+def equations(f: Function, ix: VarIndex) -> list[tuple[int, int, tuple]]:
+    """R2/R3 rules of f's deterministic instructions over ix, each (output
+    bit, input mask, ((recoverable bit, others mask), ...)); a phi counts as
     forward solvable and has no backward positions."""
-    eqs: list[Equation] = []
+    bit, rules = ix.bit, []
     for _, ins in f.instructions():
-        if ins.opcode == "phi":
-            eqs.append(Equation(ins.output, tuple(ins.var_operands()), ()))
-            continue
         op = OPCODES[ins.opcode]
-        if op.eval is None:
+        if op.eval is None and ins.opcode != "phi":
             continue
-        backward = []
-        for pos in op.backward:
-            if isinstance(ins.operands[pos], str):
-                others = tuple(o for i, o in enumerate(ins.operands)
-                               if i != pos and isinstance(o, str))
-                backward.append((ins.operands[pos], others))
-        eqs.append(Equation(ins.output, tuple(ins.var_operands()), tuple(backward)))
-    return eqs
+        backward = tuple(
+            (bit[ins.operands[pos]],
+             ix.mask(o for i, o in enumerate(ins.operands) if i != pos and isinstance(o, str)))
+            for pos in op.backward if isinstance(ins.operands[pos], str))
+        rules.append((bit[ins.output], ix.mask(ins.var_operands()), backward))
+    return rules
 
 
-def close(known: set[str], eqs: list[Equation]) -> bool:
-    """Close one edge's set under R2/R3 in place; True if it grew."""
-    grew = False
+def close(known: int, rules: list[tuple[int, int, tuple]]) -> int:
+    """One edge's mask closed under the R2/R3 rules."""
     changed = True
     while changed:
         changed = False
-        for eq in eqs:
-            if eq.output not in known and all(v in known for v in eq.var_inputs):
-                known.add(eq.output)
-                changed = grew = True
-            if eq.output in known:
-                for target, others in eq.backward:
-                    if target not in known and all(v in known for v in others):
-                        known.add(target)
-                        changed = grew = True
-    return grew
+        for out, need, backward in rules:
+            if not known & out and known & need == need:
+                known |= out
+                changed = True
+            if known & out:
+                for target, others in backward:
+                    if not known & target and known & others == others:
+                        known |= target
+                        changed = True
+    return known
 
 
 def _bits_of(m: int):
@@ -196,11 +186,11 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
     """
     f, cfg, ix, known = ef.function, km.cfg, km.index, km.bits
     bit = ix.bit
-    eqs = equations(f)
+    rules = equations(f, ix)
     work = [e.index for e in cfg.edges if known[e.index]]
     if order_seed is not None:
         rng = random.Random(order_seed)
-        rng.shuffle(eqs)
+        rng.shuffle(rules)
         rng.shuffle(work)
     pending = list(known)  # per edge: bits gained and not yet processed
 
@@ -212,16 +202,14 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
                 work.append(i)
             pending[i] |= new
 
-    # R2/R3 as (output bit, input mask, ((recoverable bit, others mask), ...)),
-    # listed under every bit position the equation mentions
+    # each R2/R3 rule, listed under every bit position it mentions
     mentions: list[list] = [[] for _ in ix.names]
-    free = 0  # outputs of premise-free equations
-    for eq in eqs:
-        rule = (bit[eq.output], ix.mask(eq.var_inputs),
-                tuple((bit[t], ix.mask(others)) for t, others in eq.backward))
-        if not eq.var_inputs:
-            free |= rule[0]
-        for low in _bits_of(rule[0] | rule[1]):
+    free = 0  # outputs of premise-free rules
+    for rule in rules:
+        out, need, _ = rule
+        if not need:
+            free |= out
+        for low in _bits_of(out | need):
             mentions[low.bit_length() - 1].append(rule)
 
     # the block rules R4-R7 apply to blocks with in- and out-edges; per edge,
@@ -337,7 +325,7 @@ def project_to_original(km: KnowledgeMap, ef: ExpandedFunction) -> KnowledgeMap:
 
 
 def _vacuous_flags(ef: ExpandedFunction, bits: list[int],
-                   ix: VarIndex) -> dict[int, set[str]]:
+                   ix: VarIndex) -> dict[int, int]:
     """Per edge of the original graph, the known non-parameters that no block
     reaching the edge's source and no block reachable from its destination
     defines."""
@@ -364,7 +352,7 @@ def _vacuous_flags(ef: ExpandedFunction, bits: list[int],
     defined = 0
     for m in defs.values():
         defined |= m
-    vac: dict[int, set[str]] = {}
+    vac: dict[int, int] = {}
     for e in cfg.edges:
         m = bits[e.index] & defined
         if e.src != ENTRY:
@@ -372,7 +360,7 @@ def _vacuous_flags(ef: ExpandedFunction, bits: list[int],
         if e.dst != EXIT:
             m &= ~after[e.dst]
         if m:
-            vac[e.index] = ix.decode(m)
+            vac[e.index] = m
     return vac
 
 
@@ -399,30 +387,32 @@ def leak_model(f: Function, summaries: dict[str, FunctionSummary],
     return leaks
 
 
-def summarize(f: Function, ef: ExpandedFunction, kb: "dict[str, set[str]]",
+def summarize(ef: ExpandedFunction, kb: dict[str, int],
               frontiers: dict[str, set[str]], summaries: dict[str, FunctionSummary],
               leaks: list[Transmission]) -> FunctionSummary:
-    """Build the caller-facing summary of f from its leak model.
+    """Build the caller-facing summary of ef.original from its leak model and
+    block knowledge (masks over ef.index).
 
     A variable counts as fully declassified when its frontier is the entry
     block, or when it is derivable from the program text alone (known before
-    the body runs). f is a pseudo transmitter when every value it reveals is
+    the body runs). It is a pseudo transmitter when every value it reveals is
     fully declassified, its internal leaks are all inferable from the leaked
     arguments alone, and every callee is itself a pseudo transmitter.
     """
+    f, bit = ef.original, ef.index.bit
     revealed: dict[str, set[str]] = {}
     for t in leaks:
         if isinstance(t.operand, str):
             revealed.setdefault(t.operand, set()).add(t.block)
     entry = f.entry_block
-    public = kb.get(ENTRY, set())
+    public = kb.get(ENTRY, 0)
     fdv = frozenset(v for v, fr in frontiers.items()
-                    if fr == {entry} or v in public)
+                    if fr == {entry} or bit[v] & public)
 
-    candidate_leaks: set[str] = set()
+    candidate_leaks = 0
     for b in {t.block for t in leaks}:
-        candidate_leaks |= kb.get(b, set())
-    leaked_args = frozenset(i for i, p in enumerate(f.params) if p in candidate_leaks)
+        candidate_leaks |= kb.get(b, 0)
+    leaked_args = frozenset(i for i, p in enumerate(f.params) if bit[p] & candidate_leaks)
     internal_leaks = frozenset(v for v in revealed if v not in f.params)
     is_fd = all(v in fdv for v in revealed)
 

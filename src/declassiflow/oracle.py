@@ -386,60 +386,51 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL) -> Kno
     if count > ENUM_LIMIT:
         raise OracleError(f"enumeration budget exceeded ({count} executions)")
 
-    all_vars = frozenset(f.defined_vars())
-    eqs = equations(f)
+    names = sorted(f.defined_vars())
+    ix = VarIndex(names, (1 << len(names)) - 1)  # every name is f's own
+    rules = equations(f, ix)
     phis = [(b.label, ins) for b, ins in f.instructions() if ins.opcode == "phi"]
-    per_edge: dict[tuple[str, str], set[frozenset]] = {}
-    closures: dict[tuple, frozenset] = {}
+    per_edge: dict[tuple[str, str], int] = {}  # AND of the closures crossing it
+    closures: dict[tuple, int] = {}
 
     for vals in itertools.product(domain, repeat=slots) if slots else [()]:
         tr = interpret(f, list(vals), fuel=fuel)
-        revealed = frozenset(o.operand for o in tr.observations
-                             if isinstance(o.operand, str))
+        revealed = ix.mask(o.operand for o in tr.observations
+                           if isinstance(o.operand, str))
         pred_of = {}
         for fn, src, dst in tr.edges:
             if src != ENTRY and dst != EXIT:
                 pred_of[dst] = src
         key = (revealed, tuple(sorted(pred_of.items())))
         if key not in closures:
-            closures[key] = _closure(eqs, phis, set(revealed), pred_of)
+            closures[key] = _closure(rules, phis, ix, revealed, pred_of)
         cl = closures[key]
         for fn, src, dst in tr.edges:
-            per_edge.setdefault((src, dst), set()).add(cl)
+            per_edge[src, dst] = per_edge.get((src, dst), cl) & cl
 
-    ix = VarIndex(sorted(all_vars), (1 << len(all_vars)) - 1)  # every name is f's own
-    bits = []
-    for e in cfg.edges:
-        if e.src == ENTRY:
-            bits.append(ix.mask(_closure(eqs, phis, set(), {})))
-        elif e.key in per_edge:
-            bits.append(ix.mask(frozenset.intersection(*per_edge[e.key])))
-        else:
-            bits.append(ix.original)
+    public = _closure(rules, phis, ix, 0, {})  # known from the program text alone
+    bits = [public if e.src == ENTRY else per_edge.get(e.key, ix.original) for e in cfg.edges]
     return KnowledgeMap(cfg, ix, bits)
 
 
-def _closure(eqs, phis, known: set[str], pred_of: dict[str, str]) -> frozenset:
-    """Close a revealed-variable set under the equations (R2/R3, phi forward
+def _closure(rules, phis, ix: VarIndex, known: int, pred_of: dict[str, str]) -> int:
+    """Close a revealed-variable mask under the R2/R3 rules (phi forward
     included: vacuous when the phi never ran) and the phis' selected arms."""
     selected = []
     for label, phi in phis:
         pred = pred_of.get(label)
         if pred is not None and pred in phi.phi_labels:
-            selected.append((phi.output, phi.operands[phi.phi_labels.index(pred)]))
+            arm = phi.operands[phi.phi_labels.index(pred)]
+            selected.append((ix.bit[phi.output], ix.bit[arm] if isinstance(arm, str) else 0))
     changed = True
     while changed:
-        close(known, eqs)
+        known = close(known, rules)
         changed = False
-        for out, arm in selected:
-            if not isinstance(arm, str):
-                if out not in known:
-                    known.add(out)  # selected a literal: output is public
-                    changed = True
-            elif (out in known) != (arm in known):
-                known.update((out, arm))
+        for out, arm in selected:  # a literal arm (0) is known: the output is public
+            if (known & out == out) != (known & arm == arm):
+                known |= out | arm
                 changed = True
-    return frozenset(known)
+    return known
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .cfg import ENTRY, ExpandedFunction, build_cfg, expand_loops, prune_dead_blocks, to_dot
 from .frontier import BlockKnowledge, all_frontiers, block_knowledge
@@ -73,10 +75,10 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
     kb = block_knowledge(km)
     frontiers = all_frontiers(kb)
     leaks = leak_model(ef.original, summaries, config.transmit_speculative)
-    summary = summarize(ef.original, ef, kb.known, frontiers, summaries, leaks)
+    summary = summarize(ef, kb.bits, frontiers, summaries, leaks)
     notes = []
-    if any(km.vacuous.values()):
-        flagged = sorted({v for vs in km.vacuous.values() for v in vs})
+    if km.vacuous:
+        flagged = sorted(km.index.decode(reduce(or_, km.vacuous.values())))
         notes.append(f"vacuous knowledge recorded for: {', '.join(flagged)}")
     return FunctionAnalysis(f.name, ef.original, ef, km, kb, frontiers, summary, leaks,
                             notes=notes)
@@ -92,11 +94,12 @@ def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function], config: R
     cands = sorted(candidate_vars(fa.kb, tblocks))
     paths = PathLog(fa.simplified, config.limits, config.constraints.get(fa.name, []),
                     bodies)
+    known, bit = fa.kb.bits, fa.kb.index.bit
     for region in regions:
         for var in cands:
-            if all(var in fa.kb.at(b) for b in region.blocks):
+            if all(known[b] & bit[var] for b in region.blocks):
                 continue
-            knowing = {b for b in tblocks if var in fa.kb.at(b)}
+            knowing = {b for b in tblocks if known[b] & bit[var]}
             try:
                 result = check_inevitable(paths, region, var, knowing)
             except AnalysisError as exc:
@@ -143,8 +146,8 @@ def analyze_program(program: Program, config: RunConfig | None = None):
             if fa.summary.is_fully_declassified:
                 continue  # data-flow results already optimal for this function
             refine_function(fa, bodies, config)
-            fa.summary = summarize(fa.simplified, fa.expanded, fa.kb.known,
-                                   fa.frontiers, summaries, fa.leaks)
+            fa.summary = summarize(fa.expanded, fa.kb.bits, fa.frontiers, summaries,
+                                   fa.leaks)
             summaries[name] = fa.summary
     else:
         for fa in analyses.values():
@@ -167,10 +170,10 @@ def property_map(program: Program,
     called = _called_functions(program)
     out: dict[tuple[str, str], set[str]] = {}
     for name, fa in analyses.items():
-        public = fa.kb.at(ENTRY)
+        public, bit = fa.kb.bits[ENTRY], fa.kb.index.bit
         params = set(fa.simplified.params) if name in called else set()
         for var, fr in fa.frontiers.items():
-            if var in public or var in params:
+            if bit[var] & public or var in params:
                 continue
             out[(name, var)] = fr
     return out
@@ -248,7 +251,7 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
             entry_fn["edges"] = [{"from": e.src, "to": e.dst, "known": sorted(known[e.index])}
                                  for e in fa.km.cfg.edges]
             entry_fn["block_knowledge"] = {
-                label: sorted(vs) for label, vs in sorted(fa.kb.known.items())}
+                label: sorted(fa.kb.at(label)) for label in sorted(fa.kb.bits)}
         if config.emit_frontiers:
             entry_fn["frontiers"] = {v: sorted(fr)
                                      for v, fr in sorted(fa.frontiers.items())}

@@ -119,11 +119,12 @@ def candidate_regions(f: Function, tblocks: set[str], dom: DomInfo) -> list[Regi
 
 
 def candidate_vars(kb: BlockKnowledge, tblocks: set[str]) -> set[str]:
-    """Union of block knowledge over the speculative transmitter blocks."""
-    out: set[str] = set()
+    """Union of block knowledge over the speculative transmitter blocks,
+    decoded once."""
+    m = 0
     for b in tblocks:
-        out |= kb.at(b)
-    return out
+        m |= kb.bits.get(b, 0)
+    return kb.index.decode(m)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +524,11 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
 # ---------------------------------------------------------------------------
 
 def apply_refinement(kb: BlockKnowledge, result: RefinementResult) -> BlockKnowledge:
-    """Add the variable to every region block's knowledge. If the region is
+    """OR the variable's bit into every region block's mask. If the region is
     never entered the added knowledge is vacuous, which is inactionable and
     needs no separate check."""
     if result.verdict != INEVITABLE:
         raise AnalysisError(f"cannot apply a result with verdict '{result.verdict}'")
     for b in result.region.blocks:
-        kb.known.setdefault(b, set()).add(result.variable)
+        kb.bits[b] = kb.bits.get(b, 0) | kb.index.bit[result.variable]
     return kb

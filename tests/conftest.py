@@ -31,6 +31,11 @@ def dfa(function, summaries=None):
     return ef, project_to_original(km, ef)
 
 
+def representative(ef, var: str, edge_key: tuple[str, str]) -> str:
+    """The name standing for var on the expanded edge edge_key."""
+    return ef.edge_subst.get(edge_key, {}).get(var, var)
+
+
 def dfa_blocks(function, summaries=None):
     ef, km = dfa(function, summaries)
     kb = block_knowledge(km)

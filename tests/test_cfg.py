@@ -18,7 +18,7 @@ from declassiflow.ir import (OPCODES, Block, Function, Instruction, Program, dom
 from declassiflow.oracle import interpret
 from declassiflow.pipeline import RunConfig, analyze_program, dump_expanded, run_pipeline
 
-from conftest import FIXTURES, fixture_program, fixture_text
+from conftest import FIXTURES, fixture_program, fixture_text, representative
 from generators import call_chain, random_acyclic_program, random_loop_program, segments
 
 
@@ -346,7 +346,7 @@ def test_expansion_is_acyclic_everywhere(name):
             for src, _ in origins:
                 for v in g.defined_vars():
                     if v in g.params or (src != ENTRY and gdom.dom(def_block[v], src)):
-                        assert ef.representative(v, ek) in defined, (v, ek)
+                        assert representative(ef, v, ek) in defined, (v, ek)
 
 
 def test_expand_loop_free_is_identity():
@@ -368,9 +368,9 @@ def test_expand_self_loop_dataflow():
     merged = {i.output for i in merge.phis()}
     assert "x2" in merged and "x3" in merged
     # on the edges of each copy, x2 is represented by that copy's name
-    assert ef.representative("x2", ("B2.1", "B2.2")) == "x2.1"
-    assert ef.representative("x2", ("B2.1", "B2.m")) == "x2.1"
-    assert ef.representative("x2", ("B2.2", "B2.m")) == "x2.2"
+    assert representative(ef, "x2", ("B2.1", "B2.2")) == "x2.1"
+    assert representative(ef, "x2", ("B2.1", "B2.m")) == "x2.1"
+    assert representative(ef, "x2", ("B2.2", "B2.m")) == "x2.2"
 
 
 def test_expand_nested_counts():

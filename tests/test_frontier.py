@@ -106,11 +106,9 @@ def test_frontier_unique_under_block_shuffles():
     _, km, kb, fr = dfa_blocks(f)
     rng = random.Random(3)
     for _ in range(5):
-        shuffled = dict(kb.known)
-        keys = list(shuffled)
+        keys = list(kb.bits)
         rng.shuffle(keys)
-        kb2 = kb.copy()
-        kb2.known = {k: set(shuffled[k]) for k in keys}
+        kb2 = BlockKnowledge(kb.cfg, kb.index, {k: kb.bits[k] for k in keys})
         for var in fr:
             assert compute_frontier(kb2, var, km.cfg) == fr[var]
 
@@ -131,7 +129,7 @@ def test_no_hoist_past_definition():
 def test_full_declassification():
     f = fixture_program("diamond_opaque").functions[0]
     ef, _, kb, fr = dfa_blocks(f)
-    declassified = summarize(f, ef, kb.known, fr, {}, leak_model(f, {})).fully_declassified_vars
+    declassified = summarize(ef, kb.bits, fr, {}, leak_model(f, {})).fully_declassified_vars
     assert "a3" not in declassified
 
     p = fixture_program("aes_analog")
@@ -141,7 +139,7 @@ def test_full_declassification():
 
     quiet = parse_program("fn q(a) {\nB1:\n  ret\n}").functions[0]
     efq, _, kbq, frq = dfa_blocks(quiet)
-    assert summarize(quiet, efq, kbq.known, frq, {},
+    assert summarize(efq, kbq.bits, frq, {},
                      leak_model(quiet, {})).fully_declassified_vars == set()
 
 
@@ -153,7 +151,9 @@ SLOW_REFINE_LOOP_SEEDS = {12, 22, 26, 38, 78}
 def test_all_frontiers_matches_per_variable_reference():
     """Gate for the one-pass frontiers: after analyze_program, with refinement
     on and off, every function's frontiers equal the per-variable reference
-    on its block knowledge, with the same keys in the same order."""
+    on its block knowledge, with the same keys in the same order. With
+    refinement off, each block's mask decodes to the intersection of its
+    decoded out-edge sets (the entry pseudo-block's to its dummy edge's)."""
     runs = [(random_acyclic_program(random.Random(seed)), True) for seed in range(300)]
     runs += [(random_tight_program(random.Random(seed)), True) for seed in range(100)]
     runs += [(random_loop_program(random.Random(seed)), seed not in SLOW_REFINE_LOOP_SEEDS)
@@ -174,4 +174,11 @@ def test_all_frontiers_matches_per_variable_reference():
                              for v in sorted(cfg.function.defined_vars())}
                 assert list(fa.frontiers.items()) == list(reference.items()), (text, refine)
                 checked[refine] += 1
+                if refine:
+                    continue
+                known = fa.km.known
+                for b in cfg.function.blocks:
+                    outs = [known[e.index] for e in cfg.out_edges[b.label]]
+                    assert fa.kb.at(b.label) == set.intersection(*outs), (text, b.label)
+                assert fa.kb.at(ENTRY) == known[cfg.entry_dummy().index], text
     assert checked[False] >= 500 and checked[True] >= 500, checked

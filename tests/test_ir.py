@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from declassiflow.cfg import expand_loops
 from declassiflow.ir import (INT32_MAX, INT32_MIN, OPCODES, TERMINATORS, IRError, Program,
                              parse_program, pretty_print, to_i32, transmissions, validate_ssa)
 from declassiflow.knowledge import AnalysisError, equations
@@ -175,8 +176,11 @@ def test_solvability_rejects_non_deterministic():
         with pytest.raises(OracleError, match="not a deterministic opcode"):
             eval_op(name, [0])
     f = parse_program("fn f(a) {\nB1:\n  w = load a\n  x = sub w, a\n  ret\n}\n").functions[0]
-    assert [(eq.output, eq.var_inputs, eq.backward) for eq in equations(f)] == [
-        ("x", ("w", "a"), (("w", ("a",)), ("a", ("w",))))]
+    named = [("x", ("w", "a"), (("w", ("a",)), ("a", ("w",))))]
+    ix = expand_loops(f).index
+    assert [(ix.decode(out), ix.decode(need), [(ix.decode(t), ix.decode(o)) for t, o in back])
+            for out, need, back in equations(f, ix)] == [
+        ({out}, set(need), [({t}, set(o)) for t, o in back]) for out, need, back in named]
 
 
 def reference_eval(opcode: str, args: list[int]) -> int:

@@ -1,14 +1,16 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from declassiflow.cfg import ENTRY, EXIT, CfgError, expand_loops
-from declassiflow.ir import parse_program
-from declassiflow.knowledge import (AnalysisError, analyze_edges, close, equations,
-                                    init_knowledge, project_to_original, propagate)
-from declassiflow.pipeline import RunConfig, analyze_program
+from declassiflow.cfg import ENTRY, EXIT, CfgError, VarIndex, expand_loops
+from declassiflow.ir import OPCODES, parse_program
+from declassiflow.knowledge import (AnalysisError, analyze_edges, init_knowledge,
+                                    project_to_original, propagate)
+from declassiflow.pipeline import RunConfig, analyze_program, run_pipeline
 
-from conftest import FIXTURES, dfa, fixture_program
+from conftest import FIXTURES, dfa, fixture_program, fixture_text, representative
 from generators import call_chain, random_acyclic_program, random_loop_program, segments
 
 
@@ -162,7 +164,30 @@ def test_vacuous_knowledge_flagged():
     # b2 is known on the arm that skips its definition: vacuous there
     e = km.cfg.edge("B1", "B3")
     assert "b2" in km.known[e.index]
-    assert "b2" in km.vacuous.get(e.index, set())
+    assert km.vacuous.get(e.index, 0) & km.index.bit["b2"]
+
+
+def test_decodes_per_run(monkeypatch):
+    """Knowledge stays in masks from the equations to the report. A run
+    configured like protect on segments(4) decodes twice: the vacuous note
+    and refinement's candidates. With refinement off, phase 1 decodes at
+    most once per function, for the note."""
+    calls = Counter()
+    decode = VarIndex.decode
+
+    def counting(self, m):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return decode(self, m)
+
+    monkeypatch.setattr(VarIndex, "decode", counting)
+    run_pipeline(parse_program(segments(4)), RunConfig())
+    assert calls == {"analyze_function": 1, "candidate_vars": 1}, calls
+    for text in (segments(4), call_chain(4), fixture_text("aes_analog")):
+        calls.clear()
+        program = parse_program(text)
+        analyze_program(program, RunConfig(refine=False, protect=False))
+        assert set(calls) <= {"analyze_function"}, calls
+        assert calls["analyze_function"] <= len(program.functions), calls
 
 
 def test_summaries_pseudo_transmitters():
@@ -274,13 +299,54 @@ B3:
     assert "v" not in km.at("B1", "B2")  # defined in B2: no hoist above it
 
 
+def _reference_equations(f):
+    """The named R2/R3 equations: (output, variable inputs, ((recoverable
+    input, other variable inputs), ...)); a phi counts as forward solvable
+    and has no backward positions."""
+    eqs = []
+    for _, ins in f.instructions():
+        if ins.opcode == "phi":
+            eqs.append((ins.output, tuple(ins.var_operands()), ()))
+            continue
+        op = OPCODES[ins.opcode]
+        if op.eval is None:
+            continue
+        backward = []
+        for pos in op.backward:
+            if isinstance(ins.operands[pos], str):
+                others = tuple(o for i, o in enumerate(ins.operands)
+                               if i != pos and isinstance(o, str))
+                backward.append((ins.operands[pos], others))
+        eqs.append((ins.output, tuple(ins.var_operands()), tuple(backward)))
+    return eqs
+
+
+def _reference_close(known, eqs):
+    """Close one edge's name set under the equations in place; True if it
+    grew."""
+    grew = False
+    changed = True
+    while changed:
+        changed = False
+        for output, var_inputs, backward in eqs:
+            if output not in known and all(v in known for v in var_inputs):
+                known.add(output)
+                changed = grew = True
+            if output in known:
+                for target, others in backward:
+                    if target not in known and all(v in known for v in others):
+                        known.add(target)
+                        changed = grew = True
+    return grew
+
+
 def _reference_sweep(known, ef):
     """The whole-graph sweep the worklist replaced, on decoded edge sets:
     re-close every edge and re-run R4-R7 on every block until nothing
     changes."""
     f = ef.function
     cfg = ef.cfg
-    eqs = equations(f)
+    eqs = _reference_equations(f)
 
     phi_arms = {}
     for b in f.blocks:
@@ -297,7 +363,7 @@ def _reference_sweep(known, ef):
     while changed:
         changed = False
         for e in cfg.edges:
-            if close(known[e.index], eqs):
+            if _reference_close(known[e.index], eqs):
                 changed = True
         for b in f.blocks:
             ins_e = cfg.in_edges[b.label]
@@ -389,7 +455,7 @@ def _reference_project(km, ef):
         s = set()
         if cps:
             for v in ovars:
-                if all(ef.representative(v, ck) in known_x[by_key[ck]] for ck in cps):
+                if all(representative(ef, v, ck) in known_x[by_key[ck]] for ck in cps):
                     s.add(v)
         out[oe.index] = s
     return out, _reference_vacuous(ocfg, ef.original, out)
@@ -441,7 +507,8 @@ def test_projection_matches_set_reference():
         got = project_to_original(km, ef)
         known, vacuous = _reference_project(km, ef)
         assert got.known == known, ef.function.name
-        assert got.vacuous == vacuous, ef.function.name
+        assert {i: got.index.decode(m) for i, m in got.vacuous.items()} == vacuous, \
+            ef.function.name
         checked += 1
         cyclic += len(ef.function.blocks) > len(ef.original.blocks)  # loops expanded
         flagged += bool(vacuous)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from declassiflow.cfg import build_cfg, dominators, simplify_loops
+from declassiflow.cfg import build_cfg, dominators, expand_loops, simplify_loops
 from declassiflow.frontier import BlockKnowledge
 from declassiflow import refine
 from declassiflow.knowledge import AnalysisError, leak_model
@@ -86,7 +86,7 @@ def test_candidate_vars_include_backward_solved_base():
 
 def test_candidate_vars_empty_without_knowledge():
     f = simplified("djbsort_analog")
-    empty = BlockKnowledge(build_cfg(f), {})
+    empty = BlockKnowledge(build_cfg(f), expand_loops(f).index, {})
     assert candidate_vars(empty, spec_tblocks(f)) == set()
 
 
