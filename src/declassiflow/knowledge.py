@@ -26,21 +26,25 @@ Each expanded function numbers its variables once, in a dense index
 an edge's knowledge is one int over it: bit i set means variable i is known.
 The R2/R3 equations are rules over the same index: an output bit, an input
 mask and, per backward-solvable position, its bit and the others' mask. The
-least fixpoint is computed with a worklist of edges, each carrying the
-bits it gained since it was last taken (its delta). A delta re-checks only
-the rules whose premises it can complete:
-  R2/R3      on e, per new bit, the equations that mention it (as output or
-             input); their conclusions join the delta;
-  R4, R6     at e.dst: the delta ANDed over every in-edge moves to every
-             out-edge; a phi whose arm bit is in the delta fires when every
-             arm is known on its in-edge;
-  R5, R7     at e.src: the delta ANDed over every out-edge is hoisted where
-             not defined there, or pushed onto the arms for phi outputs.
-The worklist starts from every seeded edge plus the premise-free equations
-(no variable inputs, all-literal phis included). Projection onto the
-pre-expansion CFG ANDs per-counterpart masks in the same index. Every map,
-its vacuous flags, the block knowledge and the summaries' inputs stay masks;
-names are decoded only where they are printed.
+least fixpoint is computed in passes over the expanded CFG's reverse
+postorder (Cfg.dom.order), a topological order of the acyclic graph that
+covers every block (Kam and Ullman, "Global Data Flow Analysis and Iterative
+Algorithms", JACM 1976). The outputs of premise-free rules (no variable
+inputs, all-literal phis included) first join every edge, and the entry
+dummy edge is closed. Then the passes alternate until one adds no bit:
+  forward    R4, R6: per block, each out-edge gains the AND of the in-edges
+             and the phi outputs whose arms are all known on their in-edges;
+  backward   R5, R7, from the last block up: each in-edge but the entry dummy
+             gains the AND of the out-edges less the block's definitions, and
+             the arms of the phi outputs in that AND.
+A pass leaves every edge closed under R2/R3, semi-naively: a new bit
+re-checks only the rules that mention it (as output or input). The AND of
+closed edges is closed (Horn closures are closed under intersection), so its
+bits are not re-checked: a rule that can still fire mentions a bit outside
+it or, backward, concludes a definition of the block that the AND holds.
+Projection onto the pre-expansion CFG ANDs per-counterpart masks in the same
+index. Every map, its vacuous flags, the block knowledge and the summaries'
+inputs stay masks; names are decoded only where they are printed.
 
 All paths are treated as realizable; that approximation loses precision but
 never soundness.
@@ -176,32 +180,18 @@ def _bits_of(m: int):
 
 def propagate(km: KnowledgeMap, ef: ExpandedFunction,
               order_seed: int | None = None) -> KnowledgeMap:
-    """Least fixpoint of R2-R7 over the initialized map, by worklist.
-
-    The worklist holds edges, each with the bits it gained since it was last
-    taken; those bits re-check only the rules they can fire (see the module
-    docstring). The rules only grow the per-edge sets, so the fixpoint is
-    unique; the optional order_seed shuffles the equation and seed order to
-    exercise that.
+    """Least fixpoint of R2-R7 over the initialized map, by alternating
+    forward and backward passes (see the module docstring). A forward pass
+    leaves R4 and R6 satisfied on every block, a backward pass R5 and R7, and
+    both leave every edge closed under R2/R3. The rules only grow the
+    per-edge sets, so the fixpoint is unique; the optional order_seed
+    shuffles the rule order, the order in which a new bit re-checks the
+    rules that mention it, to exercise that.
     """
     f, cfg, ix, known = ef.function, km.cfg, km.index, km.bits
-    bit = ix.bit
     rules = equations(f, ix)
-    work = [e.index for e in cfg.edges if known[e.index]]
     if order_seed is not None:
-        rng = random.Random(order_seed)
-        rng.shuffle(rules)
-        rng.shuffle(work)
-    pending = list(known)  # per edge: bits gained and not yet processed
-
-    def add(i: int, m: int):
-        new = m & ~known[i]
-        if new:
-            known[i] |= new
-            if not pending[i]:
-                work.append(i)
-            pending[i] |= new
-
+        random.Random(order_seed).shuffle(rules)
     # each R2/R3 rule, listed under every bit position it mentions
     mentions: list[list] = [[] for _ in ix.names]
     free = 0  # outputs of premise-free rules
@@ -212,43 +202,9 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
         for low in _bits_of(out | need):
             mentions[low.bit_length() - 1].append(rule)
 
-    # the block rules R4-R7 apply to blocks with in- and out-edges; per edge,
-    # (in-edges, out-edges) of its destination and (out-edges, in-edges that
-    # R5 may fill, definitions, phi outputs) of its source
-    n = len(cfg.edges)
-    at_dst: list = [None] * n
-    at_src: list = [None] * n
-    phi_arms: dict[int, list] = {}  # phi output bit -> [(arm bit, in-edge)]
-    fed_by: list[dict[int, list]] = [{} for _ in range(n)]  # arm bit -> phis
-    for b in f.blocks:
-        ins_e, outs_e = cfg.in_edges[b.label], cfg.out_edges[b.label]
-        if not (ins_e and outs_e):
-            continue
-        ins, outs = [e.index for e in ins_e], [e.index for e in outs_e]
-        outputs = 0
-        for phi in b.phis():
-            arms = [(bit[op], cfg.edge(lab, b.label).index) for op, lab
-                    in zip(phi.operands, phi.phi_labels) if isinstance(op, str)]
-            phi_arms[bit[phi.output]] = arms
-            outputs |= bit[phi.output]
-            for op, i in arms:
-                fed_by[i].setdefault(op, []).append((bit[phi.output], arms))
-        hoist = [e.index for e in ins_e if e.src != ENTRY]  # the dummy keeps its seeds
-        for i in ins:
-            at_dst[i] = (ins, outs)
-        src_rules = (outs, hoist, ix.mask(b.defined_vars()), outputs)
-        for o in outs:
-            at_src[o] = src_rules
-
-    if free:
-        for i in range(n):
-            add(i, free)
-    while work:
-        e = work.pop()
-        delta = pending[e]
-        pending[e] = 0
-        # R2/R3 on e, per new bit; what they derive joins this delta
-        todo, k = delta, known[e]
+    def grow(k: int, todo: int) -> int:
+        """k closed under R2/R3, when every rule that can still fire on it
+        mentions a bit of todo."""
         while todo:
             low = todo & -todo
             todo ^= low
@@ -261,34 +217,77 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
                         if not k & target and k & others == others:
                             k |= target
                             todo |= target
-        delta |= k ^ known[e]
-        known[e] = k
-        if at_dst[e] is not None:
-            ins, outs = at_dst[e]
-            common = delta  # R4: known on every in-edge
-            for i in ins:
-                common &= known[i]
-            if common:
-                for o in outs:
-                    add(o, common)
-            for arm, phis in fed_by[e].items():  # R6: every arm known on its in-edge
-                if delta & arm:
-                    for out, arms in phis:
-                        if all(known[i] & op for op, i in arms):
-                            for o in outs:
-                                add(o, out)
-        if at_src[e] is not None:
-            outs, hoist, defined, outputs = at_src[e]
-            common = delta  # known on every out-edge
+        return k
+
+    # per block with in- and out-edges: in-edges, out-edges, in-edges that R5
+    # may fill (the entry dummy keeps its seeds), definitions and phis, each
+    # phi as (output bit, [(arm bit, in-edge)])
+    blocks, by_label = [], f.block_map()
+    for label in cfg.dom.order:
+        b, ins_e, outs_e = by_label[label], cfg.in_edges[label], cfg.out_edges[label]
+        if not (ins_e and outs_e):
+            continue
+        phis = [(ix.bit[phi.output], [(ix.bit[op], cfg.edge(lab, label).index)
+                                      for op, lab in zip(phi.operands, phi.phi_labels)
+                                      if isinstance(op, str)])
+                for phi in b.phis()]
+        blocks.append(([e.index for e in ins_e], [e.index for e in outs_e],
+                       [e.index for e in ins_e if e.src != ENTRY],
+                       ix.mask(b.defined_vars()), phis))
+
+    def forward(first: bool) -> bool:
+        """R4, R6: each out-edge gains the AND of the in-edges (closed, as
+        Horn closures are closed under intersection) and the fired phis."""
+        grew = False
+        for ins, outs, _, _, phis in blocks:
+            base = known[ins[0]]
+            for i in ins[1:]:
+                base &= known[i]
+            fired = 0
+            for out, arms in phis:
+                if all(known[i] & arm for arm, i in arms):
+                    fired |= out
             for o in outs:
+                k = known[o]
+                if first:  # k is still its seeds
+                    known[o] = grow(k | base | fired, (k | fired) & ~base)
+                elif (base | fired) & ~k:
+                    known[o] = grow(k | base | fired, (base | fired) & ~k)
+                    grew = True
+        return grew
+
+    def backward() -> bool:
+        """R5, R7, from the last block up: each in-edge gains what every
+        out-edge knows and the block does not define, and each phi output
+        known on every out-edge pushes its arms onto their in-edges."""
+        grew = False
+        for _, outs, hoist, defined, phis in reversed(blocks):
+            common = known[outs[0]]
+            for o in outs[1:]:
                 common &= known[o]
-            if common & outputs:  # R7
-                for low in _bits_of(common & outputs):
-                    for op, i in phi_arms[low]:
-                        add(i, op)
-            if common & ~defined:  # R5
-                for i in hoist:
-                    add(i, common & ~defined)
+            gain = dict.fromkeys(hoist, common & ~defined)
+            for out, arms in phis:
+                if common & out:
+                    for arm, i in arms:
+                        gain[i] |= arm
+            for i, m in gain.items():
+                k = known[i]
+                if m & ~k:
+                    # a rule that can still fire mentions a new bit, or else
+                    # a bit outside the closed common or a definition of the
+                    # block that common holds
+                    rest = ((k | m) & ~common) | (common & defined & ~k)
+                    known[i] = grow(k | m, min(m & ~k, rest, key=int.bit_count))
+                    grew = True
+        return grew
+
+    for i in range(len(known)):
+        known[i] |= free
+    dummy = cfg.entry_dummy().index
+    known[dummy] = grow(known[dummy], known[dummy])
+    forward(True)
+    while backward() and forward(False):
+        pass
     return km
 
 

@@ -192,4 +192,4 @@ def test_criterion_8_determinism_and_confluence():
     r2 = run_pipeline(fixture_program("djbsort_analog"), cfg)
     r1.pop("timing"), r2.pop("timing")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
-    done("criterion 8 (shuffled-worklist confluence and byte-identical reports)")
+    done("criterion 8 (shuffled-rule confluence and byte-identical reports)")

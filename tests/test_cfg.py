@@ -349,6 +349,30 @@ def test_expansion_is_acyclic_everywhere(name):
                         assert representative(ef, v, ek) in defined, (v, ek)
 
 
+def test_expanded_cfg_order_covers_every_block():
+    """knowledge.propagate walks each expanded function's blocks in
+    cfg.dom.order: the order must hold every block (no dead block) and every
+    edge must run forward in it."""
+    texts = [random_loop_program(random.Random(seed)) for seed in range(1000)]
+    texts += [random_acyclic_program(random.Random(seed)) for seed in range(300)]
+    texts += [segments(k) for k in range(1, 17)] + [call_chain(6)]
+    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    checked = 0
+    for text in texts:
+        for f in parse_program(text).functions:
+            try:
+                cfg = expand_loops(f).cfg
+            except CfgError:
+                continue  # irreducible or too deeply nested
+            assert not cfg.dead_blocks, f.name
+            rank = {b: i for i, b in enumerate(cfg.dom.order)}
+            assert sorted(rank) == sorted(cfg.labels), f.name
+            assert all(rank[e.src] < rank[e.dst] for e in cfg.edges
+                       if e.src != ENTRY and e.dst != EXIT), f.name
+            checked += 1
+    assert checked >= 1300, checked
+
+
 def test_expand_loop_free_is_identity():
     f = fixture_program("diamond_linked").functions[0]
     ef = expand_loops(f)

@@ -6,8 +6,8 @@ import pytest
 
 from declassiflow.cfg import ENTRY, EXIT, CfgError, VarIndex, expand_loops
 from declassiflow.ir import OPCODES, parse_program
-from declassiflow.knowledge import (AnalysisError, analyze_edges, init_knowledge,
-                                    project_to_original, propagate)
+from declassiflow.knowledge import (AnalysisError, KnowledgeMap, analyze_edges,
+                                    init_knowledge, project_to_original, propagate)
 from declassiflow.pipeline import RunConfig, analyze_program, run_pipeline
 
 from conftest import FIXTURES, dfa, fixture_program, fixture_text, representative
@@ -341,9 +341,8 @@ def _reference_close(known, eqs):
 
 
 def _reference_sweep(known, ef):
-    """The whole-graph sweep the worklist replaced, on decoded edge sets:
-    re-close every edge and re-run R4-R7 on every block until nothing
-    changes."""
+    """The whole-graph reference sweep, on decoded edge sets: re-close every
+    edge and re-run R4-R7 on every block until nothing changes."""
     f = ef.function
     cfg = ef.cfg
     eqs = _reference_equations(f)
@@ -416,18 +415,24 @@ def _analyzed(texts):
             yield fa.expanded, summaries
 
 
-def test_fixpoint_matches_reference_sweep():
-    """The bitset worklist reaches the reference sweep's fixpoint under every
-    order seed, on loop-free and loop-rich functions and on callers seeded
-    from their callees' summaries."""
+def _sweep_corpus():
+    """Loop-free and loop-rich programs, segments(1..6) and segments(8) (the
+    middle dataflow-large size), a call chain and every fixture."""
     rng = random.Random(4)
     texts = [random_acyclic_program(rng) for _ in range(300)]
-    texts += [segments(k) for k in range(1, 7)]
+    texts += [segments(k) for k in (*range(1, 7), 8)]
     texts += [random_loop_program(random.Random(seed)) for seed in range(100)]
     texts += [call_chain(4)]
     texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    return texts
+
+
+def test_fixpoint_matches_reference_sweep():
+    """The pass-structured fixpoint reaches the reference sweep's fixpoint
+    under every order seed, on loop-free and loop-rich functions and on
+    callers seeded from their callees' summaries."""
     checked = callers = 0
-    for ef, summaries in _analyzed(texts):
+    for ef, summaries in _analyzed(_sweep_corpus()):
         expected = _reference_sweep(init_knowledge(ef, summaries).known, ef)
         for seed in (None, 0, 1, 2):
             got = km_by_key(propagate(init_knowledge(ef, summaries), ef, order_seed=seed))
@@ -435,6 +440,28 @@ def test_fixpoint_matches_reference_sweep():
         checked += 1
         callers += any(ins.opcode == "call" for _, ins in ef.function.instructions())
     assert checked >= 420 and callers >= 5, (checked, callers)
+
+
+def test_fixpoint_from_unclosed_seeds_on_every_edge_matches_reference_sweep():
+    """Seeded the way a pseudo-transmitter check seeds it, with leaked
+    arguments and constants on every edge and no edge closed, the fixpoint
+    still equals the reference sweep's under every order seed."""
+    rng = random.Random(18)
+    checked = grown = 0
+    for ef, _ in _analyzed(_sweep_corpus()):
+        f, ix = ef.function, ef.index
+        leaked = [p for p in f.params if rng.random() < 0.5]
+        seeds = ix.mask(leaked) | ix.mask(ins.output for _, ins in f.instructions()
+                                          if ins.opcode == "const")
+        km = KnowledgeMap(ef.cfg, ix, [seeds] * len(ef.cfg.edges))
+        expected = _reference_sweep(km.known, ef)
+        for seed in (None, 0, 1, 2):
+            km = KnowledgeMap(ef.cfg, ix, [seeds] * len(ef.cfg.edges))
+            assert km_by_key(propagate(km, ef, order_seed=seed)) == expected, \
+                (f.name, seed)
+        checked += 1
+        grown += any(s != ix.decode(seeds) for s in expected.values())
+    assert checked >= 420 and grown >= 150, (checked, grown)
 
 
 def _reference_project(km, ef):
