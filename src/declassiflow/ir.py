@@ -2,19 +2,26 @@
 and transmitter model, and the dominator tree that the validator and the CFG
 share.
 
-The language is line-oriented: one instruction per line, `#` starts a comment.
+The language is line-oriented, and `#` starts a comment:
 
     fn name(a, b) {
     B1:
       v = const 7
       w = add a, v
-      transmit w
       br w, B2, B3
+    B2: transmit w
     ...
-    }
+    B3: ret }
 
-Operands are either variable names or integer literals. Integers are 32-bit
-two's-complement.
+A line holds at most one instruction, which may follow its block's label. A
+function's first line may follow its `{` and its last may end in its `}`, so
+`fn f() { B1: ret }` is a whole function. Lines end at every break that
+`str.splitlines` knows, form feed included. Tokens are names, 32-bit
+two's-complement integer literals and single characters; spaces and tabs
+separate them, and other whitespace (U+00A0, U+3000, ...) is allowed only at
+the ends of a line, after a function's `{` and before its `}`. An error names
+its line and, for bad syntax, the 1-based column (a tab counts one) in the
+source line of the token at fault, or one past the line's last token.
 
 Each opcode's facts sit in one row of OPCODES: whether it defines a variable,
 its arity, its concrete semantics, the operands its equation recovers
@@ -132,9 +139,6 @@ class Instruction:
             ops = ops[:labels[0]]
         return [o for o in ops if isinstance(o, str)]
 
-    def is_terminator(self) -> bool:
-        return self.opcode in TERMINATORS
-
     def copy(self) -> "Instruction":
         return Instruction(self.opcode, self.output, list(self.operands),
                            list(self.phi_labels), self.callee, self.line)
@@ -224,165 +228,120 @@ class Program:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_INT = re.compile(r"-?[0-9]+")
+# One token after any spaces and tabs: an identifier, an integer or any other
+# character. findall gives each as the triple of the three groups, in which
+# only the one that matched is not empty.
+_TOKEN = re.compile(r"[ \t]*(?:([A-Za-z_][A-Za-z0-9_.]*)|(-?[0-9]+)|([^ \t]))")
 
 
-class _Lexer:
-    """Tokenizes one line into identifiers, integers and punctuation."""
+class _Line:
+    """The tokens of one source line and a cursor over those before `stop`."""
 
     def __init__(self, text: str, line: int):
-        self.text = text
-        self.line = line
-        self.pos = 0
+        self.text, self.line = text, line
+        self.toks = _TOKEN.findall(text)
+        self.pos, self.stop = 0, len(self.toks)
 
     def error(self, msg: str) -> IRError:
-        return IRError(msg, self.line, self.pos + 1)
+        """The error at the cursor's token, or one past the line's last token."""
+        spans = [m.span(m.lastindex) for m in _TOKEN.finditer(self.text)]
+        col = spans[self.pos][0] if self.pos < len(spans) else spans[-1][1]
+        return IRError(msg, self.line, col + 1)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def take_ident(self) -> str:
-        self._skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected identifier")
-        self.pos = m.end()
-        return m.group()
-
-    def take_int(self) -> int:
-        self._skip_ws()
-        m = _INT.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected integer")
-        self.pos = m.end()
-        return to_i32(int(m.group()))
-
-    def take_operand(self):
-        c = self.peek()
-        if c is None:
-            raise self.error("expected operand")
-        if c == "-" or c.isdigit():
-            return self.take_int()
-        return self.take_ident()
-
-    def expect(self, ch: str):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def accept(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+    def peek(self, k: int = 0) -> tuple[str, str, str]:
+        return self.toks[self.pos + k] if self.pos + k < self.stop else ("", "", "")
 
     def at_end(self) -> bool:
-        return self.peek() is None
+        return self.pos >= self.stop
 
+    def ident(self) -> str:
+        name = self.peek()[0]
+        if not name:
+            raise self.error("expected identifier")
+        self.pos += 1
+        return name
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
+    def integer(self) -> int:
+        digits = self.peek()[1]
+        if not digits:
+            raise self.error("expected integer")
+        self.pos += 1
+        return to_i32(int(digits))
+
+    def operand(self) -> str | int:
+        name, digits, char = self.peek()
+        if not (name or digits or char):
+            raise self.error("expected operand")
+        if digits or char == "-" or char.isdigit():  # a digit of any script starts an integer
+            return self.integer()
+        return self.ident()
+
+    def accept(self, ch: str) -> bool:
+        if self.peek()[2] != ch:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, ch: str):
+        if not self.accept(ch):
+            raise self.error(f"expected '{ch}'")
+
+    def parenthesized(self, take: Callable) -> list:
+        """`(item, ...)`, each item read by `take`."""
+        self.expect("(")
+        out: list = []
+        while not self.accept(")"):
+            if out:
+                self.expect(",")
+            out.append(take())
+        return out
 
 
 def parse_program(text: str) -> Program:
     """Parse mini-IR source. Raises IRError with line/column on bad syntax."""
     functions: list[Function] = []
-    lines = text.splitlines()
-    i = 0
-    n = len(lines)
-
-    def next_content(j: int) -> int:
-        while j < n and not _strip_comment(lines[j]).strip():
-            j += 1
-        return j
-
-    while True:
-        i = next_content(i)
-        if i >= n:
-            break
-        lex = _Lexer(_strip_comment(lines[i]), i + 1)
-        kw = lex.take_ident()
-        if kw != "fn":
-            raise lex.error("expected 'fn'")
-        name = lex.take_ident()
-        lex.expect("(")
-        params: list[str] = []
-        if not lex.accept(")"):
-            while True:
-                params.append(lex.take_ident())
-                if lex.accept(")"):
-                    break
-                lex.expect(",")
-        lex.expect("{")
-        fn_line = i + 1
-        body_lines: list[tuple[int, str]] = []
-        inline = lex.text[lex.pos:].strip()
-        i += 1
-        closed = False
-        if inline:
-            if inline.endswith("}"):
-                closed = True
-                inline = inline[:-1].strip()
-            if inline:
-                body_lines.append((fn_line, inline))
-        while not closed and i < n:
-            raw = _strip_comment(lines[i]).strip()
-            if raw == "}":
-                closed = True
-            elif raw.endswith("}"):
-                body_lines.append((i + 1, raw[:-1].strip()))
-                closed = True
-            elif raw:
-                body_lines.append((i + 1, raw))
-            i += 1
-
-        blocks: list[Block] = []
-        current: Block | None = None
-        for lineno, raw in body_lines:
-            lex = _Lexer(raw, lineno)
-            # A new block starts at `LABEL:`.
-            save = lex.pos
-            try:
-                label = lex.take_ident()
-                is_label = lex.accept(":")
-            except IRError:
-                is_label = False
-            if is_label:
-                if current is not None and current.terminator is None:
-                    raise IRError(f"block '{current.label}' has no terminator", current.line)
-                current = Block(label, line=lineno)
-                blocks.append(current)
-                if lex.at_end():
-                    continue
-                # allow an instruction on the label line
+    fn: Function | None = None  # the function whose `}` is still to come
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        raw = raw.partition("#")[0].rstrip()
+        if not raw:
+            continue
+        toks = _Line(raw, lineno)
+        if fn is None:
+            if toks.ident() != "fn":
+                toks.pos -= 1
+                raise toks.error("expected 'fn'")
+            fn = Function(toks.ident(), toks.parenthesized(toks.ident), [], lineno)
+            toks.expect("{")
+            functions.append(fn)
+        while toks.peek()[2].isspace():  # U+00A0 and the like, which str.strip drops
+            toks.pos += 1
+        closes = raw.endswith("}")
+        if closes:  # the function ends: stop before the `}` and the space ahead of it
+            toks.stop = len(_TOKEN.findall(raw[:-1].rstrip()))
+        blocks = fn.blocks
+        if toks.peek()[0] and toks.peek(1)[2] == ":":
+            if blocks and blocks[-1].terminator is None:
+                raise IRError(f"block '{blocks[-1].label}' has no terminator", blocks[-1].line)
+            blocks.append(Block(toks.ident(), line=lineno))
+            toks.pos += 1
+        if not toks.at_end():
+            if not blocks:
+                raise toks.error("instruction outside a block (missing label?)")
+            if blocks[-1].terminator is not None:
+                raise toks.error(f"instruction after terminator in block '{blocks[-1].label}'")
+            ins = _parse_instruction(toks)
+            if ins.opcode in TERMINATORS:
+                blocks[-1].terminator = ins
             else:
-                lex.pos = save
-            if current is None:
-                raise lex.error("instruction outside a block (missing label?)")
-            if current.terminator is not None:
-                raise lex.error(f"instruction after terminator in block '{current.label}'")
-            instr = _parse_instruction(lex)
-            if instr.is_terminator():
-                current.terminator = instr
-            else:
-                current.instructions.append(instr)
-        if not closed:
-            raise IRError(f"unclosed function '{name}'", fn_line)
-        if not blocks:
-            raise IRError(f"function '{name}' has no blocks", fn_line)
-        if blocks[-1].terminator is None:
-            raise IRError(f"block '{blocks[-1].label}' has no terminator", blocks[-1].line)
-        functions.append(Function(name, params, blocks, fn_line))
+                blocks[-1].instructions.append(ins)
+        if closes:
+            if not blocks:
+                raise IRError(f"function '{fn.name}' has no blocks", fn.line)
+            if blocks[-1].terminator is None:
+                raise IRError(f"block '{blocks[-1].label}' has no terminator", blocks[-1].line)
+            fn = None
+    if fn is not None:
+        raise IRError(f"unclosed function '{fn.name}'", fn.line)
 
     program = Program(functions)
     issues = validate_ssa(program).issues
@@ -391,56 +350,49 @@ def parse_program(text: str) -> Program:
     return program
 
 
-def _parse_instruction(lex: _Lexer) -> Instruction:
+def _parse_instruction(toks: _Line) -> Instruction:
     """`v = opcode operands` for an opcode with an output, `opcode operands`
     for one without; a phi, a call and a const have their own operand forms,
     the others read the table's arity, with a label at each label position."""
-    first = lex.take_ident()
+    first = toks.ident()
     op = OPCODES.get(first)
     if op is not None and not op.output:
         opcode, output = first, None
     else:
-        lex.expect("=")
-        opcode, output = lex.take_ident(), first
+        toks.expect("=")
+        opcode, output = toks.ident(), first
         op = OPCODES.get(opcode)
-        if op is None:
-            raise lex.error(f"unknown opcode '{opcode}'")
-        if not op.output:
-            raise lex.error(f"'{opcode}' produces no output")
-    ins = Instruction(opcode, output=output, line=lex.line)
+        if op is None or not op.output:
+            toks.pos -= 1  # point at the opcode
+            raise toks.error(f"unknown opcode '{opcode}'" if op is None
+                             else f"'{opcode}' produces no output")
+    ins = Instruction(opcode, output=output, line=toks.line)
 
     if opcode == "phi":
-        while True:
-            lex.expect("[")
-            ins.operands.append(lex.take_operand())
-            lex.expect(",")
-            ins.phi_labels.append(lex.take_ident())
-            lex.expect("]")
-            if not lex.accept(","):
-                break
+        while not ins.operands or toks.accept(","):
+            toks.expect("[")
+            ins.operands.append(toks.operand())
+            toks.expect(",")
+            ins.phi_labels.append(toks.ident())
+            toks.expect("]")
     elif opcode == "call":
-        ins.callee = lex.take_ident()
-        lex.expect("(")
-        if not lex.accept(")"):
-            while True:
-                ins.operands.append(lex.take_operand())
-                if lex.accept(")"):
-                    break
-                lex.expect(",")
+        ins.callee = toks.ident()
+        ins.operands = toks.parenthesized(toks.operand)
     elif opcode == "const":
-        ins.operands = [lex.take_int()]
+        ins.operands = [toks.integer()]
     else:
         arity, labels = op.arity, op.labels
         if arity < 0:  # ret, whose value is optional
-            arity = 0 if lex.at_end() else 1
+            arity = 0 if toks.at_end() else 1
         for k in range(arity):
             if k:
-                lex.expect(",")
-            ins.operands.append(lex.take_ident() if k in labels else lex.take_operand())
+                toks.expect(",")
+            ins.operands.append(toks.ident() if k in labels else toks.operand())
         if opcode == "gep" and not isinstance(ins.operands[2], int):
-            raise lex.error("gep scale must be a literal")
-    if not lex.at_end():
-        raise lex.error("unexpected trailing text")
+            toks.pos -= 1  # point at the scale
+            raise toks.error("gep scale must be a literal")
+    if not toks.at_end():
+        raise toks.error("unexpected trailing text")
     return ins
 
 

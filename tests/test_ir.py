@@ -1,17 +1,19 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from declassiflow.cfg import expand_loops
-from declassiflow.ir import (INT32_MAX, INT32_MIN, OPCODES, TERMINATORS, IRError, Program,
-                             parse_program, pretty_print, to_i32, transmissions, validate_ssa)
+from declassiflow.ir import (INT32_MAX, INT32_MIN, OPCODES, TERMINATORS, Block, Function,
+                             Instruction, IRError, Program, parse_program, pretty_print, to_i32,
+                             transmissions, validate_ssa)
 from declassiflow.knowledge import AnalysisError, equations
 from declassiflow.oracle import OracleError, eval_op, input_slots
 from declassiflow.pipeline import call_order
 
-from conftest import fixture_program, fixture_text
-from generators import call_chain
+from conftest import FIXTURES, fixture_program, fixture_text
+from generators import call_chain, random_acyclic_program, random_loop_program, segments
 
 
 def structurally_equal(a: Program, b: Program) -> bool:
@@ -58,9 +60,19 @@ entry:
 
 
 def test_syntax_error_carries_position():
-    with pytest.raises(IRError) as err:
-        parse_program("fn f() {\nentry:\n  x = bogus 1\n  ret\n}\n")
-    assert "line 3" in str(err.value)
+    # 1-based columns in the source line, at the offending token or one past
+    # the line's last token
+    cases = {
+        "fn f(a) {\nB1:\n    x = add a,, 1\n  ret\n}\n": "line 3, col 15: expected identifier",
+        "fn f() {\nentry:\n  x = bogus 1\n  ret\n}\n": "line 3, col 7: unknown opcode 'bogus'",
+        "fn f(a) {\nB1:\n\tx = add a,, 1\n  ret\n}\n": "line 3, col 12: expected identifier",
+        "fn f() { B1: x = bogus 1 }": "line 1, col 18: unknown opcode 'bogus'",
+        "fn f(a) {\nB1:\n  x = add a,\n  ret\n}\n": "line 3, col 13: expected operand",
+    }
+    for text, message in cases.items():
+        with pytest.raises(IRError) as err:
+            parse_program(text)
+        assert str(err.value) == message
 
 
 def test_unknown_label_and_callee():
@@ -86,15 +98,25 @@ B1:
 """)
 
 
-@pytest.mark.parametrize("name", [
-    "diamond_linked", "diamond_opaque", "anticorrelated", "aes_analog",
-    "djbsort_analog", "chacha_analog", "hoistable_loop", "two_latch",
-    "nested_loops", "self_loop_opaque", "self_loop_linked", "chain",
-])
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.mir"))
+CORPORA = {
+    "segments": lambda: [segments(k) for k in range(1, 9)],
+    "call_chain": lambda: [call_chain(6)],
+    "acyclic": lambda: [random_acyclic_program(random.Random(s)) for s in range(300)],
+    "loop-rich": lambda: [random_loop_program(random.Random(s)) for s in range(100)],
+}
+
+
+def corpus_texts(name: str) -> list[str]:
+    return CORPORA[name]() if name in CORPORA else [fixture_text(name)]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(CORPORA))
 def test_roundtrip(name):
-    p = fixture_program(name)
-    again = parse_program(pretty_print(p))
-    assert structurally_equal(p, again)
+    for text in corpus_texts(name):
+        p = parse_program(text)
+        again = parse_program(pretty_print(p))
+        assert structurally_equal(p, again)
 
 
 def test_specbarr_preserved():
@@ -234,7 +256,7 @@ def test_table_semantics_match_reference():
                                   "x = ret"])
 def test_output_of_opcode_without_one_rejected(line):
     opcode = line.split()[2]
-    with pytest.raises(IRError, match=f"line 3, col .*'{opcode}' produces no output"):
+    with pytest.raises(IRError, match=f"line 3, col 7: '{opcode}' produces no output"):
         parse_program(f"fn f(a, p, c) {{\nB1:\n  {line}\n  ret\n}}\n")
     with pytest.raises(IRError, match="unknown opcode 'bogus'"):
         parse_program("fn f(a) {\nB1:\n  x = bogus a\n  ret\n}\n")
@@ -280,3 +302,297 @@ def test_call_cycle_found_by_every_user_of_the_walk():
         call_order(program)
     with pytest.raises(OracleError, match="cycle"):
         input_slots(program)
+
+
+# ---------------------------------------------------------------------------
+# The character-lexer parser the one-pass tokenizer replaced, kept unchanged
+# (but for `is_terminator`, now `opcode in TERMINATORS`) as the reference.
+# ---------------------------------------------------------------------------
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+_INT = re.compile(r"-?[0-9]+")
+
+
+class _Lexer:
+    """Tokenizes one line into identifiers, integers and punctuation."""
+
+    def __init__(self, text: str, line: int):
+        self.text = text
+        self.line = line
+        self.pos = 0
+
+    def error(self, msg: str) -> IRError:
+        return IRError(msg, self.line, self.pos + 1)
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self) -> str | None:
+        self._skip_ws()
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def take_ident(self) -> str:
+        self._skip_ws()
+        m = _IDENT.match(self.text, self.pos)
+        if not m:
+            raise self.error("expected identifier")
+        self.pos = m.end()
+        return m.group()
+
+    def take_int(self) -> int:
+        self._skip_ws()
+        m = _INT.match(self.text, self.pos)
+        if not m:
+            raise self.error("expected integer")
+        self.pos = m.end()
+        return to_i32(int(m.group()))
+
+    def take_operand(self):
+        c = self.peek()
+        if c is None:
+            raise self.error("expected operand")
+        if c == "-" or c.isdigit():
+            return self.take_int()
+        return self.take_ident()
+
+    def expect(self, ch: str):
+        self._skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            raise self.error(f"expected '{ch}'")
+        self.pos += 1
+
+    def accept(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def at_end(self) -> bool:
+        return self.peek() is None
+
+
+def _strip_comment(line: str) -> str:
+    idx = line.find("#")
+    return line if idx < 0 else line[:idx]
+
+
+def reference_parse_program(text: str) -> Program:
+    """Parse mini-IR source. Raises IRError with line/column on bad syntax."""
+    functions: list[Function] = []
+    lines = text.splitlines()
+    i = 0
+    n = len(lines)
+
+    def next_content(j: int) -> int:
+        while j < n and not _strip_comment(lines[j]).strip():
+            j += 1
+        return j
+
+    while True:
+        i = next_content(i)
+        if i >= n:
+            break
+        lex = _Lexer(_strip_comment(lines[i]), i + 1)
+        kw = lex.take_ident()
+        if kw != "fn":
+            raise lex.error("expected 'fn'")
+        name = lex.take_ident()
+        lex.expect("(")
+        params: list[str] = []
+        if not lex.accept(")"):
+            while True:
+                params.append(lex.take_ident())
+                if lex.accept(")"):
+                    break
+                lex.expect(",")
+        lex.expect("{")
+        fn_line = i + 1
+        body_lines: list[tuple[int, str]] = []
+        inline = lex.text[lex.pos:].strip()
+        i += 1
+        closed = False
+        if inline:
+            if inline.endswith("}"):
+                closed = True
+                inline = inline[:-1].strip()
+            if inline:
+                body_lines.append((fn_line, inline))
+        while not closed and i < n:
+            raw = _strip_comment(lines[i]).strip()
+            if raw == "}":
+                closed = True
+            elif raw.endswith("}"):
+                body_lines.append((i + 1, raw[:-1].strip()))
+                closed = True
+            elif raw:
+                body_lines.append((i + 1, raw))
+            i += 1
+
+        blocks: list[Block] = []
+        current: Block | None = None
+        for lineno, raw in body_lines:
+            lex = _Lexer(raw, lineno)
+            # A new block starts at `LABEL:`.
+            save = lex.pos
+            try:
+                label = lex.take_ident()
+                is_label = lex.accept(":")
+            except IRError:
+                is_label = False
+            if is_label:
+                if current is not None and current.terminator is None:
+                    raise IRError(f"block '{current.label}' has no terminator", current.line)
+                current = Block(label, line=lineno)
+                blocks.append(current)
+                if lex.at_end():
+                    continue
+                # allow an instruction on the label line
+            else:
+                lex.pos = save
+            if current is None:
+                raise lex.error("instruction outside a block (missing label?)")
+            if current.terminator is not None:
+                raise lex.error(f"instruction after terminator in block '{current.label}'")
+            instr = _parse_instruction(lex)
+            if instr.opcode in TERMINATORS:
+                current.terminator = instr
+            else:
+                current.instructions.append(instr)
+        if not closed:
+            raise IRError(f"unclosed function '{name}'", fn_line)
+        if not blocks:
+            raise IRError(f"function '{name}' has no blocks", fn_line)
+        if blocks[-1].terminator is None:
+            raise IRError(f"block '{blocks[-1].label}' has no terminator", blocks[-1].line)
+        functions.append(Function(name, params, blocks, fn_line))
+
+    program = Program(functions)
+    issues = validate_ssa(program).issues
+    if issues:
+        raise IRError(issues[0].message, issues[0].line)
+    return program
+
+
+def _parse_instruction(lex: _Lexer) -> Instruction:
+    """`v = opcode operands` for an opcode with an output, `opcode operands`
+    for one without; a phi, a call and a const have their own operand forms,
+    the others read the table's arity, with a label at each label position."""
+    first = lex.take_ident()
+    op = OPCODES.get(first)
+    if op is not None and not op.output:
+        opcode, output = first, None
+    else:
+        lex.expect("=")
+        opcode, output = lex.take_ident(), first
+        op = OPCODES.get(opcode)
+        if op is None:
+            raise lex.error(f"unknown opcode '{opcode}'")
+        if not op.output:
+            raise lex.error(f"'{opcode}' produces no output")
+    ins = Instruction(opcode, output=output, line=lex.line)
+
+    if opcode == "phi":
+        while True:
+            lex.expect("[")
+            ins.operands.append(lex.take_operand())
+            lex.expect(",")
+            ins.phi_labels.append(lex.take_ident())
+            lex.expect("]")
+            if not lex.accept(","):
+                break
+    elif opcode == "call":
+        ins.callee = lex.take_ident()
+        lex.expect("(")
+        if not lex.accept(")"):
+            while True:
+                ins.operands.append(lex.take_operand())
+                if lex.accept(")"):
+                    break
+                lex.expect(",")
+    elif opcode == "const":
+        ins.operands = [lex.take_int()]
+    else:
+        arity, labels = op.arity, op.labels
+        if arity < 0:  # ret, whose value is optional
+            arity = 0 if lex.at_end() else 1
+        for k in range(arity):
+            if k:
+                lex.expect(",")
+            ins.operands.append(lex.take_ident() if k in labels else lex.take_operand())
+        if opcode == "gep" and not isinstance(ins.operands[2], int):
+            raise lex.error("gep scale must be a literal")
+    if not lex.at_end():
+        raise lex.error("unexpected trailing text")
+    return ins
+
+
+@pytest.fixture(scope="module")
+def parser_corpus() -> list[str]:
+    return [text for name in FIXTURE_NAMES + list(CORPORA) for text in corpus_texts(name)]
+
+
+def parse_outcome(parse, text: str):
+    """The parsed program, or the IRError's message and line without its column.
+    Any other exception propagates: malformed input must end in an IRError."""
+    try:
+        return parse(text)
+    except IRError as exc:
+        return re.sub(r", col \d+", "", str(exc), count=1), exc.line
+
+
+def test_parser_matches_reference_on_valid_programs(parser_corpus):
+    for text in parser_corpus:
+        assert parse_program(text) == reference_parse_program(text)
+
+
+EDGE_TEXTS = [
+    "fn f() { B1: ret }",
+    "fn f() {\u00a0B1: ret\u3000}",
+    "fn f(a) {\nB1: transmit a\u00a0}\n",
+    "fn f() {\nB1:\n  ret \u00a0 }\n",
+    "fn f() {\nB1:\n  ret } }\n",
+    "\u00a0fn f() { B1: ret }",
+    "fn f() {\nB1:\n  x = const \u00b2\n  ret\n}\n",
+    "fn f() {\nB1:\n  x = add \u00e9, 1\n  ret\n}\n",
+    "fn f(a, b) {\nB1 : x = add a, b # }\n  ret\n}\n",
+    "fn f() { B1:\n  ret }\nfn g() {}\n",
+    "fn f() {\nB1:\n  ret\n",
+]
+
+
+def test_parser_matches_reference_on_edge_cases():
+    for text in EDGE_TEXTS:
+        assert parse_outcome(parse_program, text) == parse_outcome(reference_parse_program, text), text
+
+
+MUTATION_CHARS = "{}[](),:=#-_ .x01\t\r\f\u00a0\u3000\u00e9\u00b2"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One to three edits: a character deleted, a character of MUTATION_CHARS
+    inserted or a line duplicated."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0 and text:
+            at = rng.randrange(len(text))
+            text = text[:at] + text[at + 1:]
+        elif kind == 1:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(MUTATION_CHARS) + text[at:]
+        else:
+            lines = text.splitlines(keepends=True)
+            if lines:
+                at = rng.randrange(len(lines))
+                lines.insert(at, lines[at])
+            text = "".join(lines)
+    return text
+
+
+def test_parser_matches_reference_on_mutations(parser_corpus):
+    rng = random.Random(19)
+    for _ in range(5000):
+        text = mutate(rng, rng.choice(parser_corpus))
+        assert parse_outcome(parse_program, text) == parse_outcome(reference_parse_program, text), text
