@@ -7,12 +7,17 @@
 
 Exit codes: 0 analyzed/protected, 1 usage error, 2 analysis error,
 3 verification failure.
+
+The JSON report's bytes are exactly json.dumps(report, indent=2,
+sort_keys=True) + "\n". Equal knowledge lists in the report dict may be one
+shared object, so callers treat the dict as read-only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cfg import CfgError
@@ -125,9 +130,51 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {int: int.__repr__, bool: lambda v: "true" if v else "false", type(None): lambda v: "null",
+            float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v)}
+
+
+def _write(v, out: list[str], pad: str, memo: dict) -> None:
+    """Append v as json.dumps(v, indent=2, sort_keys=True) writes it, nested
+    at indent pad, to out. A list of strings is encoded once per object and
+    indent: the report shares one knowledge list among equal masks."""
+    if isinstance(v, str):
+        out.append(_quote(v))
+    elif isinstance(v, dict):
+        if not v:
+            return out.append("{}")
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, x in sorted(v.items()):
+            out += (sep, _quote(k), ": ")
+            _write(x, out, inner, memo)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            return out.append("[]")
+        key, inner = (id(v), pad), pad + "  "
+        if key not in memo and all(type(x) is str for x in v):
+            memo[key] = "[\n" + inner + (",\n" + inner).join(map(_quote, v)) + "\n" + pad + "]"
+        if key in memo:
+            return out.append(memo[key])
+        sep = "[\n" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, out, inner, memo)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:  # other scalars as json.dumps writes them, or its TypeError
+        out.append(_SCALARS[type(v)](v) if type(v) in _SCALARS else json.dumps(v))
+
+
 def emit_report(report: dict, fmt: str = "json") -> bytes:
     if fmt == "json":
-        return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+        out: list[str] = []
+        _write(report, out, "", {})
+        out.append("\n")
+        return "".join(out).encode()
     lines = [f"entry: {report.get('entry')}"]
     for fn in report.get("functions", []):
         lines.append(f"function {fn['name']}: "

@@ -265,6 +265,8 @@ class _Line:
         digits = self.peek()[1]
         if not digits:
             raise self.error("expected integer")
+        if len(digits.lstrip("-")) > 4300:  # int()'s default limit, on every Python
+            raise self.error("integer literal of more than 4300 digits")
         self.pos += 1
         return to_i32(int(digits))
 

@@ -180,7 +180,7 @@ def property_map(program: Program,
 
 
 def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
-    """All phases over the whole program; returns the JSON-ready report."""
+    """All phases over the whole program; returns the JSON-ready report (read-only)."""
     config = config or RunConfig()
     report: dict = {"entry": program.entry_function, "functions": [],
                     "barriers": {}, "plans": [], "timing": {}}
@@ -247,11 +247,12 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
             "notes": fa.notes,
         }
         if config.emit_knowledge:
-            known = fa.km.known
-            entry_fn["edges"] = [{"from": e.src, "to": e.dst, "known": sorted(known[e.index])}
+            bits, kbits = fa.km.bits, fa.kb.bits
+            # one sorted list per distinct mask, shared by its edges and blocks
+            lists = {m: sorted(fa.km.index.decode(m)) for m in {*bits, *kbits.values()}}
+            entry_fn["edges"] = [{"from": e.src, "to": e.dst, "known": lists[bits[e.index]]}
                                  for e in fa.km.cfg.edges]
-            entry_fn["block_knowledge"] = {
-                label: sorted(fa.kb.at(label)) for label in sorted(fa.kb.bits)}
+            entry_fn["block_knowledge"] = {label: lists[kbits[label]] for label in sorted(kbits)}
         if config.emit_frontiers:
             entry_fn["frontiers"] = {v: sorted(fr)
                                      for v, fr in sorted(fa.frontiers.items())}

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from declassiflow import cli
 from declassiflow.cli import load_config, main
@@ -32,6 +34,41 @@ def test_parse_error_exit_two(tmp_path, capsys):
     bad.write_text("fn f() {\nB1:\n  x = frobnicate 3\n  ret\n}\n")
     assert run(["analyze", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits,code", [(4300, 0), (5000, 2)])
+def test_long_integer_literal(tmp_path, capsys, digits, code):
+    src = tmp_path / "long.mir"
+    src.write_text(f"fn f() {{\nB1:\n  x = const {'1' * digits}\n  ret\n}}\n")
+    assert run(["analyze", str(src)]) == code
+    if code:
+        assert capsys.readouterr().err == \
+            "error: line 3, col 13: integer literal of more than 4300 digits\n"
+
+
+TEXT = hst.text(hst.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\U0001f600') | hst.characters())
+JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.sampled_from([0, 1, -0.0]) | TEXT
+    | hst.integers(-2**80, 2**80) | hst.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: (hst.lists(inner, max_size=4) | hst.tuples(inner, inner)
+                   | hst.dictionaries(TEXT, inner, max_size=4)
+                   # one list object at two depths and twice at one, as the report shares them
+                   | hst.lists(TEXT, max_size=3).map(lambda names: [names, {"k": names}, names])),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_emit_report_matches_json_dumps(value):
+    assert cli.emit_report(value) == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_emit_report_rejects_a_set():
+    value = {"a": [1, {"b": {2}}]}
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli.emit_report(value)
 
 
 def test_verification_failure_exit_three(tmp_path, monkeypatch, capsys):

@@ -170,8 +170,10 @@ def test_vacuous_knowledge_flagged():
 def test_decodes_per_run(monkeypatch):
     """Knowledge stays in masks from the equations to the report. A run
     configured like protect on segments(4) decodes twice: the vacuous note
-    and refinement's candidates. With refinement off, phase 1 decodes at
-    most once per function, for the note."""
+    and refinement's candidates. One configured like analyze decodes the
+    note and each distinct mask among the report's edges and blocks once,
+    and equal lists in the report are one object. With refinement off,
+    phase 1 decodes at most once per function, for the note."""
     calls = Counter()
     decode = VarIndex.decode
 
@@ -182,6 +184,14 @@ def test_decodes_per_run(monkeypatch):
     monkeypatch.setattr(VarIndex, "decode", counting)
     run_pipeline(parse_program(segments(4)), RunConfig())
     assert calls == {"analyze_function": 1, "candidate_vars": 1}, calls
+    calls.clear()
+    analyze = RunConfig(refine=False, protect=False, emit_knowledge=True)
+    (fn,) = run_pipeline(parse_program(segments(4)), analyze)["functions"]
+    lists = [e["known"] for e in fn["edges"]] + list(fn["block_knowledge"].values())
+    distinct = {tuple(names) for names in lists}
+    assert len(distinct) == len({id(names) for names in lists}) < len(lists)
+    assert calls.pop("analyze_function") == 1
+    assert sum(calls.values()) == len(distinct), calls  # from run_pipeline
     for text in (segments(4), call_chain(4), fixture_text("aes_analog")):
         calls.clear()
         program = parse_program(text)

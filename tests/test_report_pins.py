@@ -2,7 +2,9 @@
 segments(2) and a 4-function call chain under `analyze`, `protect` and
 `pipeline` (which verifies) must hash to the digests pinned here. A refactor
 that claims identical output keeps these; a change that means to alter reports
-updates them and says why."""
+updates them and says why. The digests re-emit a json.loads copy of each
+report, so a second test compares the emitted bytes of the live report, whose
+equal knowledge lists are one shared object, with json.dumps."""
 
 import hashlib
 import json
@@ -14,7 +16,8 @@ from declassiflow import cli
 from conftest import FIXTURES
 from generators import call_chain, segments
 
-GENERATED = {"segments(2)": lambda: segments(2), "call_chain(4)": lambda: call_chain(4)}
+SEGMENTS = {f"segments({k})": lambda k=k: segments(k) for k in range(1, 9)}
+GENERATED = {**SEGMENTS, "call_chain(4)": lambda: call_chain(4)}
 
 PINS = {
     ("aes_analog", "analyze"):
@@ -127,3 +130,15 @@ def test_report_digest_pinned(tmp_path, capsys, name, command):
     digest = hashlib.sha256(cli.emit_report(report)).hexdigest()
     assert digest == PINS[(name, command)], \
         f"{command} report of {name} changed: sha256 {digest}"
+
+
+@pytest.mark.parametrize("command", ["analyze", "protect", "pipeline"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.mir"))
+                         + list(SEGMENTS))
+def test_report_bytes_match_json_dumps(tmp_path, monkeypatch, name, command):
+    reports, real = [], cli.run_pipeline
+    monkeypatch.setattr(cli, "run_pipeline", lambda p, c: reports.append(real(p, c)) or reports[0])
+    out = tmp_path / "report.json"
+    # one verification input: segments(8) has 10 input slots
+    cli.main([command, str(_source(tmp_path, name)), "--domain", "0..0", "--out", str(out)])
+    assert out.read_bytes() == (json.dumps(reports[0], indent=2, sort_keys=True) + "\n").encode()
