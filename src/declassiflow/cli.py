@@ -123,8 +123,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="verification input domain, e.g. 0..3")
         p.add_argument("--dump-cfg", action="store_true")
         p.add_argument("--dump-expanded", action="store_true")
-        p.add_argument("--refine", action="store_true",
-                       help="enable the path-sensitive refinement pass")
         p.add_argument("--transmit-nonspec", action="store_true",
                        help="treat explicit transmits as non-speculative")
     return parser
@@ -216,8 +214,7 @@ def main(argv: list[str] | None = None) -> int:
 
         command = args.command
         config = RunConfig(
-            refine=(command in ("refine", "protect", "verify", "pipeline")
-                    or args.refine),
+            refine=command in ("refine", "protect", "verify", "pipeline"),
             protect=command in ("protect", "verify", "pipeline") or args.protect,
             verify=command in ("verify", "pipeline"),
             emit_knowledge=args.emit_knowledge or command in ("analyze", "pipeline"),

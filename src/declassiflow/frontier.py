@@ -28,9 +28,6 @@ class BlockKnowledge:
     index: VarIndex
     bits: dict[str, int]
 
-    def at(self, label: str) -> set[str]:
-        return self.index.decode(self.bits.get(label, 0))
-
 
 def block_knowledge(km: KnowledgeMap) -> BlockKnowledge:
     """AND each block's out-edge masks; ret blocks use their dummy edge."""

@@ -500,10 +500,9 @@ def dominator_tree(succs: dict[str, list[str]], entry: str) -> DomInfo:
     return DomInfo(order, idom, depths)
 
 
-def callees_first(program: Program,
-                  roots: list[str] | None = None) -> tuple[list[str], str | None]:
-    """Iterative depth-first walk of the call graph from `roots` (default: every
-    function, in program order), listing each function after its callees.
+def callees_first(program: Program) -> tuple[list[str], str | None]:
+    """Iterative depth-first walk of the call graph from every function, in
+    program order, listing each function after its callees.
 
     Calls to unknown functions are skipped. Returns the order and, if a cycle
     is reachable, the root whose walk found it (the order is then partial).
@@ -516,7 +515,7 @@ def callees_first(program: Program,
                 outs.append(ins.callee)
     order: list[str] = []
     done: set[str] = set()
-    for root in (calls if roots is None else roots):
+    for root in calls:
         if root in done:
             continue
         on_path = {root}
@@ -640,7 +639,7 @@ def _validate_function(f: Function, report: ValidationReport):
                         report.add("undefined-use", f"use of undefined '{op}'", f.name, b.label, ins.line)
                         continue
                     db = block_of_def[op]
-                    if db is not None and lab in label_set and not dom.dom(db, lab):
+                    if db is not None and lab in dom.depths and not dom.dom(db, lab):
                         report.add("phi-input-not-prior",
                                    f"phi input '{op}' not defined prior to block '{b.label}' "
                                    f"(via predecessor '{lab}')", f.name, b.label, ins.line)
@@ -656,7 +655,7 @@ def _validate_function(f: Function, report: ValidationReport):
                     if def_index[op] >= pos:
                         report.add("use-not-dominated",
                                    f"use of '{op}' before its definition", f.name, b.label, ins.line)
-                elif not dom.dom(db, b.label):
+                elif b.label in dom.depths and not dom.dom(db, b.label):
                     report.add("use-not-dominated",
                                f"use of '{op}' not dominated by its definition", f.name, b.label, ins.line)
 

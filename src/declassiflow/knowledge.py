@@ -81,9 +81,6 @@ class KnowledgeMap:
         decode = self.index.decode
         return {e.index: decode(self.bits[e.index]) for e in self.cfg.edges}
 
-    def at(self, src: str, dst: str) -> set[str]:
-        return self.index.decode(self.bits[self.cfg.edge(src, dst).index])
-
 
 @dataclass
 class FunctionSummary:
@@ -219,14 +216,12 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
                             todo |= target
         return k
 
-    # per block with in- and out-edges: in-edges, out-edges, in-edges that R5
+    # per reachable block: in-edges, out-edges (it has both), in-edges that R5
     # may fill (the entry dummy keeps its seeds), definitions and phis, each
     # phi as (output bit, [(arm bit, in-edge)])
     blocks, by_label = [], f.block_map()
     for label in cfg.dom.order:
         b, ins_e, outs_e = by_label[label], cfg.in_edges[label], cfg.out_edges[label]
-        if not (ins_e and outs_e):
-            continue
         phis = [(ix.bit[phi.output], [(ix.bit[op], cfg.edge(lab, label).index)
                                       for op, lab in zip(phi.operands, phi.phi_labels)
                                       if isinstance(op, str)])

@@ -14,12 +14,12 @@ every definition through operands, loads (address into result) and phi
 selections, and is the checkable stand-in for "a function of x": a speculative
 observation whose taint contains x counts as transmitting a function of x.
 
-A machine snapshot, taken at every branch point so that a misprediction can
-roll back, shares what no execution mutates: the program's IR (each frame's
+Each speculative burst runs at its branch, as soon as the branch is reached,
+on a snapshot of the machine that lives only as long as the burst. The
+snapshot shares what no execution mutates: the program's IR (each frame's
 `Function` and label-to-block map) and the input list. It copies what a
-speculative burst can change: each frame's position and its one `env` dict of
-(value, taint) pairs (immutable, so a shallow copy suffices). Each snapshot
-is run by exactly one burst, in place.
+burst can change: each frame's position and its one `env` dict of (value,
+taint) pairs (immutable, so a shallow copy suffices).
 """
 
 from __future__ import annotations
@@ -74,11 +74,15 @@ class Observation:
 class Trace:
     edges: list[tuple[str, str, str]] = field(default_factory=list)
     edge_times: list[int] = field(default_factory=list)
-    pc: list[tuple[str, str]] = field(default_factory=list)
     observations: list[Observation] = field(default_factory=list)
     returned: int | None = None
     steps: int = 0
     final_env: dict = field(default_factory=dict)
+
+    @property
+    def pc(self) -> list[tuple[str, str]]:
+        """The (function, block) of each block entry, in order."""
+        return [(fn, dst) for fn, _, dst in self.edges if dst != EXIT]
 
 
 @dataclass
@@ -219,14 +223,14 @@ _UNTAINTED = frozenset()
 class _Machine:
     """The concrete domain of `execute`: an env binds each variable to its
     (value, taint) pair. The machine holds the input cursor and records into
-    `trace` (edges, pc and observations) and, when `branch_sink` is a list,
-    a `_BranchPoint` with a snapshot at every two-way branch."""
+    `trace` (edges and observations). While it may still mispredict (`depth`
+    above 0), each two-way branch runs a burst of at most `window` steps down
+    the wrong edge and appends it, then the bursts it started, to `specs`."""
 
     error = OracleError
 
-    def __init__(self, program: Program, entry: str, inputs: list[int],
-                 pad_inputs: bool = False, transmit_speculative: bool = True,
-                 branch_sink: list | None = None):
+    def __init__(self, program: Program, inputs: list[int], pad_inputs: bool = False,
+                 transmit_speculative: bool = True, window: int = 0, depth: int = 0):
         self.functions = {g.name: (g, g.block_map()) for g in program.functions}
         self.inputs = list(inputs)
         self.cursor = 0
@@ -234,11 +238,20 @@ class _Machine:
         self.transmit_speculative = transmit_speculative
         self.speculative = False
         self.trace = Trace()
-        self.branch_sink = branch_sink
-        f, blocks = self.functions[entry]
+        self.window, self.depth = window, depth
+        self.mispredicted: list[tuple[str, str, str]] = []
+        self.specs: list[SpecExecution] = []
+        f, blocks = self.functions[program.entry_function]
         missing = "input valuation does not cover all parameters"
         env = {p: (self.next_input(missing), frozenset({(f.name, p)})) for p in f.params}
         self.frames = [Frame(f, blocks, f.entry_block, None, 0, False, env, None)]
+
+    def run(self) -> Trace:
+        """The non-speculative run, within DEFAULT_FUEL steps."""
+        if execute(self, DEFAULT_FUEL + 1) != "return":
+            raise OracleError("fuel exhausted (possible non-termination)")
+        self.trace.steps = self.steps
+        return self.trace
 
     def next_input(self, missing: str = "input valuation exhausted") -> int:
         if self.cursor < len(self.inputs):
@@ -249,8 +262,8 @@ class _Machine:
         raise OracleError(missing)
 
     def snapshot(self) -> "_Machine":
-        """The architectural state, without trace, speculation flag or branch
-        sink: the burst that runs the snapshot sets those."""
+        """The architectural state, without trace, speculation flag or burst
+        bookkeeping: the burst that runs the snapshot sets those."""
         m = object.__new__(_Machine)
         m.functions = self.functions
         m.inputs = self.inputs
@@ -275,12 +288,11 @@ class _Machine:
         trace = self.trace
         trace.edges.append((frame.function.name, frame.prev_block or ENTRY, block.label))
         trace.edge_times.append(steps)
-        trace.pc.append((frame.function.name, block.label))
 
     def leave(self, frame: Frame, block, val, steps: int):
         self.trace.edges.append((frame.function.name, block.label, EXIT))
         self.trace.edge_times.append(steps)
-        if len(self.frames) == 1:
+        if len(self.frames) == 1 and not self.speculative:
             self.trace.returned = None if val is None else val[0]
             self.trace.final_env = {k: v for k, (v, _) in frame.env.items()}
 
@@ -319,52 +331,36 @@ class _Machine:
                 fname, block.label, "br", block.terminator.operands[0], val, tnt,
                 steps, False))
         taken, wrong = (then_l, else_l) if val != 0 else (else_l, then_l)
-        if self.branch_sink is not None and then_l != else_l:
-            self.branch_sink.append(_BranchPoint(steps, fname, block.label, taken,
-                                                 wrong, self.snapshot()))
+        if self.depth and then_l != else_l:
+            m = self.snapshot()
+            if self.speculative:  # a nested burst goes on from this one
+                m.start, m.window = self.start, self.window - steps
+                m.trace = Trace(observations=list(self.trace.observations))
+            else:
+                m.start, m.window, m.trace = steps, self.window, Trace()
+            m.speculative, m.depth, m.specs = True, self.depth - 1, []
+            m.mispredicted = self.mispredicted + [(fname, block.label, wrong)]
+            m.frames[-1].goto(wrong)
+            stopped = execute(m, m.window)
+            if stopped == "return" and m.steps >= m.window:
+                stopped = "window"  # the window is checked before the return
+            self.specs.append(SpecExecution(m.start, m.mispredicted,
+                                            m.trace.observations, stopped))
+            self.specs += m.specs
         return taken
 
 
-@dataclass
-class _BranchPoint:
-    step: int
-    function: str
-    block: str
-    taken: str
-    wrong: str
-    machine: _Machine
-
-
-def _as_program(program_or_fn) -> Program:
-    if isinstance(program_or_fn, Program):
-        return program_or_fn
-    return Program([program_or_fn])
-
-
-def interpret(program_or_fn, inputs: list[int], entry: str | None = None,
-              fuel: int = DEFAULT_FUEL, pad_inputs: bool = False) -> Trace:
-    """Non-speculative execution: deterministic edge trace and observations
-    (every transmit is observed, speculative or not)."""
-    return _run(program_or_fn, inputs, entry, fuel, True, pad_inputs, None)
-
-
-def _run(program_or_fn, inputs: list[int], entry: str | None, fuel: int,
-         transmit_speculative: bool, pad_inputs: bool, branch_sink: list | None) -> Trace:
-    """The non-speculative run, recording each branch point in branch_sink."""
-    program = _as_program(program_or_fn)
-    m = _Machine(program, entry or program.entry_function, inputs, pad_inputs,
-                 transmit_speculative, branch_sink)
-    if execute(m, fuel + 1) != "return":
-        raise OracleError("fuel exhausted (possible non-termination)")
-    m.trace.steps = m.steps
-    return m.trace
+def interpret(program: Program, inputs: list[int], pad_inputs: bool = False) -> Trace:
+    """Non-speculative execution of the entry function: deterministic edge
+    trace and observations (every transmit is observed, speculative or not)."""
+    return _Machine(program, inputs, pad_inputs).run()
 
 
 # ---------------------------------------------------------------------------
 # Exact knowledge (Definition-level oracle)
 # ---------------------------------------------------------------------------
 
-def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL) -> KnowledgeMap:
+def exact_knowledge(f: Function, domain: range) -> KnowledgeMap:
     """Enumerate all executions over the domain and intersect, per edge, the
     closure of what each trace reveals.
 
@@ -393,8 +389,9 @@ def exact_knowledge(f: Function, domain: range, fuel: int = DEFAULT_FUEL) -> Kno
     per_edge: dict[tuple[str, str], int] = {}  # AND of the closures crossing it
     closures: dict[tuple, int] = {}
 
+    program = Program([f])
     for vals in itertools.product(domain, repeat=slots) if slots else [()]:
-        tr = interpret(f, list(vals), fuel=fuel)
+        tr = interpret(program, list(vals))
         revealed = ix.mask(o.operand for o in tr.observations
                            if isinstance(o.operand, str))
         pred_of = {}
@@ -437,9 +434,8 @@ def _closure(rules, phis, ix: VarIndex, known: int, pred_of: dict[str, str]) -> 
 # Speculative exploration
 # ---------------------------------------------------------------------------
 
-def speculative_explore(program_or_fn, inputs: list[int], window: int = 16,
-                        depth: int = 1, entry: str | None = None,
-                        fuel: int = DEFAULT_FUEL, transmit_speculative: bool = True,
+def speculative_explore(program: Program, inputs: list[int], window: int = 16,
+                        depth: int = 1, transmit_speculative: bool = True,
                         pad_inputs: bool = False) -> tuple[Trace, list[SpecExecution]]:
     """Enumerate all executions where up to `depth` branches take the wrong
     CFG edge for up to `window` speculative instructions before rollback.
@@ -449,39 +445,8 @@ def speculative_explore(program_or_fn, inputs: list[int], window: int = 16,
     speculation barrier halts speculative progress."""
     if window < 1 or depth < 1:
         raise OracleError("window and depth must be at least 1")
-    branch_points: list[_BranchPoint] = []
-    trace = _run(program_or_fn, inputs, entry, fuel, transmit_speculative, pad_inputs,
-                 branch_points)
-    executions: list[SpecExecution] = []
-    for bp in branch_points:
-        for mis, obs, stopped in _burst(bp, window, depth - 1):
-            executions.append(SpecExecution(
-                start_step=bp.step,
-                mispredictions=[(bp.function, bp.block, bp.wrong)] + mis,
-                observations=obs,
-                stopped_by=stopped))
-    return trace, executions
-
-
-def _burst(bp: _BranchPoint, window: int, depth_left: int):
-    """Run one speculative burst from a misprediction, on the branch point's
-    own snapshot (exactly one burst runs each); returns variants of (extra
-    mispredictions, observations, stop reason)."""
-    m = bp.machine
-    m.trace, m.speculative = Trace(), True
-    m.branch_sink = nested = [] if depth_left > 0 else None
-    m.frames[-1].goto(bp.wrong)
-    stopped = execute(m, window)
-    if stopped == "return" and m.steps >= window:
-        stopped = "window"  # the window is checked before the return
-    observations = m.trace.observations
-    variants = [([], observations, stopped)]
-    for inner_bp in nested or ():
-        prefix_obs = [o for o in observations if o.time <= inner_bp.step]
-        for mis, obs, stop in _burst(inner_bp, window - inner_bp.step, depth_left - 1):
-            variants.append(([(inner_bp.function, inner_bp.block, inner_bp.wrong)] + mis,
-                             prefix_obs + obs, stop))
-    return variants
+    m = _Machine(program, inputs, pad_inputs, transmit_speculative, window, depth)
+    return m.run(), m.specs
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +474,8 @@ def _normalize_fn(name: str) -> str:
     return name.removesuffix(PROTECTED_SUFFIX)
 
 
-def check_frontier_property(program_or_fn, frontiers: dict[tuple[str, str], set[str]],
+def check_frontier_property(program: Program, frontiers: dict[tuple[str, str], set[str]],
                             inputs_sample, window: int = 16, depth: int = 1,
-                            entry: str | None = None,
                             transmit_speculative: bool = True,
                             pad_inputs: bool = False) -> Verdict:
     """PASS iff no explored speculative observation tainted by a variable
@@ -528,7 +492,7 @@ def check_frontier_property(program_or_fn, frontiers: dict[tuple[str, str], set[
         inputs = list(inputs)
         n_inputs += 1
         trace, specs = speculative_explore(
-            program_or_fn, inputs, window=window, depth=depth, entry=entry,
+            program, inputs, window=window, depth=depth,
             transmit_speculative=transmit_speculative, pad_inputs=pad_inputs)
         n_exec += len(specs)
 
@@ -559,14 +523,13 @@ def input_grid(slots: int, domain: range):
     return [list(v) for v in itertools.product(domain, repeat=slots)]
 
 
-def input_slots(program_or_fn, entry: str | None = None) -> int:
+def input_slots(program: Program) -> int:
     """Parameters of the entry function plus its static input instructions.
 
     Callees' input instructions count once per call site; loops can make the
     true dynamic count larger, in which case runs should pad."""
-    program = _as_program(program_or_fn)
-    entry = entry or program.entry_function
-    order, cyclic = callees_first(program, [entry])
+    entry = program.entry_function
+    order, cyclic = callees_first(program)
     if cyclic is not None:
         raise OracleError("call graph has a cycle")
     bodies = {f.name: f for f in program.functions}

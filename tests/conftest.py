@@ -36,6 +36,13 @@ def representative(ef, var: str, edge_key: tuple[str, str]) -> str:
     return ef.edge_subst.get(edge_key, {}).get(var, var)
 
 
+def known_at(k, *where: str) -> set[str]:
+    """The variables known on edge (src, dst) of a KnowledgeMap, or at one
+    block label of a BlockKnowledge."""
+    bits = k.bits[k.cfg.edge(*where).index] if len(where) == 2 else k.bits.get(where[0], 0)
+    return k.index.decode(bits)
+
+
 def dfa_blocks(function, summaries=None):
     ef, km = dfa(function, summaries)
     kb = block_knowledge(km)

@@ -15,7 +15,7 @@ from declassiflow.pipeline import (RunConfig, analyze_program, property_map,
                                    run_pipeline)
 from declassiflow.protect import barrier_count
 
-from conftest import dfa, dfa_blocks, fixture_program, record_acceptance
+from conftest import dfa, dfa_blocks, fixture_program, known_at, record_acceptance
 from generators import random_acyclic_program
 
 
@@ -72,13 +72,13 @@ def test_criterion_3_anticorrelated_precision_ladder():
     program = fixture_program("anticorrelated")
     f = program.functions[0]
     _, km = dfa(f)
-    assert "x" not in km.at("B1", "B3")  # the fixpoint alone cannot see it
+    assert "x" not in known_at(km, "B1", "B3")  # the fixpoint alone cannot see it
 
     analyses, _, _, _ = analyze_program(program, RunConfig())
     fa = analyses["main"]
     verdicts = {(r.region.header, r.variable): r.verdict for r in fa.refinements}
     assert verdicts[("B1", "x")] == "inevitable"
-    assert "x" in fa.kb.at("B1")  # known at the entry block after the upgrade
+    assert "x" in known_at(fa.kb, "B1")  # known at the entry block after the upgrade
     assert fa.frontiers["x"] == {"B1"}
     done("criterion 3 (anticorrelated-branch precision ladder)")
 
@@ -89,8 +89,8 @@ def test_criterion_4_loop_pair():
     linked = fixture_program("self_loop_linked").functions[0]
     _, km_o = dfa(opaque)
     _, km_l = dfa(linked)
-    assert "x2" not in km_o.at("B2", "B3")
-    assert "x2" in km_l.at("B2", "B3")
+    assert "x2" not in known_at(km_o, "B2", "B3")
+    assert "x2" in known_at(km_l, "B2", "B3")
     done("criterion 4 (loop pair: carried value knowledge on the exit edge)")
 
 

@@ -122,6 +122,28 @@ def test_text_report(capsys):
     assert "barrier encrypt: B1" in out
 
 
+def test_verify_text_window_and_depth(capsys):
+    src = str(FIXTURES / "anticorrelated.mir")
+    assert run(["verify", src, "--window", "8", "--depth", "2", "--text"]) == 0
+    out = capsys.readouterr().out
+    assert "verification: PASS (window 8, depth 2)" in out
+    assert "  region B1 var x: inevitable" in out
+    assert run(["verify", src, "--window", "x"]) == 1
+    assert "argument --window: bad count 'x'" in capsys.readouterr().err
+
+
+def test_dead_block_feeding_loop_phi(capsys):
+    """Valid SSA whose unreachable block B9 defines a loop-header phi arm:
+    verify accepts it, and pruning drops B9 before expansion."""
+    src = str(FIXTURES / "dead_phi_arm.mir")
+    assert run(["verify", src, "--domain", "0..2", "--text"]) == 0
+    out = capsys.readouterr().out
+    assert "barrier main: B1, B2" in out and "verification: PASS" in out
+    assert run(["analyze", src, "--dump-expanded"]) == 0
+    out = capsys.readouterr().out
+    assert "B2.1" in out and "B9" not in out
+
+
 def test_report_determinism(tmp_path):
     src = FIXTURES / "chacha_analog.mir"
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,7 +6,7 @@ from declassiflow.ir import parse_program
 from declassiflow.knowledge import leak_model, summarize
 from declassiflow.pipeline import RunConfig, analyze_program
 
-from conftest import FIXTURES, dfa, dfa_blocks, fixture_program
+from conftest import FIXTURES, dfa, dfa_blocks, fixture_program, known_at
 from generators import (random_acyclic_program, random_loop_program, random_tight_program,
                         segments)
 
@@ -15,11 +15,11 @@ def compute_frontier(kb: BlockKnowledge, var: str, cfg: Cfg) -> set[str]:
     """Reference: one variable's frontier, the knowing blocks minus those
     whose predecessors all know the variable. The entry block has no real
     predecessors and is never removed."""
-    knowing = {b.label for b in cfg.function.blocks if var in kb.at(b.label)}
+    knowing = {b.label for b in cfg.function.blocks if var in known_at(kb, b.label)}
     frontier = set()
     for label in knowing:
         preds = [e.src for e in cfg.in_edges[label] if e.src != ENTRY]
-        if not preds or not all(var in kb.at(p) for p in preds):
+        if not preds or not all(var in known_at(kb, p) for p in preds):
             frontier.add(label)
     return frontier
 
@@ -30,7 +30,7 @@ def frontier_covers(kb: BlockKnowledge, var: str, frontier: set[str], cfg: Cfg) 
     Used by tests; explores simple paths exhaustively, so keep it to small
     graphs.
     """
-    knowing = {b.label for b in cfg.function.blocks if var in kb.at(b.label)}
+    knowing = {b.label for b in cfg.function.blocks if var in known_at(kb, b.label)}
 
     def search(cur: str, seen: frozenset) -> bool:
         # returns True if some frontier-avoiding path reaches a knowing block
@@ -49,23 +49,23 @@ def frontier_covers(kb: BlockKnowledge, var: str, frontier: set[str], cfg: Cfg) 
 def test_block_knowledge_is_out_edge_intersection():
     f = fixture_program("diamond_linked").functions[0]
     _, km, kb, _ = dfa_blocks(f)
-    assert kb.at("B1") == {"b1", "b2", "b3"}
-    assert kb.at("B2") == {"b1", "b2", "b3", "x1", "x2"}
-    assert kb.at("B3") == {"b1", "b2", "b3"}
-    assert kb.at(ENTRY) == set()
+    assert known_at(kb, "B1") == {"b1", "b2", "b3"}
+    assert known_at(kb, "B2") == {"b1", "b2", "b3", "x1", "x2"}
+    assert known_at(kb, "B3") == {"b1", "b2", "b3"}
+    assert known_at(kb, ENTRY) == set()
 
 
 def test_block_knowledge_opaque_variant():
     f = fixture_program("diamond_opaque").functions[0]
     _, km, kb, _ = dfa_blocks(f)
-    assert kb.at("B2") == {"x1", "x2", "a2"}
-    assert kb.at("B1") == set()
+    assert known_at(kb, "B2") == {"x1", "x2", "a2"}
+    assert known_at(kb, "B1") == set()
 
 
 def test_block_knowledge_empty_edge_sets():
     f = parse_program("fn f(a) {\nB1:\n  ret\n}").functions[0]
     _, km, kb, _ = dfa_blocks(f)
-    assert kb.at("B1") == set()
+    assert known_at(kb, "B1") == set()
 
 
 def test_frontiers_linked_diamond():
@@ -179,6 +179,6 @@ def test_all_frontiers_matches_per_variable_reference():
                 known = fa.km.known
                 for b in cfg.function.blocks:
                     outs = [known[e.index] for e in cfg.out_edges[b.label]]
-                    assert fa.kb.at(b.label) == set.intersection(*outs), (text, b.label)
-                assert fa.kb.at(ENTRY) == known[cfg.entry_dummy().index], text
+                    assert known_at(fa.kb, b.label) == set.intersection(*outs), (text, b.label)
+                assert known_at(fa.kb, ENTRY) == known[cfg.entry_dummy().index], text
     assert checked[False] >= 500 and checked[True] >= 500, checked

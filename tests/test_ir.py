@@ -5,6 +5,7 @@ import re
 import pytest
 
 from declassiflow.cfg import expand_loops
+from declassiflow.cli import main
 from declassiflow.ir import (INT32_MAX, INT32_MIN, OPCODES, TERMINATORS, Block, Function,
                              Instruction, IRError, Program, parse_program, pretty_print, to_i32,
                              transmissions, validate_ssa)
@@ -151,6 +152,33 @@ B3:
   ret
 }
 """)
+
+
+@pytest.mark.parametrize("text,error,line", [
+    ("fn f() {\nB1:\n  ret\n}\nfn f() {\nB1:\n  ret\n}",
+     "line 5: duplicate function 'f'", 5),
+    ("fn f() {\nB1:\n  r = call g(1)\n  ret\n}\nfn g(a, b) {\nB1:\n  ret\n}",
+     "line 3: call to 'g' passes 1 args, expected 2", 3),
+    ("fn f() {\nB1:\n  jmp B2\nB1:\n  ret\nB2:\n  ret\n}",
+     "duplicate block label 'B1'", None),
+    ("fn f() {\nB1:\n  jmp B1\n}", "entry block 'B1' has predecessors ['B1']", None),
+    ("fn f() {\nB1:\n  jmp B2\nB2:\n  a = const 1\n  x = phi [a, B1]\n  ret\n}",
+     "line 6: phi after non-phi instruction", 6),
+    ("fn f(a, a) {\nB1:\n  ret\n}", "duplicate parameter 'a'", None),
+    ("fn f(p, i, s) {\nB1:\n  x = gep p, i, s\n  ret\n}",
+     "line 3, col 17: gep scale must be a literal", 3),
+], ids=["duplicate-function", "call-arity", "duplicate-label", "entry-has-preds",
+        "phi-not-prefix", "duplicate-parameter", "gep-scale"])
+def test_validator_issue_kinds(tmp_path, capsys, text, error, line):
+    """Each case is the smallest program with one fault: parse_program raises
+    it with its line, and the CLI exits 2."""
+    with pytest.raises(IRError) as info:
+        parse_program(text)
+    assert (str(info.value), info.value.line) == (error, line)
+    src = tmp_path / "bad.mir"
+    src.write_text(text)
+    assert main(["analyze", str(src)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_validate_catches_single_mutations():

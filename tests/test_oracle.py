@@ -1,18 +1,19 @@
 import copy
 import random
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import pytest
 
 from declassiflow.cfg import ENTRY, EXIT
 from declassiflow.ir import Function, Program, parse_program, to_i32
-from declassiflow.oracle import (Observation, OracleError, SpecExecution, Trace,
-                                 _BranchPoint, _Machine, check_frontier_property,
-                                 eval_op, exact_knowledge, input_grid, input_slots,
-                                 interpret, load_value, speculative_explore)
+from declassiflow.oracle import (DEFAULT_FUEL, Observation, OracleError, SpecExecution,
+                                 _Machine, check_frontier_property, eval_op,
+                                 exact_knowledge, input_grid, input_slots, interpret,
+                                 load_value, speculative_explore)
 from declassiflow.pipeline import RunConfig, analyze_program, property_map, run_pipeline
 
-from conftest import FIXTURES, dfa, fixture_program
+from conftest import FIXTURES, dfa, fixture_program, known_at
 from generators import call_chain, random_acyclic_program, random_tight_program, segments
 
 
@@ -69,16 +70,27 @@ B1:
 
 
 def test_interpret_fuel_guard():
-    f = parse_program("""
-fn f() {
+    p = parse_program("""
+fn f(n) {
 B1:
+  z = const 0
   jmp B2
 B2:
-  jmp B2
+  i = phi [0, B1], [j, B2]
+  j = add i, 1
+  c = lt j, n
+  br c, B2, B3
+B3:
+  r = add z, 1
+  ret r
 }
-""").functions[0]
+""")
+    n = (DEFAULT_FUEL - 4) // 4  # 4 steps per iteration, 4 outside the loop
+    assert interpret(p, [n]).steps == DEFAULT_FUEL
     with pytest.raises(OracleError, match="fuel"):
-        interpret(Program([f]), [], fuel=500)
+        interpret(p, [n + 1])
+    with pytest.raises(OracleError, match="fuel"):
+        interpret(parse_program("fn f() {\nB1:\n  jmp B2\nB2:\n  jmp B2\n}"), [])
 
 
 def test_interpret_load_is_deterministic():
@@ -91,8 +103,8 @@ def test_interpret_load_is_deterministic():
 def test_exact_knowledge_anticorrelated():
     f = fixture_program("anticorrelated").functions[0]
     km = exact_knowledge(f, range(0, 2))
-    assert "x" in km.at("B1", "B3")  # exact beats the edge fixpoint here
-    assert "x" in km.at("B1", "B2")
+    assert "x" in known_at(km, "B1", "B3")  # exact beats the edge fixpoint here
+    assert "x" in known_at(km, "B1", "B2")
 
 
 def test_exact_knowledge_transmitter_free():
@@ -172,6 +184,45 @@ B3:
     _, specs = speculative_explore(Program([f]), [3], window=32, depth=1)
     assert all(not sp.observations for sp in specs)
     assert any(sp.stopped_by == "barrier" for sp in specs)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_explorer_keeps_at_most_depth_snapshots_alive(monkeypatch, depth):
+    """Each burst runs at its branch, on a snapshot that lives only as long as
+    the burst: a 200-iteration loop never holds more than `depth` at once."""
+    p = parse_program("""
+fn f(s, n) {
+B1:
+  jmp B2
+B2:
+  i = phi [0, B1], [j, B2]
+  j = add i, 1
+  c = lt j, n
+  br c, B2, B3
+B3:
+  d = eq s, 0
+  br d, B4, B5
+B4:
+  transmit s
+  ret
+B5:
+  ret
+}
+""")
+    live, peak = weakref.WeakSet(), 0
+    snapshot = _Machine.snapshot
+
+    def counted(self):
+        nonlocal peak
+        m = snapshot(self)
+        live.add(m)
+        peak = max(peak, len(live))
+        return m
+
+    monkeypatch.setattr(_Machine, "snapshot", counted)
+    _, specs = speculative_explore(p, [9, 200], window=16, depth=depth)
+    assert len(specs) > 200 * depth  # a burst per branch, and per branch in a burst
+    assert peak <= depth
 
 
 def test_explorer_rollback_leaves_trace_identical():
@@ -348,6 +399,28 @@ def _deepcopy_snapshot(self):
 # ---------------------------------------------------------------------------
 
 @dataclass
+class _RefTrace:
+    """The reference stepper's trace: the fields of oracle.Trace, with pc
+    recorded at each block entry rather than derived from the edges."""
+    edges: list = field(default_factory=list)
+    edge_times: list = field(default_factory=list)
+    pc: list = field(default_factory=list)
+    observations: list = field(default_factory=list)
+    returned: int | None = None
+    steps: int = 0
+    final_env: dict = field(default_factory=dict)
+
+
+@dataclass
+class _RefBranchPoint:
+    step: int
+    function: str
+    block: str
+    wrong: str
+    machine: "_RefMachine"
+
+
+@dataclass
 class _RefFrame:
     function: Function
     block: str
@@ -416,7 +489,7 @@ def _ref_operand(frame: _RefFrame, op):
     return frame.env[op], frame.taint.get(op, frozenset())
 
 
-def _ref_step(m: _RefMachine, trace: Trace, *, speculative: bool,
+def _ref_step(m: _RefMachine, trace: _RefTrace, *, speculative: bool,
               transmit_speculative: bool, branch_sink: list | None = None) -> str | None:
     frame = m.frames[-1]
     f = frame.function
@@ -542,8 +615,8 @@ def _ref_step(m: _RefMachine, trace: Trace, *, speculative: bool,
     taken = then_l if cond != 0 else else_l
     wrong = else_l if cond != 0 else then_l
     if branch_sink is not None and then_l != else_l:
-        branch_sink.append(_BranchPoint(trace.steps, f.name, block.label,
-                                        taken, wrong, m.snapshot()))
+        branch_sink.append(_RefBranchPoint(trace.steps, f.name, block.label, wrong,
+                                           m.snapshot()))
     trace.edges.append((f.name, block.label, taken))
     trace.edge_times.append(trace.steps)
     frame.prev_block, frame.block, frame.idx, frame.phis_done = (
@@ -554,11 +627,11 @@ def _ref_step(m: _RefMachine, trace: Trace, *, speculative: bool,
 def _ref_burst(machine: _RefMachine, wrong: str, window: int, depth_left: int):
     m = machine.snapshot()
     frame = m.frames[-1]
-    subtrace = Trace()
+    subtrace = _RefTrace()
     frame.prev_block, frame.block, frame.idx, frame.phis_done = (
         frame.block, wrong, 0, False)
     variants = []
-    nested: list[_BranchPoint] = []
+    nested: list[_RefBranchPoint] = []
     stopped = "window"
     while subtrace.steps < window:
         if m.done:
@@ -582,10 +655,10 @@ def _ref_burst(machine: _RefMachine, wrong: str, window: int, depth_left: int):
 def _ref_explore(program: Program, inputs: list[int], window: int, depth: int):
     """speculative_explore(..., pad_inputs=True) on the reference stepper."""
     m = _RefMachine(program, program.entry_function, inputs, pad_inputs=True)
-    trace = Trace()
+    trace = _RefTrace()
     trace.edges.append((program.entry_function, ENTRY, m.frames[0].block))
     trace.edge_times.append(0)
-    branch_points: list[_BranchPoint] = []
+    branch_points: list[_RefBranchPoint] = []
     while not m.done:
         _ref_step(m, trace, speculative=False, transmit_speculative=True,
                   branch_sink=branch_points)

@@ -167,7 +167,7 @@ def test_barrier_in_phi_headed_block_follows_the_phis():
     assert [i.opcode for i in b4.instructions] == ["phi", "specbarr", "load"]
     # a=0, b=0 runs B1 B2 B4 B5: the clone executes one instruction more
     clone = interpret(protected, [0, 0])
-    original = interpret(protected, [0, 0], entry="main")
+    original = interpret(program, [0, 0])
     assert ("main.p", "B4") in clone.pc
     assert clone.steps == original.steps + 1
     # b=5 skips B4; a misprediction into it stops at the barrier

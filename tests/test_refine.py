@@ -17,7 +17,7 @@ from declassiflow.refine import (ESCAPABLE, INEVITABLE, UNKNOWN, Limits, PathLog
                                  check_inevitable, parse_constraint)
 from declassiflow.ir import Program, parse_program
 
-from conftest import dfa_blocks, fixture_program, fixture_text
+from conftest import dfa_blocks, fixture_program, fixture_text, known_at
 from generators import call_chain, random_acyclic_program, segments
 
 
@@ -37,7 +37,7 @@ def regions_of(f):
 
 def knowing(f, kb, var):
     """Speculative transmitter blocks whose knowledge includes var."""
-    return {b for b in spec_tblocks(f) if var in kb.at(b)}
+    return {b for b in spec_tblocks(f) if var in known_at(kb, b)}
 
 
 def query(f, region, var, kb, limits=None, constraints=None):
@@ -114,7 +114,7 @@ def test_anticorrelated_inevitable():
     result = query(f, region, "x", kb, Limits(domain_min=0, domain_max=3))
     assert result.verdict == INEVITABLE
     kb2 = apply_refinement(kb, result)
-    assert "x" in kb2.at("B1")
+    assert "x" in known_at(kb2, "B1")
 
 
 def test_sort_guard_region_inevitable_and_entry_escapable():
@@ -273,11 +273,12 @@ def test_refinement_sound_against_interpreter():
     limits = Limits(domain_min=0, domain_max=3)
     verdicts = {INEVITABLE: 0, ESCAPABLE: 0, UNKNOWN: 0}
     for _ in range(300):
-        f = parse_program(random_acyclic_program(rng)).functions[0]
+        program = parse_program(random_acyclic_program(rng))
+        f = program.functions[0]
         _, _, kb, _ = dfa_blocks(f)
         paths = PathLog(f, limits)
-        traces = [interpret(f, inputs)
-                  for inputs in input_grid(input_slots(f), range(4))]
+        traces = [interpret(program, inputs)
+                  for inputs in input_grid(input_slots(program), range(4))]
         for region in regions_of(f):
             for var in sorted(candidate_vars(kb, spec_tblocks(f))):
                 know = knowing(f, kb, var)
@@ -287,7 +288,7 @@ def test_refinement_sound_against_interpreter():
                     assert not any(flag_escapes(t, f.name, region.header, know)
                                    for t in traces), (region.header, var)
                 elif result.verdict == ESCAPABLE:
-                    trace = interpret(f, result.witness_inputs)
+                    trace = interpret(program, result.witness_inputs)
                     assert flag_escapes(trace, f.name, region.header, know)
     assert verdicts[INEVITABLE] > 1000 and verdicts[ESCAPABLE] > 50, verdicts
 
