@@ -101,9 +101,6 @@ OPCODES = {
 }
 TERMINATORS = {"br", "jmp", "ret"}
 
-Operand = "str | int"  # variable name or 32-bit literal
-
-
 class IRError(Exception):
     """Problem with the textual IR (syntax or structure)."""
 
@@ -573,16 +570,17 @@ def _validate_function(f: Function, report: ValidationReport):
     labels = [b.label for b in f.blocks]
     label_set = set(labels)
     if len(labels) != len(label_set):
-        dupes = {l for l in labels if labels.count(l) > 1}
-        for d in sorted(dupes):
-            report.add("duplicate-label", f"duplicate block label '{d}'", f.name, d)
+        for i, b in enumerate(f.blocks):
+            if b.label in labels[:i]:
+                report.add("duplicate-label", f"duplicate block label '{b.label}'", f.name,
+                           b.label, b.line)
         return
 
     block_of_def: dict[str, str | None] = {p: None for p in f.params}
     def_index: dict[str, int] = {}
-    for p in f.params:
-        if f.params.count(p) > 1:
-            report.add("duplicate-definition", f"duplicate parameter '{p}'", f.name)
+    for i, p in enumerate(f.params):
+        if p in f.params[:i]:
+            report.add("duplicate-definition", f"duplicate parameter '{p}'", f.name, line=f.line)
     for b in f.blocks:
         for idx, ins in enumerate(b.instructions):
             if ins.output is None:
@@ -609,7 +607,7 @@ def _validate_function(f: Function, report: ValidationReport):
     entry = f.entry_block
     if preds[entry]:
         report.add("entry-has-preds", f"entry block '{entry}' has predecessors {sorted(set(preds[entry]))}",
-                   f.name, entry)
+                   f.name, entry, f.blocks[0].line)
 
     dom = dominator_tree(succs, entry)
 

@@ -1,6 +1,7 @@
 """End-to-end driver: data-flow analysis, path-sensitive refinement, barrier
-placement and execution-based verification, in that order, processing callees
-before callers so summaries flow up the call graph.
+placement and execution-based verification, in that order. The first two run
+in one callees-first pass, so each function is summarized once, after its
+refinement, and its callers read that final summary.
 
 Refinement runs only for functions the data-flow phase left not fully
 declassified, and skips queries whose variable is already known throughout the
@@ -51,7 +52,7 @@ class FunctionAnalysis:
     kb: BlockKnowledge
     frontiers: dict[str, set[str]]
     summary: FunctionSummary
-    leaks: list[Transmission]  # the leak model, from the latest callee summaries
+    leaks: list[Transmission]  # the leak model, from the callees' final summaries
     refinements: list[RefinementResult] = field(default_factory=list)
     phase2: str = "skipped"
     notes: list[str] = field(default_factory=list)
@@ -84,11 +85,12 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
                             notes=notes)
 
 
-def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function], config: RunConfig):
+def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function],
+                    summaries: dict[str, FunctionSummary], config: RunConfig):
     """Phase 2: region-by-variable inevitability queries, outermost first,
     all answered from one exploration of the function; Inevitable verdicts
-    upgrade block knowledge immediately. Regions and candidates come from
-    the blocks of the speculative leak sites."""
+    upgrade block knowledge immediately, then frontiers and summary are
+    rebuilt. Regions and candidates come from the speculative leak sites."""
     tblocks = {t.block for t in fa.leaks if t.speculative}
     regions = candidate_regions(fa.simplified, tblocks, fa.km.cfg.dom)
     cands = sorted(candidate_vars(fa.kb, tblocks))
@@ -108,12 +110,15 @@ def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function], config: R
             if result.verdict == INEVITABLE:
                 apply_refinement(fa.kb, result)
     fa.frontiers = all_frontiers(fa.kb)
+    fa.summary = summarize(fa.expanded, fa.kb.bits, fa.frontiers, summaries, fa.leaks)
     fa.phase2 = "ran"
 
 
 def analyze_program(program: Program, config: RunConfig | None = None):
-    """Phases 1 and 2 for every function, callees first. Returns the analyses,
-    the summaries and timing for the two phases."""
+    """Phases 1 and 2 for each function in one pass, callees first: a
+    function is analyzed and, unless data flow already declassified all of
+    it, refined before any caller, so callers read final summaries. Returns
+    the analyses, the summaries, the order and the time of each phase."""
     config = config or RunConfig()
     t0 = time.perf_counter()
     issues = validate_ssa(program).issues
@@ -122,38 +127,20 @@ def analyze_program(program: Program, config: RunConfig | None = None):
 
     summaries: dict[str, FunctionSummary] = {}
     analyses: dict[str, FunctionAnalysis] = {}
-    bodies: dict[str, Function] = {}
+    bodies = {f.name: f for f in program.functions}  # simplified before any caller refines
     order = call_order(program)
-    by_name = {f.name: f for f in program.functions}
+    refine_s = 0.0
     for name in order:
-        f = by_name[name]
-        for _, ins in f.instructions():
-            assert ins.opcode != "call" or ins.callee in summaries, \
-                f"callee '{ins.callee}' summarized after its caller '{name}'"
-        fa = analyze_function(f, summaries, config)
-        analyses[name] = fa
+        fa = analyses[name] = analyze_function(bodies[name], summaries, config)
         bodies[name] = fa.simplified
-        summaries[name] = fa.summary
-    dfa_s = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    if config.refine:
-        for name in order:
-            fa = analyses[name]
-            # callees were re-summarized earlier in this phase: their summaries
-            # are final, and so is this leak model
-            fa.leaks = leak_model(fa.simplified, summaries, config.transmit_speculative)
-            if fa.summary.is_fully_declassified:
-                continue  # data-flow results already optimal for this function
-            refine_function(fa, bodies, config)
-            fa.summary = summarize(fa.expanded, fa.kb.bits, fa.frontiers, summaries,
-                                   fa.leaks)
-            summaries[name] = fa.summary
-    else:
-        for fa in analyses.values():
+        if not config.refine:
             fa.phase2 = "disabled"
-    refine_s = time.perf_counter() - t1
-    return analyses, summaries, order, (dfa_s, refine_s)
+        elif not fa.summary.is_fully_declassified:
+            t1 = time.perf_counter()
+            refine_function(fa, bodies, summaries, config)
+            refine_s += time.perf_counter() - t1
+        summaries[name] = fa.summary
+    return analyses, summaries, order, (time.perf_counter() - t0 - refine_s, refine_s)
 
 
 def _called_functions(program: Program) -> set[str]:

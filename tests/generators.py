@@ -212,6 +212,67 @@ def call_chain(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+REFINED_CALLEE = """fn g(x, y) {
+B1:
+  q = input
+  br q, B2, B3
+B2:
+  transmit x
+  jmp B3
+B3:
+  nq = eq q, 0
+  br nq, B4, B5
+B4:
+  transmit x
+  jmp B5
+B5:
+  transmit y
+  ret
+}
+"""
+
+
+def refined_callee_caller(rng: random.Random) -> str:
+    """A random acyclic `main(a, b, c)` of 3-6 blocks calling `g(x, y)`, which
+    transmits `x` on anticorrelated branches (so only refinement declassifies
+    it) and then transmits `y`. Each block holds 0-2 calls, loads or
+    transmits of a parameter and ends in a branch on one or a jump."""
+    n_blocks = rng.randint(3, 6)
+    params = ["a", "b", "c"]
+    succs = {i: sorted({rng.randint(i + 1, n_blocks), rng.randint(i + 1, n_blocks)})
+             for i in range(1, n_blocks)}
+    reach, work = {1}, [1]
+    while work:
+        for t in succs.get(work.pop(), []):
+            if t not in reach:
+                reach.add(t)
+                work.append(t)
+    lines = ["fn main(a, b, c) {"]
+    defs = 0
+    for i in sorted(reach):
+        lines.append(f"B{i}:")
+        for _ in range(rng.randint(0, 2)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                defs += 1
+                lines.append(f"  d{defs} = call g({rng.choice(params)}, {rng.choice(params)})")
+            elif kind == 1:
+                defs += 1
+                lines.append(f"  d{defs} = load {rng.choice(params)}")
+            else:
+                lines.append(f"  transmit {rng.choice(params)}")
+        targets = succs.get(i)
+        if not targets:
+            lines.append("  ret")
+        elif rng.random() < 0.3:
+            lines.append(f"  jmp B{targets[0]}")
+        else:
+            lines.append(f"  br {rng.choice(params)}, B{targets[0]}, B{targets[-1]}")
+    text = "\n".join(lines) + "\n}\n" + REFINED_CALLEE
+    parse_program(text)
+    return text
+
+
 def segments(k: int) -> str:
     """One function `main(buf, n)` of k chained segments (7k+2 blocks): a
     length check that enters or skips a counted loop over `buf`, then a diamond

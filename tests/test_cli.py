@@ -144,6 +144,20 @@ def test_dead_block_feeding_loop_phi(capsys):
     assert "B2.1" in out and "B9" not in out
 
 
+def test_caller_reads_refined_callee_summary(tmp_path):
+    """Only refinement declassifies g's `x`, so only g's refined summary says
+    that the call `g(c)` reveals `c`: main must read that summary and know
+    `c` from B1, the call's block, on."""
+    out = tmp_path / "report.json"
+    src = str(FIXTURES / "refined_callee.mir")
+    assert run(["verify", src, "--domain", "0..1", "--emit-frontiers", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verification"]["passed"]
+    assert report["barriers"] == {"g": ["B1"]}
+    main_fn = next(f for f in report["functions"] if f["name"] == "main")
+    assert main_fn["frontiers"]["c"] == ["B1"]
+
+
 def test_report_determinism(tmp_path):
     src = FIXTURES / "chacha_analog.mir"
     a, b = tmp_path / "a.json", tmp_path / "b.json"

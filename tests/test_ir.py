@@ -160,11 +160,11 @@ B3:
     ("fn f() {\nB1:\n  r = call g(1)\n  ret\n}\nfn g(a, b) {\nB1:\n  ret\n}",
      "line 3: call to 'g' passes 1 args, expected 2", 3),
     ("fn f() {\nB1:\n  jmp B2\nB1:\n  ret\nB2:\n  ret\n}",
-     "duplicate block label 'B1'", None),
-    ("fn f() {\nB1:\n  jmp B1\n}", "entry block 'B1' has predecessors ['B1']", None),
+     "line 4: duplicate block label 'B1'", 4),
+    ("fn f() {\nB1:\n  jmp B1\n}", "line 2: entry block 'B1' has predecessors ['B1']", 2),
     ("fn f() {\nB1:\n  jmp B2\nB2:\n  a = const 1\n  x = phi [a, B1]\n  ret\n}",
      "line 6: phi after non-phi instruction", 6),
-    ("fn f(a, a) {\nB1:\n  ret\n}", "duplicate parameter 'a'", None),
+    ("fn f(a, a) {\nB1:\n  ret\n}", "line 1: duplicate parameter 'a'", 1),
     ("fn f(p, i, s) {\nB1:\n  x = gep p, i, s\n  ret\n}",
      "line 3, col 17: gep scale must be a literal", 3),
 ], ids=["duplicate-function", "call-arity", "duplicate-label", "entry-has-preds",

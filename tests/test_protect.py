@@ -12,7 +12,7 @@ from declassiflow.protect import (barrier_count, emit_protected, plan_protection
 from declassiflow.refine import Limits
 
 from conftest import FIXTURES, fixture_program, fixture_text
-from generators import call_chain, random_loop_program, segments
+from generators import call_chain, random_loop_program, refined_callee_caller, segments
 
 
 def plans_for(name, **cfg):
@@ -21,12 +21,11 @@ def plans_for(name, **cfg):
     return program, report
 
 
-@pytest.mark.parametrize("refine,calls", [(True, 2), (False, 1)])
+@pytest.mark.parametrize("refine", [True, False])
 @pytest.mark.parametrize("name", ["aes_analog", "djbsort_analog"])
-def test_leak_model_once_per_function_per_phase(name, refine, calls, monkeypatch):
-    """Phase 1 builds each function's leak model; phase 2 rebuilds it once
-    from the final callee summaries, also where it skips refinement (all of
-    aes_analog), and protection reads that one."""
+def test_leak_model_once_per_function(name, refine, monkeypatch):
+    """Each function's leak model is built once, in phase 1 from its callees'
+    final summaries; refinement and protection read that one."""
     made: Counter = Counter()
     leak_model = pipeline.leak_model
 
@@ -36,7 +35,17 @@ def test_leak_model_once_per_function_per_phase(name, refine, calls, monkeypatch
 
     monkeypatch.setattr(pipeline, "leak_model", counting)
     program, _ = plans_for(name, refine=refine)
-    assert made == {fn: calls for fn in program.function_names()}
+    assert made == {fn: 1 for fn in program.function_names()}
+
+
+def test_callers_of_refined_callee_verify():
+    """Each caller is analyzed after its callee's refinement, so the knowledge
+    it gains at a call site matches the barriers the callee ends up with."""
+    config = RunConfig(verify=True, verify_domain=range(0, 2))
+    failed = [seed for seed in range(200)
+              if not run_pipeline(parse_program(refined_callee_caller(random.Random(seed))),
+                                  config)["verification"]["passed"]]
+    assert failed == []
 
 
 def test_verify_run_leaves_its_input_unchanged():

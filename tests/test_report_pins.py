@@ -80,6 +80,8 @@ PINS = {
         "f32745ccd2cdcc1793f801eb031d282a3b961dd8609325150ee9ddc330dd6a15",
     ("phi_frontier", "pipeline"):
         "be1afd8e8a13a8d8eb366f6dba9736d1360c62f1b14293ac6a292976fccb43b2",
+    ("refined_callee", "pipeline"):
+        "7e13c4056206a7fe085b6acca6e9430dc129e6bebe1a31c925fe4ad60f3680e3",
     ("self_loop_linked", "analyze"):
         "5275784475ba6a6c86cf75483f9fd358e312739964d3b2773c9aba01681427f4",
     ("self_loop_linked", "protect"):
