@@ -4,9 +4,11 @@ and a speculative explorer that checks the frontier protection property.
 One stepper, `execute`, runs the mini-IR for the verifier and for
 refinement's symbolic executor alike: it owns block entry with the parallel
 phi batch, calls and returns, `jmp` and `br` over a stack of `Frame`s, and a
-value domain supplies operand reads, the other instructions and the branch
-decision. The concrete domain here, `_Machine`, binds each variable to a
-(value, taint) pair; refine.py's `_SymState` binds terms.
+value domain supplies operand reads, the other instructions, the branch
+decision and whether a call steps into its callee or takes a result the
+domain already has. The concrete domain here, `_Machine`, binds each variable to a
+(value, taint) pair and steps into every call; refine.py's `_SymState` binds
+terms and replays the callee walks it has already recorded.
 
 Memory is not modeled: a load returns a deterministic pseudo-value derived
 from its address, so traces are reproducible without a heap. Taint flows from
@@ -129,14 +131,17 @@ def execute(st, limit: int):
     value bound to var, and the hooks enter(frame, block, steps) at block
     entry, instruction(frame, block, ins, steps) for every instruction but
     phi and call, leave(frame, block, value, steps) at a ret (value None for
-    a bare ret) and branch(frame, block, cond, then, else, steps), which
-    returns the label to take. enter and instruction return None to go on;
-    any other value, or a branch result that is not a label, stops the run.
+    a bare ret), branch(frame, block, cond, then, else, steps), which
+    returns the label to take, and call(callee, argument values) at a call,
+    which returns None to step into the callee or else the value the call
+    returns. enter and instruction return None to go on; any other value, a
+    branch result that is not a label or a call result that is a string
+    stops the run.
     Errors are raised as st.error."""
     frames = st.frames
     functions = st.functions
     read, name = st.operand, st.name
-    enter, instruction, branch = st.enter, st.instruction, st.branch
+    enter, instruction, branch, call = st.enter, st.instruction, st.branch, st.call
     steps = 0
     while steps < limit:
         frame = frames[-1]
@@ -174,11 +179,18 @@ def execute(st, limit: int):
                     callee, blocks = functions[ins.callee]
                 except KeyError:
                     raise st.error(f"execution needs the body of '{ins.callee}'") from None
-                env = {p: name(callee.name, p, read(frame, a))
-                       for p, a in zip(callee.params, ins.operands)}
-                frame.pending_out = ins.output
-                frames.append(Frame(callee, blocks, callee.entry_block, None, 0, False,
-                                    env, None))
+                args = [read(frame, a) for a in ins.operands]
+                ret = call(callee, args)
+                if ret is None:
+                    frame.pending_out = ins.output
+                    frames.append(Frame(callee, blocks, callee.entry_block, None, 0, False,
+                                        {p: name(callee.name, p, a)
+                                         for p, a in zip(callee.params, args)}, None))
+                elif ret.__class__ is str:
+                    stop = ret
+                    break
+                elif ins.output is not None:
+                    frame.env[ins.output] = name(frame.function.name, ins.output, ret)
             elif ins.opcode != "phi":  # a phi already ran in the entry batch
                 stop = instruction(frame, block, ins, steps)
                 if stop is not None:
@@ -283,6 +295,9 @@ class _Machine:
 
     def name(self, fname: str, var: str, value):
         return value[0], value[1] | {(fname, var)}
+
+    def call(self, callee, args):
+        return None
 
     def enter(self, frame: Frame, block, steps: int):
         trace = self.trace

@@ -86,16 +86,18 @@ def analyze_function(f: Function, summaries: dict[str, FunctionSummary],
 
 
 def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function],
-                    summaries: dict[str, FunctionSummary], config: RunConfig):
+                    summaries: dict[str, FunctionSummary], config: RunConfig,
+                    walks: dict):
     """Phase 2: region-by-variable inevitability queries, outermost first,
     all answered from one exploration of the function; Inevitable verdicts
     upgrade block knowledge immediately, then frontiers and summary are
-    rebuilt. Regions and candidates come from the speculative leak sites."""
+    rebuilt. Regions and candidates come from the speculative leak sites;
+    walks is the run's memo of decided callee walks."""
     tblocks = {t.block for t in fa.leaks if t.speculative}
     regions = candidate_regions(fa.simplified, tblocks, fa.km.cfg.dom)
     cands = sorted(candidate_vars(fa.kb, tblocks))
     paths = PathLog(fa.simplified, config.limits, config.constraints.get(fa.name, []),
-                    bodies)
+                    bodies, walks)
     known, bit = fa.kb.bits, fa.kb.index.bit
     for region in regions:
         for var in cands:
@@ -129,6 +131,7 @@ def analyze_program(program: Program, config: RunConfig | None = None):
     analyses: dict[str, FunctionAnalysis] = {}
     bodies = {f.name: f for f in program.functions}  # simplified before any caller refines
     order = call_order(program)
+    walks: dict = {}  # decided callee walks, shared by every function's path log
     refine_s = 0.0
     for name in order:
         fa = analyses[name] = analyze_function(bodies[name], summaries, config)
@@ -137,7 +140,7 @@ def analyze_program(program: Program, config: RunConfig | None = None):
             fa.phase2 = "disabled"
         elif not fa.summary.is_fully_declassified:
             t1 = time.perf_counter()
-            refine_function(fa, bodies, summaries, config)
+            refine_function(fa, bodies, summaries, config, walks)
             refine_s += time.perf_counter() - t1
         summaries[name] = fa.summary
     return analyses, summaries, order, (time.perf_counter() - t0 - refine_s, refine_s)

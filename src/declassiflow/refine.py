@@ -21,6 +21,14 @@ knows the variable. Constraint solving is exact within the configured input
 domain: exhaustive enumeration over the exit's box of ranges, once per path.
 Any cap hit degrades the verdict to Unknown, whose note names the caps;
 Unknown is treated like Escapable downstream (no knowledge upgrade).
+
+A callee walk that never forks, reads no input and hits no cap is decided by
+its entry state: the callee, its argument terms and the range of each symbol
+in them, since a decided branch reads only the ranges. One memo per analysis
+run, shared by every function's path log, keeps each decided walk's return
+term and block-visit increments under that key; a repeated call adds the
+increments to the path's visits (ending it "cap" past loop_cap, as stepping
+would) and binds the return term instead of stepping the callee again.
 """
 
 from __future__ import annotations
@@ -257,7 +265,8 @@ class _SymState:
     variable to a term. pc holds only the branch and entry constraints that
     the intervals left open when they were added; ranges is its fixpoint.
     functions, limits and fname (the explored function) are the
-    exploration's, shared by every path."""
+    exploration's, shared by every path; walks is the run's memo of decided
+    callee walks, and recording holds the walks of this path still open."""
 
     frames: list[Frame]
     pc: list  # [(term, truthy)]
@@ -272,15 +281,19 @@ class _SymState:
     functions: dict = field(default_factory=dict)  # name -> (Function, block map)
     limits: Limits = field(default_factory=Limits)
     fname: str = ""
+    walks: dict = field(default_factory=dict)  # key -> (return term, visit increments)
+    recording: list = field(default_factory=list)  # [(key, visits before, depth)]
 
     error = AnalysisError
 
     def fork(self) -> "_SymState":
+        """A copy of the path without its open recordings: a walk that forks
+        is not decided."""
         return _SymState(
             [fr.copy() for fr in self.frames], list(self.pc), list(self.syms),
             dict(self.ranges), dict(self.holes), self.complex, dict(self.visits),
             dict(self.last), self.clock, self.input_count, self.functions,
-            self.limits, self.fname)
+            self.limits, self.fname, self.walks)
 
     def run(self):
         """Run the path until it exits ("return"), hits loop_cap ("cap") or
@@ -304,14 +317,40 @@ class _SymState:
             self.clock += 1
         return None
 
+    def call(self, callee: Function, args: list):
+        """Replay a decided walk of callee on args: its return term, or "cap"
+        when its block visits pass loop_cap. None steps into the callee, and
+        records the walk unless an argument is too large to key."""
+        syms = _term_symbols(args)
+        if syms is None:
+            return None
+        key = (callee.name, tuple(args), tuple((s, self.ranges[s]) for s in sorted(syms)))
+        walk = self.walks.get(key)
+        if walk is None:
+            self.recording.append((key, dict(self.visits), len(self.frames)))
+            return None
+        ret, increments = walk
+        visits, cap = self.visits, self.limits.loop_cap
+        for k, n in increments:
+            n = visits[k] = visits.get(k, 0) + n
+            if n > cap:
+                return "cap"
+        return ret
+
     def leave(self, frame: Frame, block, val, steps: int):
-        pass
+        rec = self.recording
+        if rec and rec[-1][2] == len(self.frames) - 1:  # a recorded callee returns
+            key, before, _ = rec.pop()
+            self.walks[key] = (0 if val is None else val, tuple(
+                (k, n - before.get(k, 0)) for k, n in self.visits.items()
+                if n != before.get(k, 0)))
 
     def instruction(self, frame: Frame, block, ins, steps: int):
         opcode, env = ins.opcode, frame.env
         if ins.output is None:  # nothing to bind
             return None
         if opcode == "input":
+            self.recording.clear()  # a walk that reads input is not decided
             name = f"#in{self.input_count}"  # no IR name starts with #
             self.input_count += 1
             lim = self.limits
@@ -379,6 +418,27 @@ class _SymState:
             self.decide(t) in (None, tr) for t, tr in self.complex)
 
 
+_KEY_NODES = 256  # a call argument term larger than this is stepped into
+
+
+def _term_symbols(terms):
+    """The symbols in terms, or None past _KEY_NODES term nodes, counted as
+    a tree: hashing or comparing a key walks the terms as trees."""
+    syms, todo, budget = set(), list(terms), _KEY_NODES
+    while todo:
+        t = todo.pop()
+        if isinstance(t, int):
+            continue
+        budget -= 1
+        if budget < 0:
+            return None
+        if t[0] == "sym":
+            syms.add(t[1])
+        else:
+            todo.extend(t[1:])
+    return syms
+
+
 _UNBOUNDED = 1 << 62  # refinement bounds paths with loop_cap, not steps
 _TOO_DEEP = "symbolic term nested past the Python recursion limit"
 
@@ -387,17 +447,20 @@ class PathLog:
     """The bounded paths of one function, explored lazily and shared by every
     query on it. Events are "cap" (a loop_cap hit), (path condition, symbols,
     last visits, ranges) for an exit, or the AnalysisError that ended
-    exploration."""
+    exploration. walks is the memo of decided callee walks, which the logs of
+    one run may share."""
 
     def __init__(self, f: Function, limits: Limits | None = None,
                  constraints: list[Constraint] | None = None,
-                 functions: dict[str, Function] | None = None):
+                 functions: dict[str, Function] | None = None,
+                 walks: dict | None = None):
         self.limits = limits or Limits()
         self._events: list = []
         self._solved: dict[int, tuple] = {}
         # the generator must not reference the log: a cycle would keep its
         # pending states alive until cyclic garbage collection
-        self._source = _explore(f, self.limits, constraints or [], functions or {})
+        self._source = _explore(f, self.limits, constraints or [], functions or {},
+                                {} if walks is None else walks)
 
     def events(self):
         """Yield (index, event) from the start, exploring further on demand."""
@@ -480,7 +543,7 @@ def check_inevitable(paths: PathLog, region: Region, var: str,
 
 
 def _explore(f: Function, limits: Limits, constraints: list[Constraint],
-             functions: dict[str, Function]):
+             functions: dict[str, Function], walks: dict):
     """Depth-first bounded symbolic execution of f: yields "cap" for each
     loop_cap hit and (path condition, symbols, last visit of each block of f,
     ranges) for each exit, and stops after path_cap + 1 exits."""
@@ -497,7 +560,7 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
         pc=[], syms=list(f.params),
         ranges=dict.fromkeys(f.params, (limits.domain_min, limits.domain_max)),
         functions={name: (g, g.block_map()) for name, g in functions.items()},
-        limits=limits, fname=f.name)
+        limits=limits, fname=f.name, walks=walks)
     if not all(root.decide(term) == truthy or root.assume(term, truthy)
                for term, truthy in entry_pc):
         raise AnalysisError("unsatisfiable entry constraints")

@@ -273,6 +273,50 @@ def refined_callee_caller(rng: random.Random) -> str:
     return text
 
 
+def random_call_program(rng: random.Random) -> str:
+    """2-4 functions `fK(a, b)`, each calling only later ones: an optional
+    branch on a parameter against a literal, then a counted loop (bound `b`
+    or a literal) whose body loads from `a` and may call a later function,
+    then an exit block that may call the same or another later function, run
+    an `input` and transmit it. Calls in loops revisit one callee walk, so
+    refinement replays decided walks and, under a small loop_cap, caps them."""
+    n = rng.randint(2, 4)
+    lines: list[str] = []
+    for k in range(n):
+        later = [f"f{m}" for m in range(k + 1, n)]
+        args = ["a", "b", str(rng.randint(0, 3))]
+        lines += [f"fn f{k}(a, b) {{", "B1:"]
+        if rng.random() < 0.6:
+            lines += [f"  t = lt {rng.choice('ab')}, {rng.randint(1, 3)}",
+                      "  br t, B2, B3", "B2:",
+                      f"  transmit {rng.choice('ab')}" if rng.random() < 0.5
+                      else "  w0 = load a",
+                      "  jmp B3"]
+        else:
+            lines.append("  jmp B3")
+        bound = rng.choice(["b", str(rng.randint(1, 3))])
+        lines += ["B3:", "  jmp B4", "B4:", "  i1 = phi [0, B3], [i2, B5]",
+                  f"  e = lt i1, {bound}", "  br e, B5, B6",
+                  "B5:", "  p = gep a, i1, 4", "  w = load p"]
+        loop_callee = rng.choice(later) if later and rng.random() < 0.7 else None
+        if loop_callee:
+            lines.append(f"  d1 = call {loop_callee}({rng.choice(args + ['i1'])}, "
+                         f"{rng.choice(args)})")
+        lines += ["  i2 = add i1, 1", "  jmp B4", "B6:"]
+        ret = rng.choice(["", " i1", " a"])
+        if later and rng.random() < 0.7:
+            callee = loop_callee if loop_callee and rng.random() < 0.5 else rng.choice(later)
+            lines += [f"  d2 = call {callee}({rng.choice(args + ['i1'])}, {rng.choice(args)})",
+                      "  r = add d2, a"]
+            ret = rng.choice([ret, " r"])
+        if k and rng.random() < 0.3:
+            lines += ["  q = input", "  transmit q"]
+        lines += [f"  ret{ret}", "}"]
+    text = "\n".join(lines) + "\n"
+    parse_program(text)
+    return text
+
+
 def segments(k: int) -> str:
     """One function `main(buf, n)` of k chained segments (7k+2 blocks): a
     length check that enters or skips a counted loop over `buf`, then a diamond

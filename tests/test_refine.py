@@ -16,9 +16,10 @@ from declassiflow.refine import (ESCAPABLE, INEVITABLE, UNKNOWN, Limits, PathLog
                                  apply_refinement, candidate_regions, candidate_vars,
                                  check_inevitable, parse_constraint)
 from declassiflow.ir import Program, parse_program
+from declassiflow.pipeline import RunConfig, analyze_program, run_pipeline
 
 from conftest import dfa_blocks, fixture_program, fixture_text, known_at
-from generators import call_chain, random_acyclic_program, segments
+from generators import call_chain, random_acyclic_program, random_call_program, segments
 
 
 def simplified(name, index=0):
@@ -445,6 +446,73 @@ def test_exploration_counters(monkeypatch, name, exits, caps, runs):
     events = [e for _, e in paths.events()]
     assert (sum(e != "cap" for e in events), events.count("cap"), calls) == (
         exits, caps, runs)
+
+
+def test_chain_steps_per_function(monkeypatch):
+    """Symbolic steps of each refined function of call_chain(8): the last
+    steps its own body only, and each caller its own body plus one walk of
+    its callee per loop bound, whose own callee walks are replayed. Before
+    walks were replayed, each caller re-stepped the whole chain below it:
+    142, 1,094, 2,046, ... 6,806, 27,792 in all."""
+    steps = Counter()
+    run = refine._SymState.run
+
+    def counting(st):
+        outcome = run(st)
+        steps[st.fname] += st.steps
+        return outcome
+
+    monkeypatch.setattr(refine._SymState, "run", counting)
+    analyze_program(parse_program(call_chain(8)), RunConfig())
+    assert steps == {"f7": 142, **{f"f{k}": 1094 for k in range(7)}}
+    assert sum(steps.values()) == 7800
+
+
+CALL_LIMITS = [Limits(domain_max=3), Limits(loop_cap=4, domain_max=5),
+               Limits(loop_cap=9, domain_max=3, path_cap=40)]
+
+
+def test_replayed_walks_match_stepping(monkeypatch):
+    """Reports with the run's memo of decided callee walks equal those of a
+    reference that steps into every callee, on random call programs."""
+    replays = Counter()
+    replay = refine._SymState.call
+
+    def counting(st, callee, args):
+        ret = replay(st, callee, args)
+        if ret is not None:
+            replays["cap" if ret == "cap" else "hit"] += 1
+        return ret
+
+    def report(text, limits, call):
+        monkeypatch.setattr(refine._SymState, "call", call)
+        out = run_pipeline(parse_program(text), RunConfig(limits=limits))
+        out.pop("timing")
+        return out
+
+    for seed in range(60):
+        text = random_call_program(random.Random(seed))
+        for limits in CALL_LIMITS:
+            assert report(text, limits, counting) == \
+                report(text, limits, lambda st, callee, args: None), (seed, limits)
+    assert replays["hit"] and replays["cap"], replays
+
+
+def test_argument_past_key_budget_is_stepped_into():
+    """A call argument of more than refine._KEY_NODES term nodes, counted as a
+    tree, is stepped into and never keyed: x16 below is a tree of 2^17 nodes,
+    which hashing a key would walk in full."""
+    lines = ["fn main(a) {", "B1:", "  x0 = add a, 1"]
+    lines += [f"  x{i} = add x{i - 1}, x{i - 1}" for i in range(1, 17)]
+    lines += ["  r = call g(x16)", "  s = call g(x16)", "  ret", "}",
+              "fn g(v) {", "B1:", "  transmit v", "  ret v", "}"]
+    program = parse_program("\n".join(lines) + "\n")
+    walks = {}
+    paths = PathLog(program.functions[0], Limits(),
+                    functions={g.name: g for g in program.functions}, walks=walks)
+    exits = sum(e != "cap" for _, e in paths.events())
+    recorded = len(walks)  # a count: a failure must not print the term
+    assert (exits, recorded) == (1, 0)
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -1,6 +1,7 @@
 """Standing byte-identity gate: the timing-free JSON report of every fixture,
 segments(2) and a 4-function call chain under `analyze`, `protect` and
-`pipeline` (which verifies) must hash to the digests pinned here. A refactor
+`pipeline` (which verifies), and of an 8-function call chain under `protect`,
+must hash to the digests pinned here. A refactor
 that claims identical output keeps these; a change that means to alter reports
 updates them and says why. The digests re-emit a json.loads copy of each
 report, so a second test compares the emitted bytes of the live report, whose
@@ -17,7 +18,8 @@ from conftest import FIXTURES
 from generators import call_chain, segments
 
 SEGMENTS = {f"segments({k})": lambda k=k: segments(k) for k in range(1, 9)}
-GENERATED = {**SEGMENTS, "call_chain(4)": lambda: call_chain(4)}
+GENERATED = {**SEGMENTS, "call_chain(4)": lambda: call_chain(4),
+             "call_chain(8)": lambda: call_chain(8)}
 
 PINS = {
     ("aes_analog", "analyze"):
@@ -44,6 +46,12 @@ PINS = {
         "cde1e5c00158a9d05eeadc5bfe88d0dd65b38d10dfc5cb4f6e32af7196b52856",
     ("chain", "pipeline"):
         "7e23d43a18f68a028fb95629e64ead3299f5e9da4a80baf1a61edafde42df6d8",
+    ("dead_phi_arm", "analyze"):
+        "54e9905f2388f98c5849bf94d55077ac870c084699e77727e0c75207358c4fdf",
+    ("dead_phi_arm", "protect"):
+        "4855e384de9d1e0b2fcde83df7965a4acb6f81fa204accc6d16525ace6e9e78b",
+    ("dead_phi_arm", "pipeline"):
+        "aefefefdec9ced73c6d548a91ca4e3231e9c82b7e804babb7d1863b3a1ab9c0c",
     ("diamond_linked", "analyze"):
         "5081c1a1174286ccee93fac21f826446baa9018176e6be58935e5a8bc0b3656d",
     ("diamond_linked", "protect"):
@@ -62,6 +70,12 @@ PINS = {
         "4fff09eab6afe1ce57fb20ed1f7a88e9b05a4aec395434cdd5f74e98af5453cc",
     ("djbsort_analog", "pipeline"):
         "360d6c0c3810b56a3d91e136a650ba0acd69ecbf4c9a511a8acf06e2da3b4f89",
+    ("frontier_reentry", "analyze"):
+        "7d8549f9ea4fcbffe1aec68d092f62e5bd649b6551ee32b903e2b29bf6f105f0",
+    ("frontier_reentry", "protect"):
+        "c033f1194e3bfdb1ce8045a600cf2becc62291ad1739e0b2cc04e9c4678036f9",
+    ("frontier_reentry", "pipeline"):
+        "d265fa67b66bb956b772c911e653582acd69496fea1b3e08f40313c537f64bf8",
     ("hoistable_loop", "analyze"):
         "c1662301290bbd2bc7a2f0316018ec43abf5d0a94d23c3c525105f6676b18eba",
     ("hoistable_loop", "protect"):
@@ -80,6 +94,10 @@ PINS = {
         "f32745ccd2cdcc1793f801eb031d282a3b961dd8609325150ee9ddc330dd6a15",
     ("phi_frontier", "pipeline"):
         "be1afd8e8a13a8d8eb366f6dba9736d1360c62f1b14293ac6a292976fccb43b2",
+    ("refined_callee", "analyze"):
+        "9e78c10114867a478c8c597b6ee7bf3f958515e7068dcc630ea4b44c84cc2d30",
+    ("refined_callee", "protect"):
+        "3e0f64f26a312914d0ff91cc64046972975fe74a9c1524b6e1632db0a1f7fe09",
     ("refined_callee", "pipeline"):
         "7e13c4056206a7fe085b6acca6e9430dc129e6bebe1a31c925fe4ad60f3680e3",
     ("self_loop_linked", "analyze"):
@@ -112,6 +130,8 @@ PINS = {
         "fef2cf042897d77fbce20b95f34101d6298e6022f1e9208c9f19a0614029ba33",
     ("call_chain(4)", "pipeline"):
         "cd68543d2486b52e656618aaaa92a8da4a9714786c09f4e4865418d617f3a03d",
+    ("call_chain(8)", "protect"):
+        "fff58234ffbc5fa6e97cf77cce40519955b32c9ed664252dce992a265460d0e9",
 }
 
 
