@@ -28,7 +28,15 @@ in them, since a decided branch reads only the ranges. One memo per analysis
 run, shared by every function's path log, keeps each decided walk's return
 term and block-visit increments under that key; a repeated call adds the
 increments to the path's visits (ending it "cap" past loop_cap, as stepping
-would) and binds the return term instead of stepping the callee again.
+would) and binds the return term instead of stepping the callee again. Keys
+and return terms name symbols by position ("@0", "@1", ... in the order the
+arguments first mention them), so the memo hits whatever the caller calls its
+symbols; a hit renames the return term back. Each exit path of an explored
+function that read no input and left no hole or complex constraint is also
+recorded, as the walk of a call passing distinct symbols with the path's
+final ranges: those ranges decide every branch it took, so stepping the
+function from them takes the same path. Callees are explored before their
+callers, so a caller finds most of its callee walks already recorded.
 """
 
 from __future__ import annotations
@@ -282,7 +290,8 @@ class _SymState:
     limits: Limits = field(default_factory=Limits)
     fname: str = ""
     walks: dict = field(default_factory=dict)  # key -> (return term, visit increments)
-    recording: list = field(default_factory=list)  # [(key, visits before, depth)]
+    recording: list = field(default_factory=list)  # [(key, names, visits before, depth)]
+    ret: object = 0  # the explored function's return term, once it returns
 
     error = AnalysisError
 
@@ -321,13 +330,13 @@ class _SymState:
         """Replay a decided walk of callee on args: its return term, or "cap"
         when its block visits pass loop_cap. None steps into the callee, and
         records the walk unless an argument is too large to key."""
-        syms = _term_symbols(args)
-        if syms is None:
+        names = _term_symbols(args)
+        if names is None:
             return None
-        key = (callee.name, tuple(args), tuple((s, self.ranges[s]) for s in sorted(syms)))
+        key = _walk_key(callee.name, args, names, self.ranges)
         walk = self.walks.get(key)
         if walk is None:
-            self.recording.append((key, dict(self.visits), len(self.frames)))
+            self.recording.append((key, names, dict(self.visits), len(self.frames)))
             return None
         ret, increments = walk
         visits, cap = self.visits, self.limits.loop_cap
@@ -335,13 +344,16 @@ class _SymState:
             n = visits[k] = visits.get(k, 0) + n
             if n > cap:
                 return "cap"
-        return ret
+        return _rename(ret, {c: s for s, c in names.items()})
 
     def leave(self, frame: Frame, block, val, steps: int):
+        val = 0 if val is None else val
         rec = self.recording
-        if rec and rec[-1][2] == len(self.frames) - 1:  # a recorded callee returns
-            key, before, _ = rec.pop()
-            self.walks[key] = (0 if val is None else val, tuple(
+        if len(self.frames) == 1:
+            self.ret = val
+        elif rec and rec[-1][3] == len(self.frames) - 1:  # a recorded callee returns
+            key, names, before, _ = rec.pop()
+            self.walks[key] = (_rename(val, names), tuple(
                 (k, n - before.get(k, 0)) for k, n in self.visits.items()
                 if n != before.get(k, 0)))
 
@@ -422,9 +434,10 @@ _KEY_NODES = 256  # a call argument term larger than this is stepped into
 
 
 def _term_symbols(terms):
-    """The symbols in terms, or None past _KEY_NODES term nodes, counted as
-    a tree: hashing or comparing a key walks the terms as trees."""
-    syms, todo, budget = set(), list(terms), _KEY_NODES
+    """Each symbol in terms mapped to its positional name, "@0", "@1", ... in
+    first-occurrence order, or None past _KEY_NODES term nodes, counted as a
+    tree: hashing or comparing a key walks the terms as trees."""
+    names, todo, budget = {}, terms[::-1], _KEY_NODES
     while todo:
         t = todo.pop()
         if isinstance(t, int):
@@ -432,11 +445,35 @@ def _term_symbols(terms):
         budget -= 1
         if budget < 0:
             return None
-        if t[0] == "sym":
-            syms.add(t[1])
+        if t[0] != "sym":
+            todo.extend(t[:0:-1])
+        elif t[1] not in names:
+            names[t[1]] = f"@{len(names)}"
+    return names
+
+
+def _walk_key(fname: str, args: list, names: dict, ranges: dict):
+    """The memo key of a call: the callee, the arguments and the range of
+    each of their symbols, all under the symbols' positional names."""
+    return (fname, tuple(_rename(a, names) for a in args), tuple(ranges[s] for s in names))
+
+
+def _rename(t, names: dict):
+    """t with each symbol s renamed to names[s], in time linear in t's DAG:
+    a shared subterm is renamed once (memoized by id), without recursion."""
+    done, todo = {}, [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, int) or id(u) in done:
+            continue
+        if u[0] == "sym":
+            done[id(u)] = ("sym", names[u[1]])
+        elif kids := [a for a in u[1:] if not isinstance(a, int) and id(a) not in done]:
+            todo += [u, *kids]
         else:
-            todo.extend(t[1:])
-    return syms
+            done[id(u)] = (u[0],) + tuple(a if isinstance(a, int) else done[id(a)]
+                                          for a in u[1:])
+    return done.get(id(t), t)
 
 
 _UNBOUNDED = 1 << 62  # refinement bounds paths with loop_cap, not steps
@@ -568,6 +605,8 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
         raise AnalysisError(f"too many symbolic inputs ({len(f.params)} > "
                             f"max_symbols {limits.max_symbols})")
 
+    params = [("sym", p) for p in f.params]  # a call passing distinct symbols
+    names = {p: f"@{i}" for i, p in enumerate(f.params)}  # as _term_symbols(params)
     stack = [root]
     exits = 0
     while stack and exits <= limits.path_cap:
@@ -577,6 +616,10 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
             yield "cap"
         elif outcome == "return":
             exits += 1
+            if not (st.input_count or st.complex or st.holes):  # ranges decide the path
+                key = _walk_key(f.name, params, names, st.ranges)
+                if key not in walks:
+                    walks[key] = (_rename(st.ret, names), tuple(st.visits.items()))
             yield st.pc, st.syms, st.last, st.ranges
         else:  # the live children of a branch
             stack.extend(reversed(outcome))

@@ -197,17 +197,19 @@ def random_tight_program(rng: random.Random, max_blocks: int = 5) -> str:
     return text
 
 
-def call_chain(n: int) -> str:
-    """n functions, each looping over a buffer and then calling the next."""
+def call_chain(n: int, distinct_names: bool = False) -> str:
+    """n functions, each looping over a buffer and then calling the next.
+    With distinct_names, function k names its parameters `buf{k}, n{k}`."""
     lines: list[str] = []
     for k in range(n):
-        lines += [f"fn f{k}(buf, n) {{", "B1:", "  i0 = const 0", "  jmp B2",
-                  "B2:", "  i1 = phi [i0, B1], [i2, B3]", "  c = lt i1, n",
+        buf, m = (f"buf{k}", f"n{k}") if distinct_names else ("buf", "n")
+        lines += [f"fn f{k}({buf}, {m}) {{", "B1:", "  i0 = const 0", "  jmp B2",
+                  "B2:", "  i1 = phi [i0, B1], [i2, B3]", f"  c = lt i1, {m}",
                   "  br c, B3, B4",
-                  "B3:", "  p = gep buf, i1, 4", "  w = load p", "  i2 = add i1, 1",
+                  "B3:", f"  p = gep {buf}, i1, 4", "  w = load p", "  i2 = add i1, 1",
                   "  jmp B2",
                   "B4:",
-                  f"  d = call f{k + 1}(buf, n)" if k + 1 < n else "  transmit n",
+                  f"  d = call f{k + 1}({buf}, {m})" if k + 1 < n else f"  transmit {m}",
                   "  ret", "}"]
     return "\n".join(lines) + "\n"
 
@@ -273,41 +275,44 @@ def refined_callee_caller(rng: random.Random) -> str:
     return text
 
 
-def random_call_program(rng: random.Random) -> str:
+def random_call_program(rng: random.Random, distinct_names: bool = False) -> str:
     """2-4 functions `fK(a, b)`, each calling only later ones: an optional
     branch on a parameter against a literal, then a counted loop (bound `b`
     or a literal) whose body loads from `a` and may call a later function,
     then an exit block that may call the same or another later function, run
     an `input` and transmit it. Calls in loops revisit one callee walk, so
-    refinement replays decided walks and, under a small loop_cap, caps them."""
+    refinement replays decided walks and, under a small loop_cap, caps them.
+    With distinct_names, function K names its parameters `aK, bK`; the random
+    draws are the same."""
     n = rng.randint(2, 4)
     lines: list[str] = []
     for k in range(n):
+        a, b = (f"a{k}", f"b{k}") if distinct_names else ("a", "b")
         later = [f"f{m}" for m in range(k + 1, n)]
-        args = ["a", "b", str(rng.randint(0, 3))]
-        lines += [f"fn f{k}(a, b) {{", "B1:"]
+        args = [a, b, str(rng.randint(0, 3))]
+        lines += [f"fn f{k}({a}, {b}) {{", "B1:"]
         if rng.random() < 0.6:
-            lines += [f"  t = lt {rng.choice('ab')}, {rng.randint(1, 3)}",
+            lines += [f"  t = lt {rng.choice((a, b))}, {rng.randint(1, 3)}",
                       "  br t, B2, B3", "B2:",
-                      f"  transmit {rng.choice('ab')}" if rng.random() < 0.5
-                      else "  w0 = load a",
+                      f"  transmit {rng.choice((a, b))}" if rng.random() < 0.5
+                      else f"  w0 = load {a}",
                       "  jmp B3"]
         else:
             lines.append("  jmp B3")
-        bound = rng.choice(["b", str(rng.randint(1, 3))])
+        bound = rng.choice([b, str(rng.randint(1, 3))])
         lines += ["B3:", "  jmp B4", "B4:", "  i1 = phi [0, B3], [i2, B5]",
                   f"  e = lt i1, {bound}", "  br e, B5, B6",
-                  "B5:", "  p = gep a, i1, 4", "  w = load p"]
+                  "B5:", f"  p = gep {a}, i1, 4", "  w = load p"]
         loop_callee = rng.choice(later) if later and rng.random() < 0.7 else None
         if loop_callee:
             lines.append(f"  d1 = call {loop_callee}({rng.choice(args + ['i1'])}, "
                          f"{rng.choice(args)})")
         lines += ["  i2 = add i1, 1", "  jmp B4", "B6:"]
-        ret = rng.choice(["", " i1", " a"])
+        ret = rng.choice(["", " i1", f" {a}"])
         if later and rng.random() < 0.7:
             callee = loop_callee if loop_callee and rng.random() < 0.5 else rng.choice(later)
             lines += [f"  d2 = call {callee}({rng.choice(args + ['i1'])}, {rng.choice(args)})",
-                      "  r = add d2, a"]
+                      f"  r = add d2, {a}"]
             ret = rng.choice([ret, " r"])
         if k and rng.random() < 0.3:
             lines += ["  q = input", "  transmit q"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -449,11 +450,13 @@ def test_exploration_counters(monkeypatch, name, exits, caps, runs):
 
 
 def test_chain_steps_per_function(monkeypatch):
-    """Symbolic steps of each refined function of call_chain(8): the last
-    steps its own body only, and each caller its own body plus one walk of
-    its callee per loop bound, whose own callee walks are replayed. Before
-    walks were replayed, each caller re-stepped the whole chain below it:
-    142, 1,094, 2,046, ... 6,806, 27,792 in all."""
+    """Symbolic steps of each refined function of call_chain(8): each steps
+    its own body only, since every callee walk a caller needs is an exit path
+    of the callee's own exploration, recorded as a walk. Keys name symbols by
+    position, so the chain whose function k names its parameters `buf{k},
+    n{k}` takes the same steps. Before exit paths were recorded, each caller
+    took 1,094 steps (7,800 in all; 27,792 with distinct names), and before
+    walks were replayed it re-stepped the whole chain below it (27,792)."""
     steps = Counter()
     run = refine._SymState.run
 
@@ -463,9 +466,11 @@ def test_chain_steps_per_function(monkeypatch):
         return outcome
 
     monkeypatch.setattr(refine._SymState, "run", counting)
-    analyze_program(parse_program(call_chain(8)), RunConfig())
-    assert steps == {"f7": 142, **{f"f{k}": 1094 for k in range(7)}}
-    assert sum(steps.values()) == 7800
+    for distinct_names in (False, True):
+        steps.clear()
+        analyze_program(parse_program(call_chain(8, distinct_names)), RunConfig())
+        assert steps == {f"f{k}": 142 for k in range(8)}, distinct_names
+        assert sum(steps.values()) == 1136
 
 
 CALL_LIMITS = [Limits(domain_max=3), Limits(loop_cap=4, domain_max=5),
@@ -474,7 +479,9 @@ CALL_LIMITS = [Limits(domain_max=3), Limits(loop_cap=4, domain_max=5),
 
 def test_replayed_walks_match_stepping(monkeypatch):
     """Reports with the run's memo of decided callee walks equal those of a
-    reference that steps into every callee, on random call programs."""
+    reference that steps into every callee, on random call programs whose
+    functions share parameter names and on the same programs naming them
+    apart, so walks are keyed across different names."""
     replays = Counter()
     replay = refine._SymState.call
 
@@ -490,18 +497,20 @@ def test_replayed_walks_match_stepping(monkeypatch):
         out.pop("timing")
         return out
 
-    for seed in range(60):
-        text = random_call_program(random.Random(seed))
-        for limits in CALL_LIMITS:
-            assert report(text, limits, counting) == \
-                report(text, limits, lambda st, callee, args: None), (seed, limits)
-    assert replays["hit"] and replays["cap"], replays
+    for distinct_names in (False, True):
+        replays.clear()
+        for seed in range(60):
+            text = random_call_program(random.Random(seed), distinct_names)
+            for limits in CALL_LIMITS:
+                assert report(text, limits, counting) == \
+                    report(text, limits, lambda st, callee, args: None), (seed, limits)
+        assert replays["hit"] and replays["cap"], (distinct_names, replays)
 
 
 def test_argument_past_key_budget_is_stepped_into():
     """A call argument of more than refine._KEY_NODES term nodes, counted as a
     tree, is stepped into and never keyed: x16 below is a tree of 2^17 nodes,
-    which hashing a key would walk in full."""
+    which hashing a key would walk in full. main's own exit path is recorded."""
     lines = ["fn main(a) {", "B1:", "  x0 = add a, 1"]
     lines += [f"  x{i} = add x{i - 1}, x{i - 1}" for i in range(1, 17)]
     lines += ["  r = call g(x16)", "  s = call g(x16)", "  ret", "}",
@@ -511,8 +520,69 @@ def test_argument_past_key_budget_is_stepped_into():
     paths = PathLog(program.functions[0], Limits(),
                     functions={g.name: g for g in program.functions}, walks=walks)
     exits = sum(e != "cap" for _, e in paths.events())
-    recorded = len(walks)  # a count: a failure must not print the term
+    recorded = sum(key[0] == "g" for key in walks)  # a count: a failure must not print the term
     assert (exits, recorded) == (1, 0)
+
+
+def test_large_return_term_renames_in_linear_time():
+    """A return term of 22 doublings is a DAG of 24 nodes but a tree of 2^23:
+    recording it under positional names, as g's exit path and as main's
+    callee walk, and renaming it back at each replay stays linear in the DAG."""
+    lines = ["fn g(a) {", "B1:", "  x0 = add a, 1"]
+    lines += [f"  x{i} = add x{i - 1}, x{i - 1}" for i in range(1, 23)]
+    lines += ["  ret x22", "}",
+              "fn main(b) {", "B1:", "  r = call g(b)", "  s = call g(b)",
+              "  t = call g(r)", "  ret s", "}"]
+    program = parse_program("\n".join(lines) + "\n")
+    functions = {f.name: f for f in program.functions}
+    walks = {}
+    start = time.perf_counter()
+    for name in ("g", "main"):
+        paths = PathLog(functions[name], Limits(), functions=functions, walks=walks)
+        assert sum(e != "cap" for _, e in paths.events()) == 1
+    assert time.perf_counter() - start < 1.0
+    assert sorted(key[0] for key in walks) == ["g", "main"]
+
+
+def test_exit_paths_left_open_are_not_recorded():
+    """An exit path is recorded as a walk only when its final ranges decide
+    every branch it took: not past a hole (`eq n, 3` false), a constraint
+    between two symbols or an input."""
+    program = parse_program("""fn hole(n) {
+B1:
+  c = eq n, 3
+  br c, B2, B3
+B2:
+  ret 1
+B3:
+  ret 2
+}
+fn pair(n, m) {
+B1:
+  c = lt n, m
+  br c, B2, B3
+B2:
+  ret 1
+B3:
+  ret 2
+}
+fn read(n) {
+B1:
+  q = input
+  c = lt n, 2
+  br c, B2, B3
+B2:
+  ret q
+B3:
+  ret n
+}
+""")
+    walks = {}
+    for f in program.functions:
+        paths = PathLog(f, Limits(), walks=walks)
+        assert sum(e != "cap" for _, e in paths.events()) == 2
+    assert walks == {("hole", (("sym", "@0"),), ((3, 3),)): (1, ((("hole", "B1"), 1),
+                                                                  (("hole", "B2"), 1)))}
 
 
 @pytest.mark.parametrize("kwargs,message", [
