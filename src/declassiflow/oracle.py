@@ -21,13 +21,29 @@ on a snapshot of the machine that lives only as long as the burst. The
 snapshot shares what no execution mutates: the program's IR (each frame's
 `Function` and label-to-block map) and the input list. It copies what a
 burst can change: each frame's position and its one `env` dict of (value,
-taint) pairs (immutable, so a shallow copy suffices).
+taint) pairs (immutable, so a shallow copy suffices). It also shares the two
+records that decide which input slots a run depends on: `slots_of`, the input
+slots bound to each (function, variable), and `observed`, the taint of every
+branch condition (real or speculative) and of every recorded observation.
+
+The frontier check runs one input per observational class. A run's live
+slots are the slots bound to a variable in `observed`; two inputs of one
+length that agree on a run's live slots are in its class, and the check
+copies the run's result to every other input of the class. The copy is
+exact: values enter a run only through its input slots, and taint
+over-approximates value dependence, so every branch condition and every
+observed value of the run is a function of its live slots alone. By
+induction over steps an input that agrees on them takes the same branches,
+stops every burst (window, barrier or return) at the same step, runs out of
+fuel or raises the same `OracleError` at the same point, and records the same
+observations with the same taints: its trace edges, speculative executions
+and violations are the representative's, with its own inputs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cfg import ENTRY, EXIT, VarIndex, build_cfg, natural_loops
 from .ir import OPCODES, Function, Program, callees_first, to_i32
@@ -237,13 +253,16 @@ class _Machine:
     (value, taint) pair. The machine holds the input cursor and records into
     `trace` (edges and observations). While it may still mispredict (`depth`
     above 0), each two-way branch runs a burst of at most `window` steps down
-    the wrong edge and appends it, then the bursts it started, to `specs`."""
+    the wrong edge and appends it, then the bursts it started, to `specs`.
+    The machine and its bursts' snapshots share `slots_of` and `observed`,
+    from which `live_slots` derives the input slots the run depends on."""
 
     error = OracleError
 
-    def __init__(self, program: Program, inputs: list[int], pad_inputs: bool = False,
-                 transmit_speculative: bool = True, window: int = 0, depth: int = 0):
-        self.functions = {g.name: (g, g.block_map()) for g in program.functions}
+    def __init__(self, functions: dict, entry: str, inputs: list[int],
+                 pad_inputs: bool = False, transmit_speculative: bool = True,
+                 window: int = 0, depth: int = 0):
+        self.functions = functions
         self.inputs = list(inputs)
         self.cursor = 0
         self.pad_inputs = pad_inputs
@@ -253,9 +272,11 @@ class _Machine:
         self.window, self.depth = window, depth
         self.mispredicted: list[tuple[str, str, str]] = []
         self.specs: list[SpecExecution] = []
-        f, blocks = self.functions[program.entry_function]
+        self.slots_of: dict[tuple[str, str], set[int]] = {}
+        self.observed: set[tuple[str, str]] = set()
+        f, blocks = functions[entry]
         missing = "input valuation does not cover all parameters"
-        env = {p: (self.next_input(missing), frozenset({(f.name, p)})) for p in f.params}
+        env = {p: self.next_input(f.name, p, missing) for p in f.params}
         self.frames = [Frame(f, blocks, f.entry_block, None, 0, False, env, None)]
 
     def run(self) -> Trace:
@@ -265,13 +286,25 @@ class _Machine:
         self.trace.steps = self.steps
         return self.trace
 
-    def next_input(self, missing: str = "input valuation exhausted") -> int:
-        if self.cursor < len(self.inputs):
-            self.cursor += 1
-            return to_i32(self.inputs[self.cursor - 1])
+    def next_input(self, fname: str, var: str,
+                   missing: str = "input valuation exhausted") -> tuple[int, frozenset]:
+        """The (value, taint) pair that binds var to the next input slot,
+        recorded in `slots_of`; past the last slot, a padded 0."""
+        c = self.cursor
+        if c < len(self.inputs):
+            self.cursor = c + 1
+            self.slots_of.setdefault((fname, var), set()).add(c)
+            return to_i32(self.inputs[c]), frozenset({(fname, var)})
         if self.speculative or self.pad_inputs:
-            return 0
+            return 0, frozenset({(fname, var)})
         raise OracleError(missing)
+
+    def live_slots(self) -> tuple[int, ...]:
+        """The input slots bound to a variable that taints a branch condition
+        or an observation so far: the only slots the run's steps depend on."""
+        observed = self.observed
+        return tuple(sorted({c for var, cs in self.slots_of.items() if var in observed
+                             for c in cs}))
 
     def snapshot(self) -> "_Machine":
         """The architectural state, without trace, speculation flag or burst
@@ -282,6 +315,7 @@ class _Machine:
         m.cursor = self.cursor
         m.pad_inputs = self.pad_inputs
         m.transmit_speculative = self.transmit_speculative
+        m.slots_of, m.observed = self.slots_of, self.observed
         m.frames = [fr.copy() for fr in self.frames]
         return m
 
@@ -317,13 +351,14 @@ class _Machine:
         if opcode == "specbarr":
             return "barrier" if self.speculative else None
         if opcode == "input":
-            env[out] = self.next_input(), frozenset({(fname, out)})
+            env[out] = self.next_input(fname, out)
         elif opcode in ("load", "store", "transmit"):  # observe the address or value
             op = ins.operands[1 if opcode == "store" else 0]
             val, tnt = self.operand(frame, op)
             spec = self.speculative  # a store is observed once it retires
             if not spec or opcode == "load" or (opcode == "transmit"
                                                 and self.transmit_speculative):
+                self.observed |= tnt
                 self.trace.observations.append(Observation(
                     fname, block.label, opcode, op, val, tnt, steps, spec))
             if opcode == "load":
@@ -341,6 +376,7 @@ class _Machine:
     def branch(self, frame: Frame, block, cond, then_l: str, else_l: str, steps: int):
         val, tnt = cond
         fname = frame.function.name
+        self.observed |= tnt
         if not self.speculative:
             self.trace.observations.append(Observation(
                 fname, block.label, "br", block.terminator.operands[0], val, tnt,
@@ -365,10 +401,16 @@ class _Machine:
         return taken
 
 
+def _bodies(program: Program) -> dict:
+    """Each function's name -> (Function, label -> Block map), as `execute`
+    reads them."""
+    return {g.name: (g, g.block_map()) for g in program.functions}
+
+
 def interpret(program: Program, inputs: list[int], pad_inputs: bool = False) -> Trace:
     """Non-speculative execution of the entry function: deterministic edge
     trace and observations (every transmit is observed, speculative or not)."""
-    return _Machine(program, inputs, pad_inputs).run()
+    return _Machine(_bodies(program), program.entry_function, inputs, pad_inputs).run()
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +502,8 @@ def speculative_explore(program: Program, inputs: list[int], window: int = 16,
     speculation barrier halts speculative progress."""
     if window < 1 or depth < 1:
         raise OracleError("window and depth must be at least 1")
-    m = _Machine(program, inputs, pad_inputs, transmit_speculative, window, depth)
+    m = _Machine(_bodies(program), program.entry_function, inputs, pad_inputs,
+                 transmit_speculative, window, depth)
     return m.run(), m.specs
 
 
@@ -483,6 +526,7 @@ class Verdict:
     violations: list[Violation]
     executions: int
     inputs_checked: int
+    inputs_run: int  # one per observational class; the other inputs copy its result
 
 
 def _normalize_fn(name: str) -> str:
@@ -495,40 +539,69 @@ def check_frontier_property(program: Program, frontiers: dict[tuple[str, str], s
                             pad_inputs: bool = False) -> Verdict:
     """PASS iff no explored speculative observation tainted by a variable
     happens strictly before the non-speculative prefix enters that variable's
-    frontier. Protected clones are matched to their originals by name."""
+    frontier. Protected clones are matched to their originals by name.
+
+    Runs one input per observational class (see the module docstring): an
+    input that agrees with an earlier run on that run's live slots takes its
+    executions and its violations, with its own inputs, without running."""
+    if window < 1 or depth < 1:
+        raise OracleError("window and depth must be at least 1")
     violations: list[Violation] = []
-    n_exec = 0
-    n_inputs = 0
+    n_exec = n_inputs = n_run = 0
     entering: dict[tuple[str, str], list[tuple[str, str]]] = {}  # (fn, block) -> keys
     for key, fr in frontiers.items():
         for block in fr:
             entering.setdefault((key[0], block), []).append(key)
+    bodies, entry = _bodies(program), program.entry_function
+    # (input length, live slots, their values) -> (executions, violations)
+    classes: dict[tuple, tuple[int, list[Violation]]] = {}
+    lives: dict[int, dict[tuple[int, ...], None]] = {}  # input length -> live slots seen
     for inputs in inputs_sample:
         inputs = list(inputs)
         n_inputs += 1
-        trace, specs = speculative_explore(
-            program, inputs, window=window, depth=depth,
-            transmit_speculative=transmit_speculative, pad_inputs=pad_inputs)
-        n_exec += len(specs)
+        n = len(inputs)
+        seen = lives.setdefault(n, {})
+        for live in seen:
+            cls = classes.get((n, live, tuple(inputs[i] for i in live)))
+            if cls is not None:
+                n_exec += cls[0]
+                violations += [replace(v, inputs=inputs) for v in cls[1]]
+                break
+        else:
+            n_run += 1
+            m = _Machine(bodies, entry, inputs, pad_inputs, transmit_speculative, window,
+                         depth)
+            found = _violations(m.run(), m.specs, entering, frontiers, inputs)
+            live = m.live_slots()
+            seen[live] = None
+            classes[n, live, tuple(inputs[i] for i in live)] = len(m.specs), found
+            n_exec += len(m.specs)
+            violations += found
+    return Verdict(not violations, violations, n_exec, n_inputs, n_run)
 
-        crossed_at: dict[tuple[str, str], int] = {}
-        for (fn, src, dst), t in zip(trace.edges, trace.edge_times):
-            for key in entering.get((_normalize_fn(fn), dst), ()):
-                if key not in crossed_at or t < crossed_at[key]:
-                    crossed_at[key] = t
 
-        for spec in specs:
-            for obs in spec.observations:
-                for (tfn, tvar) in sorted(obs.taint):
-                    key = (_normalize_fn(tfn), tvar)
-                    fr = frontiers.get(key)
-                    if fr is None:
-                        continue
-                    when = crossed_at.get(key)
-                    if when is None or when > spec.start_step:
-                        violations.append(Violation(
-                            key, inputs, spec.mispredictions, obs, sorted(fr)))
-    return Verdict(not violations, violations, n_exec, n_inputs)
+def _violations(trace: Trace, specs: list[SpecExecution], entering: dict, frontiers: dict,
+                inputs: list[int]) -> list[Violation]:
+    """The observations of one input's speculative executions that happen
+    before the real run first enters the frontier of a variable in their
+    taint."""
+    crossed_at: dict[tuple[str, str], int] = {}
+    for (fn, src, dst), t in zip(trace.edges, trace.edge_times):
+        for key in entering.get((_normalize_fn(fn), dst), ()):
+            if key not in crossed_at or t < crossed_at[key]:
+                crossed_at[key] = t
+    found = []
+    for spec in specs:
+        for obs in spec.observations:
+            for (tfn, tvar) in sorted(obs.taint):
+                key = (_normalize_fn(tfn), tvar)
+                fr = frontiers.get(key)
+                if fr is None:
+                    continue
+                when = crossed_at.get(key)
+                if when is None or when > spec.start_step:
+                    found.append(Violation(key, inputs, spec.mispredictions, obs, sorted(fr)))
+    return found
 
 
 def input_grid(slots: int, domain: range):

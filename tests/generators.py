@@ -345,6 +345,25 @@ def segments(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def anticorrelated_chain(k: int) -> str:
+    """The `anticorrelated` fixture's pattern chained k times in one function
+    `main()` (4k+1 blocks, 2k input slots). Segment s reads `q{s}` and `x{s}`,
+    transmits `x{s}` on the arm taken when `q{s}` is nonzero and again on the
+    arm taken when `eq q{s}, 0` holds: exactly one arm runs on every real
+    execution, so `x{s}` is inevitably known at the segment's entry."""
+    lines = ["fn main() {"]
+    for s in range(1, k + 1):
+        nxt = f"A{s + 1}" if s < k else "X"
+        lines += [
+            f"A{s}:", f"  q{s} = input", f"  x{s} = input", f"  br q{s}, T{s}, M{s}",
+            f"T{s}:", f"  transmit x{s}", f"  jmp M{s}",
+            f"M{s}:", f"  nq{s} = eq q{s}, 0", f"  br nq{s}, U{s}, {nxt}",
+            f"U{s}:", f"  transmit x{s}", f"  jmp {nxt}",
+        ]
+    lines += ["X:", "  ret", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def random_loop_program(rng: random.Random, max_blocks: int = 10) -> str:
     """One random reducible function rich in loops, in textual form.
 

@@ -8,13 +8,15 @@ import pytest
 from declassiflow.cfg import ENTRY, EXIT
 from declassiflow.ir import Function, Program, parse_program, to_i32
 from declassiflow.oracle import (DEFAULT_FUEL, Observation, OracleError, SpecExecution,
-                                 _Machine, check_frontier_property, eval_op,
-                                 exact_knowledge, input_grid, input_slots, interpret,
-                                 load_value, speculative_explore)
+                                 Verdict, Violation, _Machine, _normalize_fn,
+                                 check_frontier_property, eval_op, exact_knowledge,
+                                 input_grid, input_slots, interpret, load_value,
+                                 speculative_explore)
 from declassiflow.pipeline import RunConfig, analyze_program, property_map, run_pipeline
 
 from conftest import FIXTURES, dfa, fixture_program, known_at
-from generators import call_chain, random_acyclic_program, random_tight_program, segments
+from generators import (call_chain, random_acyclic_program, random_call_program,
+                        random_tight_program, segments)
 
 
 def edge_seq(trace, fn):
@@ -388,6 +390,7 @@ def _deepcopy_snapshot(self):
     m.cursor = self.cursor
     m.pad_inputs = self.pad_inputs
     m.transmit_speculative = self.transmit_speculative
+    m.slots_of, m.observed = self.slots_of, self.observed
     m.frames = copy.deepcopy(self.frames)
     return m
 
@@ -747,3 +750,112 @@ def test_verification_counters(k, executions, inputs_checked):
     assert verification["passed"]
     assert (verification["executions"], verification["inputs_checked"]) == (
         executions, inputs_checked)
+
+
+def _check_every_input(program: Program, frontiers, inputs_sample, window: int = 16,
+                       depth: int = 1, transmit_speculative: bool = True,
+                       pad_inputs: bool = False) -> Verdict:
+    """Reference frontier check: the one that ran every input of the sample,
+    which one run per observational class replaced."""
+    violations: list[Violation] = []
+    n_exec = 0
+    n_inputs = 0
+    entering: dict[tuple[str, str], list[tuple[str, str]]] = {}  # (fn, block) -> keys
+    for key, fr in frontiers.items():
+        for block in fr:
+            entering.setdefault((key[0], block), []).append(key)
+    for inputs in inputs_sample:
+        inputs = list(inputs)
+        n_inputs += 1
+        trace, specs = speculative_explore(
+            program, inputs, window=window, depth=depth,
+            transmit_speculative=transmit_speculative, pad_inputs=pad_inputs)
+        n_exec += len(specs)
+
+        crossed_at: dict[tuple[str, str], int] = {}
+        for (fn, src, dst), t in zip(trace.edges, trace.edge_times):
+            for key in entering.get((_normalize_fn(fn), dst), ()):
+                if key not in crossed_at or t < crossed_at[key]:
+                    crossed_at[key] = t
+
+        for spec in specs:
+            for obs in spec.observations:
+                for (tfn, tvar) in sorted(obs.taint):
+                    key = (_normalize_fn(tfn), tvar)
+                    fr = frontiers.get(key)
+                    if fr is None:
+                        continue
+                    when = crossed_at.get(key)
+                    if when is None or when > spec.start_step:
+                        violations.append(Violation(
+                            key, inputs, spec.mispredictions, obs, sorted(fr)))
+    return Verdict(not violations, violations, n_exec, n_inputs, n_inputs)
+
+
+def test_class_sharing_check_matches_every_input_reference(monkeypatch):
+    """Running one input per observational class gives the Verdict that
+    running every input does: passed, every violation in order, executions
+    and inputs checked, on unprotected and protected programs alike.
+
+    The acyclic, tight and fixture grids are whole (at most 64 inputs). Call
+    programs reach 9 slots, 262,144 inputs a grid, and step loops through
+    calls, so each of their grids is a seeded sample of at most 16 inputs,
+    kept in grid order."""
+    texts = [random_acyclic_program(random.Random(seed)) for seed in range(300)]
+    texts += [random_tight_program(random.Random(seed)) for seed in range(100)]
+    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    whole = len(texts)
+    texts += [random_call_program(random.Random(seed)) for seed in range(60)]
+    sampler = random.Random(11)
+    ran: list[tuple] = []  # the inputs of each run of the check under test
+    run = _Machine.run
+
+    def recorded(self):
+        ran.append(tuple(self.inputs))
+        return run(self)
+
+    monkeypatch.setattr(_Machine, "run", recorded)
+    checked = run_total = copied = 0
+    for n, text in enumerate(texts):
+        program = parse_program(text)
+        analyses, _, _, _ = analyze_program(program, RunConfig())
+        fmap = property_map(program, analyses)
+        protected = parse_program(run_pipeline(program, RunConfig())["protected_program"])
+        slots = input_slots(protected)
+        for prog in (program, protected):
+            for domain in (range(0, 4), range(-2, 2)):
+                grid = input_grid(slots, domain)
+                if n >= whole and len(grid) > 16:
+                    grid = [grid[i] for i in sorted(sampler.sample(range(len(grid)), 16))]
+                for depth in (1, 2):
+                    ref = _check_every_input(prog, fmap, grid, window=16, depth=depth,
+                                             pad_inputs=True)
+                    ran.clear()
+                    got = check_frontier_property(prog, fmap, grid, window=16,
+                                                  depth=depth, pad_inputs=True)
+                    assert (got.passed, got.executions, got.inputs_checked) == (
+                        ref.passed, ref.executions, ref.inputs_checked), (text, domain, depth)
+                    assert got.violations == ref.violations, (text, domain, depth)
+                    assert got.inputs_run == len(ran) <= got.inputs_checked
+                    checked += got.inputs_checked
+                    run_total += got.inputs_run
+                    runs = set(ran)
+                    copied += sum(1 for v in got.violations if tuple(v.inputs) not in runs)
+    assert run_total < checked
+    assert copied > 0
+
+
+def test_class_sharing_runs_pinned():
+    """diamond_opaque's three input slots at domain 0..3. Unprotected, the
+    burst into B2 transmits x1 and its phi then selects a2, so every slot is
+    live and all 64 inputs run. Protected, the burst stops at B2's barrier
+    and only a1 is observed: one run per value of a1."""
+    program = fixture_program("diamond_opaque")
+    analyses, _, _, _ = analyze_program(program, RunConfig())
+    protected = parse_program(run_pipeline(program, RunConfig())["protected_program"])
+    fmap = property_map(program, analyses)
+    grid = input_grid(input_slots(protected), range(0, 4))
+    runs = [(v.passed, v.inputs_checked, v.inputs_run)
+            for v in (check_frontier_property(prog, fmap, grid, pad_inputs=True)
+                      for prog in (program, protected))]
+    assert runs == [(False, 64, 64), (True, 64, 4)]

@@ -20,7 +20,8 @@ from declassiflow.ir import Program, parse_program
 from declassiflow.pipeline import RunConfig, analyze_program, run_pipeline
 
 from conftest import dfa_blocks, fixture_program, fixture_text, known_at
-from generators import call_chain, random_acyclic_program, random_call_program, segments
+from generators import (anticorrelated_chain, call_chain, random_acyclic_program,
+                        random_call_program, segments)
 
 
 def simplified(name, index=0):
@@ -117,6 +118,22 @@ def test_anticorrelated_inevitable():
     assert result.verdict == INEVITABLE
     kb2 = apply_refinement(kb, result)
     assert "x" in known_at(kb2, "B1")
+
+
+def test_anticorrelated_chain_one_barrier():
+    """anti(k) for k up to 10 keeps one barrier, at the entry A1: refinement
+    finds each x_s inevitably known at its segment's entry, where data flow
+    alone puts a barrier on each of the 2k transmitting arms. The protected
+    anti(1..4) pass `verify` at domain 0..1."""
+    for k in range(1, 11):
+        report = run_pipeline(parse_program(anticorrelated_chain(k)), RunConfig())
+        assert report["barriers"] == {"main": ["A1"]}, k
+    config = RunConfig(verify=True, verify_domain=range(0, 2))
+    for k in range(1, 5):
+        verification = run_pipeline(parse_program(anticorrelated_chain(k)),
+                                    config)["verification"]
+        assert verification["passed"], (k, verification["violations"])
+        assert verification["inputs_checked"] == 4 ** k
 
 
 def test_sort_guard_region_inevitable_and_entry_escapable():
