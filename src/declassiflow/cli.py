@@ -60,12 +60,13 @@ def _read_text(path: str) -> str:
 
 def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
     """Minimal TOML-like reader: [limits] and [constraints] sections of
-    key = value lines, values optionally quoted. Anything else, any value
-    that does not parse and a negative cap or budget raise
-    AnalysisError("path:line: ..."); an empty domain raises
-    AnalysisError("path: ...")."""
+    key = value lines, values optionally quoted. Anything else, a key
+    repeated in its section, any value that does not parse and a negative
+    cap or budget raise AnalysisError("path:line: ..."); an empty domain
+    raises AnalysisError("path: ...")."""
     values: dict[str, int] = {}
     constraints: dict[str, list[Constraint]] = {}
+    seen: set[tuple[str | None, str]] = set()
     section = None
     for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
@@ -81,6 +82,9 @@ def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
                 raise AnalysisError("expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if (section, key) in seen:
+                raise AnalysisError(f"duplicate key '{key}'")
+            seen.add((section, key))
             if len(val) > 1 and val.startswith('"') and val.endswith('"'):
                 val = val[1:-1]
             if section == "constraints":

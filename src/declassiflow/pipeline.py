@@ -126,6 +126,13 @@ def analyze_program(program: Program, config: RunConfig | None = None):
     issues = validate_ssa(program).issues
     if issues:
         raise AnalysisError("; ".join(i.message for i in issues[:5]))
+    params = {f.name: f.params for f in program.functions}
+    for name, constraints in config.constraints.items():
+        if name not in params:
+            raise AnalysisError(f"constraint on unknown function '{name}'")
+        for c in constraints:
+            if c.var not in params[name]:
+                raise AnalysisError(f"constraint on unknown parameter '{c.var}' of '{name}'")
 
     summaries: dict[str, FunctionSummary] = {}
     analyses: dict[str, FunctionAnalysis] = {}

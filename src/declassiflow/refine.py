@@ -25,18 +25,19 @@ Unknown is treated like Escapable downstream (no knowledge upgrade).
 A callee walk that never forks, reads no input and hits no cap is decided by
 its entry state: the callee, its argument terms and the range of each symbol
 in them, since a decided branch reads only the ranges. One memo per analysis
-run, shared by every function's path log, keeps each decided walk's return
-term and block-visit increments under that key; a repeated call adds the
-increments to the path's visits (ending it "cap" past loop_cap, as stepping
-would) and binds the return term instead of stepping the callee again. Keys
-and return terms name symbols by position ("@0", "@1", ... in the order the
-arguments first mention them), so the memo hits whatever the caller calls its
-symbols; a hit renames the return term back. Each exit path of an explored
-function that read no input and left no hole or complex constraint is also
-recorded, as the walk of a call passing distinct symbols with the path's
-final ranges: those ranges decide every branch it took, so stepping the
-function from them takes the same path. Callees are explored before their
-callers, so a caller finds most of its callee walks already recorded.
+run, shared by every function's path log, keeps such walks' return terms and
+block-visit increments under that key, and has one writer: each exit path of
+an explored function that read no input and left no hole or complex
+constraint is recorded as the walk of a call passing distinct symbols with
+the path's final ranges, since those ranges decide every branch it took, so
+stepping the function from them takes the same path. A call whose key is
+recorded adds the increments to the path's visits (ending it "cap" past
+loop_cap, as stepping would) and binds the return term instead of stepping
+the callee; any other call steps in. Keys and return terms name symbols by
+position ("@0", "@1", ... in the order the arguments first mention them), so
+the memo hits whatever the caller calls its symbols; a hit renames the
+return term back. Callees are explored before their callers, so a caller
+finds its callees' exit paths already recorded.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ class _SymState:
     the intervals left open when they were added; ranges is its fixpoint.
     functions, limits and fname (the explored function) are the
     exploration's, shared by every path; walks is the run's memo of decided
-    callee walks, and recording holds the walks of this path still open."""
+    callee walks."""
 
     frames: list[Frame]
     pc: list  # [(term, truthy)]
@@ -290,14 +291,12 @@ class _SymState:
     limits: Limits = field(default_factory=Limits)
     fname: str = ""
     walks: dict = field(default_factory=dict)  # key -> (return term, visit increments)
-    recording: list = field(default_factory=list)  # [(key, names, visits before, depth)]
     ret: object = 0  # the explored function's return term, once it returns
 
     error = AnalysisError
 
     def fork(self) -> "_SymState":
-        """A copy of the path without its open recordings: a walk that forks
-        is not decided."""
+        """A copy of the path."""
         return _SymState(
             [fr.copy() for fr in self.frames], list(self.pc), list(self.syms),
             dict(self.ranges), dict(self.holes), self.complex, dict(self.visits),
@@ -328,15 +327,13 @@ class _SymState:
 
     def call(self, callee: Function, args: list):
         """Replay a decided walk of callee on args: its return term, or "cap"
-        when its block visits pass loop_cap. None steps into the callee, and
-        records the walk unless an argument is too large to key."""
+        when its block visits pass loop_cap. None steps into the callee: no
+        walk is recorded under the call's key, or an argument is too large to
+        key."""
         names = _term_symbols(args)
-        if names is None:
-            return None
-        key = _walk_key(callee.name, args, names, self.ranges)
-        walk = self.walks.get(key)
+        walk = None if names is None else self.walks.get(
+            _walk_key(callee.name, args, names, self.ranges))
         if walk is None:
-            self.recording.append((key, names, dict(self.visits), len(self.frames)))
             return None
         ret, increments = walk
         visits, cap = self.visits, self.limits.loop_cap
@@ -347,22 +344,14 @@ class _SymState:
         return _rename(ret, {c: s for s, c in names.items()})
 
     def leave(self, frame: Frame, block, val, steps: int):
-        val = 0 if val is None else val
-        rec = self.recording
         if len(self.frames) == 1:
-            self.ret = val
-        elif rec and rec[-1][3] == len(self.frames) - 1:  # a recorded callee returns
-            key, names, before, _ = rec.pop()
-            self.walks[key] = (_rename(val, names), tuple(
-                (k, n - before.get(k, 0)) for k, n in self.visits.items()
-                if n != before.get(k, 0)))
+            self.ret = 0 if val is None else val
 
     def instruction(self, frame: Frame, block, ins, steps: int):
         opcode, env = ins.opcode, frame.env
         if ins.output is None:  # nothing to bind
             return None
         if opcode == "input":
-            self.recording.clear()  # a walk that reads input is not decided
             name = f"#in{self.input_count}"  # no IR name starts with #
             self.input_count += 1
             lim = self.limits

@@ -280,8 +280,10 @@ def random_call_program(rng: random.Random, distinct_names: bool = False) -> str
     branch on a parameter against a literal, then a counted loop (bound `b`
     or a literal) whose body loads from `a` and may call a later function,
     then an exit block that may call the same or another later function, run
-    an `input` and transmit it. Calls in loops revisit one callee walk, so
-    refinement replays decided walks and, under a small loop_cap, caps them.
+    an `input` and transmit it. A call that passes the caller's two
+    parameters replays the callee's decided exit paths, which refinement
+    records as walks, and in a loop under a small loop_cap it caps them; a
+    call that passes a literal, the loop counter or one symbol twice steps in.
     With distinct_names, function K names its parameters `aK, bK`; the random
     draws are the same."""
     n = rng.randint(2, 4)

@@ -239,6 +239,33 @@ def test_config_unknown_key_exit_two(tmp_path, capsys):
     assert code == 2 and "loop_kap" in err
 
 
+@pytest.mark.parametrize("section,first,second", [
+    ("constraints", 'int32_sort = "n >= 0"', 'int32_sort = "n < 8"'),
+    ("limits", "loop_cap = 4", "loop_cap = 64")])
+def test_config_duplicate_key_exit_two(tmp_path, capsys, section, first, second):
+    # the second line used to replace the first silently
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(f"[{section}]\n{first}\n{second}\n")
+    key = first.split()[0]
+    for command in ("analyze", "protect", "verify"):
+        assert run([command, str(FIXTURES / "djbsort_analog.mir"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: duplicate key '{key}'\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ('main = "zz < 3"', "constraint on unknown parameter 'zz' of 'main'"),
+    ('nosuch = "n < 3"', "constraint on unknown function 'nosuch'")])
+def test_constraint_on_unknown_name_exit_two(tmp_path, capsys, line, message):
+    # under protect, the unknown parameter used to end refinement `unknown`
+    # and move the barrier from B1 to B2, B4; the unknown function was ignored
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(f"[constraints]\n{line}\n")
+    src = str(FIXTURES / "anticorrelated.mir")
+    for command in ("analyze", "protect", "verify"):
+        assert run([command, src, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_bad_constraint_literal_exit_two(tmp_path, capsys):
     code, err = _bad_config_exit(tmp_path, capsys, 'main = "n >= q"', "constraints")
     assert code == 2

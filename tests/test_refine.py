@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 
 from declassiflow.cfg import build_cfg, dominators, expand_loops, simplify_loops
 from declassiflow.frontier import BlockKnowledge
-from declassiflow import refine
+from declassiflow import pipeline, refine
 from declassiflow.knowledge import AnalysisError, leak_model
 from declassiflow.oracle import input_grid, input_slots, interpret
 from declassiflow.refine import (ESCAPABLE, INEVITABLE, UNKNOWN, Limits, PathLog,
@@ -498,9 +498,18 @@ def test_replayed_walks_match_stepping(monkeypatch):
     """Reports with the run's memo of decided callee walks equal those of a
     reference that steps into every callee, on random call programs whose
     functions share parameter names and on the same programs naming them
-    apart, so walks are keyed across different names."""
+    apart, so walks are keyed across different names. The memo has one
+    writer, each refined function's decided exit paths, so every key passes
+    the callee's parameters as distinct symbols (`@0`, ..., `@k-1`): a call
+    that passes a literal or repeats a symbol steps in."""
     replays = Counter()
     replay = refine._SymState.call
+    memos = {}  # id -> each memo of decided callee walks that a run shared
+    refine_function = pipeline.refine_function
+
+    def keeping(fa, bodies, summaries, config, walks):
+        memos[id(walks)] = walks
+        refine_function(fa, bodies, summaries, config, walks)
 
     def counting(st, callee, args):
         ret = replay(st, callee, args)
@@ -514,20 +523,27 @@ def test_replayed_walks_match_stepping(monkeypatch):
         out.pop("timing")
         return out
 
+    monkeypatch.setattr(pipeline, "refine_function", keeping)
     for distinct_names in (False, True):
         replays.clear()
         for seed in range(60):
             text = random_call_program(random.Random(seed), distinct_names)
+            params = {f.name: tuple(("sym", f"@{i}") for i in range(len(f.params)))
+                      for f in parse_program(text).functions}
             for limits in CALL_LIMITS:
+                memos.clear()
                 assert report(text, limits, counting) == \
                     report(text, limits, lambda st, callee, args: None), (seed, limits)
+                assert all(args == params[callee] for walks in memos.values()
+                           for callee, args, _ in walks), (seed, limits)
         assert replays["hit"] and replays["cap"], (distinct_names, replays)
 
 
 def test_argument_past_key_budget_is_stepped_into():
     """A call argument of more than refine._KEY_NODES term nodes, counted as a
-    tree, is stepped into and never keyed: x16 below is a tree of 2^17 nodes,
-    which hashing a key would walk in full. main's own exit path is recorded."""
+    tree, is stepped into without building its key: x16 below is a tree of
+    2^17 nodes, which hashing a key would walk in full. Only main's own exit
+    path is recorded."""
     lines = ["fn main(a) {", "B1:", "  x0 = add a, 1"]
     lines += [f"  x{i} = add x{i - 1}, x{i - 1}" for i in range(1, 17)]
     lines += ["  r = call g(x16)", "  s = call g(x16)", "  ret", "}",
@@ -543,8 +559,9 @@ def test_argument_past_key_budget_is_stepped_into():
 
 def test_large_return_term_renames_in_linear_time():
     """A return term of 22 doublings is a DAG of 24 nodes but a tree of 2^23:
-    recording it under positional names, as g's exit path and as main's
-    callee walk, and renaming it back at each replay stays linear in the DAG."""
+    recording it under positional names as g's exit path, renaming it back at
+    each replay in main and recording main's exit path stays linear in the
+    DAG."""
     lines = ["fn g(a) {", "B1:", "  x0 = add a, 1"]
     lines += [f"  x{i} = add x{i - 1}, x{i - 1}" for i in range(1, 23)]
     lines += ["  ret x22", "}",
