@@ -24,7 +24,7 @@ from .cfg import CfgError
 from .ir import IRError, parse_program
 from .knowledge import AnalysisError
 from .oracle import OracleError
-from .pipeline import RunConfig, dump_cfgs, dump_expanded, run_pipeline
+from .pipeline import RunConfig, check_constraints, dump_cfgs, dump_expanded, run_pipeline
 from .refine import Constraint, Limits, parse_constraint
 
 
@@ -61,12 +61,12 @@ def _read_text(path: str) -> str:
 def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
     """Minimal TOML-like reader: [limits] and [constraints] sections of
     key = value lines, values optionally quoted. Anything else, a key
-    repeated in its section, any value that does not parse and a negative
-    cap or budget raise AnalysisError("path:line: ..."); an empty domain
-    raises AnalysisError("path: ...")."""
+    repeated in its section, a domain bound set twice, any value that does
+    not parse and a negative cap or budget raise AnalysisError("path:line:
+    ..."); an empty domain raises AnalysisError("path: ...")."""
     values: dict[str, int] = {}
     constraints: dict[str, list[Constraint]] = {}
-    seen: set[tuple[str | None, str]] = set()
+    seen: dict[tuple[str | None, str], str] = {}  # (section, field) -> the key that set it
     section = None
     for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
@@ -82,9 +82,13 @@ def load_config(path: str) -> tuple[Limits, dict[str, list[Constraint]]]:
                 raise AnalysisError("expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if (section, key) in seen:
-                raise AnalysisError(f"duplicate key '{key}'")
-            seen.add((section, key))
+            # domain sets both bounds, so it clashes with either domain_* key
+            both = (section, key) == ("limits", "domain")
+            for bound in ("domain_min", "domain_max") if both else (key,):
+                if (earlier := seen.get((section, bound))) is not None:
+                    raise AnalysisError(f"duplicate key '{key}'" if earlier == key
+                                        else f"'{key}' sets a bound that '{earlier}' set")
+                seen[section, bound] = key
             if len(val) > 1 and val.startswith('"') and val.endswith('"'):
                 val = val[1:-1]
             if section == "constraints":
@@ -209,11 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             limits, constraints = load_config(args.config)
 
-        if args.dump_cfg:
-            sys.stdout.write(dump_cfgs(program))
-            return 0
-        if args.dump_expanded:
-            sys.stdout.write(dump_expanded(program))
+        if args.dump_cfg or args.dump_expanded:
+            check_constraints(program, constraints)
+            sys.stdout.write(dump_cfgs(program) if args.dump_cfg else dump_expanded(program))
             return 0
 
         command = args.command

@@ -116,6 +116,17 @@ def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function],
     fa.phase2 = "ran"
 
 
+def check_constraints(program: Program, constraints: dict[str, list[Constraint]]):
+    """Reject a constraint on a function or parameter the program lacks."""
+    params = {f.name: f.params for f in program.functions}
+    for name, cs in constraints.items():
+        if name not in params:
+            raise AnalysisError(f"constraint on unknown function '{name}'")
+        for c in cs:
+            if c.var not in params[name]:
+                raise AnalysisError(f"constraint on unknown parameter '{c.var}' of '{name}'")
+
+
 def analyze_program(program: Program, config: RunConfig | None = None):
     """Phases 1 and 2 for each function in one pass, callees first: a
     function is analyzed and, unless data flow already declassified all of
@@ -126,13 +137,7 @@ def analyze_program(program: Program, config: RunConfig | None = None):
     issues = validate_ssa(program).issues
     if issues:
         raise AnalysisError("; ".join(i.message for i in issues[:5]))
-    params = {f.name: f.params for f in program.functions}
-    for name, constraints in config.constraints.items():
-        if name not in params:
-            raise AnalysisError(f"constraint on unknown function '{name}'")
-        for c in constraints:
-            if c.var not in params[name]:
-                raise AnalysisError(f"constraint on unknown parameter '{c.var}' of '{name}'")
+    check_constraints(program, config.constraints)
 
     summaries: dict[str, FunctionSummary] = {}
     analyses: dict[str, FunctionAnalysis] = {}

@@ -26,18 +26,18 @@ A callee walk that never forks, reads no input and hits no cap is decided by
 its entry state: the callee, its argument terms and the range of each symbol
 in them, since a decided branch reads only the ranges. One memo per analysis
 run, shared by every function's path log, keeps such walks' return terms and
-block-visit increments under that key, and has one writer: each exit path of
-an explored function that read no input and left no hole or complex
-constraint is recorded as the walk of a call passing distinct symbols with
-the path's final ranges, since those ranges decide every branch it took, so
-stepping the function from them takes the same path. A call whose key is
-recorded adds the increments to the path's visits (ending it "cap" past
-loop_cap, as stepping would) and binds the return term instead of stepping
-the callee; any other call steps in. Keys and return terms name symbols by
-position ("@0", "@1", ... in the order the arguments first mention them), so
-the memo hits whatever the caller calls its symbols; a hit renames the
-return term back. Callees are explored before their callers, so a caller
-finds its callees' exit paths already recorded.
+block-visit increments, and has one writer: each exit path of an explored
+function that read no input and left no hole or complex constraint is
+recorded under the function and its parameters' final ranges, since those
+ranges decide every branch it took, so stepping the function from them takes
+the same path. A call whose arguments are distinct symbols is looked up under
+the callee and their ranges in argument order; a recorded walk adds its
+increments to the path's visits (ending it "cap" past loop_cap, as stepping
+would) and binds its return term, renamed from the callee's parameters to
+the arguments, instead of stepping the callee; any other call steps in, so
+the memo hits whatever the caller calls its symbols. Callees are explored
+before their callers, so a caller finds its callees' exit paths already
+recorded.
 """
 
 from __future__ import annotations
@@ -327,12 +327,13 @@ class _SymState:
 
     def call(self, callee: Function, args: list):
         """Replay a decided walk of callee on args: its return term, or "cap"
-        when its block visits pass loop_cap. None steps into the callee: no
-        walk is recorded under the call's key, or an argument is too large to
-        key."""
-        names = _term_symbols(args)
-        walk = None if names is None else self.walks.get(
-            _walk_key(callee.name, args, names, self.ranges))
+        when its block visits pass loop_cap. None steps into the callee: an
+        argument is not a symbol, a symbol repeats, or no walk is recorded
+        under the arguments' ranges."""
+        syms = [a[1] for a in args if not isinstance(a, int) and a[0] == "sym"]
+        if len(set(syms)) < len(args):
+            return None
+        walk = self.walks.get((callee.name, tuple(self.ranges[s] for s in syms)))
         if walk is None:
             return None
         ret, increments = walk
@@ -341,7 +342,7 @@ class _SymState:
             n = visits[k] = visits.get(k, 0) + n
             if n > cap:
                 return "cap"
-        return _rename(ret, {c: s for s, c in names.items()})
+        return _rename(ret, dict(zip(callee.params, syms)))
 
     def leave(self, frame: Frame, block, val, steps: int):
         if len(self.frames) == 1:
@@ -417,34 +418,6 @@ class _SymState:
             self.holes[sym] = self.holes.get(sym, ()) + (c,)
         return self.ranges[sym] == before or all(
             self.decide(t) in (None, tr) for t, tr in self.complex)
-
-
-_KEY_NODES = 256  # a call argument term larger than this is stepped into
-
-
-def _term_symbols(terms):
-    """Each symbol in terms mapped to its positional name, "@0", "@1", ... in
-    first-occurrence order, or None past _KEY_NODES term nodes, counted as a
-    tree: hashing or comparing a key walks the terms as trees."""
-    names, todo, budget = {}, terms[::-1], _KEY_NODES
-    while todo:
-        t = todo.pop()
-        if isinstance(t, int):
-            continue
-        budget -= 1
-        if budget < 0:
-            return None
-        if t[0] != "sym":
-            todo.extend(t[:0:-1])
-        elif t[1] not in names:
-            names[t[1]] = f"@{len(names)}"
-    return names
-
-
-def _walk_key(fname: str, args: list, names: dict, ranges: dict):
-    """The memo key of a call: the callee, the arguments and the range of
-    each of their symbols, all under the symbols' positional names."""
-    return (fname, tuple(_rename(a, names) for a in args), tuple(ranges[s] for s in names))
 
 
 def _rename(t, names: dict):
@@ -594,8 +567,6 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
         raise AnalysisError(f"too many symbolic inputs ({len(f.params)} > "
                             f"max_symbols {limits.max_symbols})")
 
-    params = [("sym", p) for p in f.params]  # a call passing distinct symbols
-    names = {p: f"@{i}" for i, p in enumerate(f.params)}  # as _term_symbols(params)
     stack = [root]
     exits = 0
     while stack and exits <= limits.path_cap:
@@ -606,9 +577,8 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
         elif outcome == "return":
             exits += 1
             if not (st.input_count or st.complex or st.holes):  # ranges decide the path
-                key = _walk_key(f.name, params, names, st.ranges)
-                if key not in walks:
-                    walks[key] = (_rename(st.ret, names), tuple(st.visits.items()))
+                walks.setdefault((f.name, tuple(st.ranges[p] for p in f.params)),
+                                 (st.ret, tuple(st.visits.items())))
             yield st.pc, st.syms, st.last, st.ranges
         else:  # the live children of a branch
             stack.extend(reversed(outcome))

@@ -241,15 +241,20 @@ def test_config_unknown_key_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("section,first,second", [
     ("constraints", 'int32_sort = "n >= 0"', 'int32_sort = "n < 8"'),
-    ("limits", "loop_cap = 4", "loop_cap = 64")])
+    ("limits", "loop_cap = 4", "loop_cap = 64"),
+    ("limits", 'domain = "0..3"', "domain_max = 9"),
+    ("limits", "domain_max = 9", 'domain = "0..3"')])
 def test_config_duplicate_key_exit_two(tmp_path, capsys, section, first, second):
-    # the second line used to replace the first silently
+    # the second line used to replace the first silently: domain then
+    # domain_max = 9 read as 0..9, the reverse order as 0..3
     cfg = tmp_path / "cfg.toml"
     cfg.write_text(f"[{section}]\n{first}\n{second}\n")
-    key = first.split()[0]
+    earlier, key = first.split()[0], second.split()[0]
+    message = (f"duplicate key '{key}'" if key == earlier
+               else f"'{key}' sets a bound that '{earlier}' set")
     for command in ("analyze", "protect", "verify"):
         assert run([command, str(FIXTURES / "djbsort_analog.mir"), "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:3: duplicate key '{key}'\n"
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
 
 
 @pytest.mark.parametrize("line,message", [
@@ -257,13 +262,15 @@ def test_config_duplicate_key_exit_two(tmp_path, capsys, section, first, second)
     ('nosuch = "n < 3"', "constraint on unknown function 'nosuch'")])
 def test_constraint_on_unknown_name_exit_two(tmp_path, capsys, line, message):
     # under protect, the unknown parameter used to end refinement `unknown`
-    # and move the barrier from B1 to B2, B4; the unknown function was ignored
+    # and move the barrier from B1 to B2, B4; the unknown function was ignored,
+    # and the two dumps accepted both with exit 0
     cfg = tmp_path / "cfg.toml"
     cfg.write_text(f"[constraints]\n{line}\n")
     src = str(FIXTURES / "anticorrelated.mir")
-    for command in ("analyze", "protect", "verify"):
-        assert run([command, src, "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+    for args in (["analyze"], ["protect"], ["verify"], ["analyze", "--dump-cfg"],
+                 ["analyze", "--dump-expanded"]):
+        assert run([*args, src, "--config", str(cfg)]) == 2, args
+        assert capsys.readouterr() == ("", f"error: {message}\n"), args
 
 
 def test_config_bad_constraint_literal_exit_two(tmp_path, capsys):

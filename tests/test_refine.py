@@ -469,11 +469,12 @@ def test_exploration_counters(monkeypatch, name, exits, caps, runs):
 def test_chain_steps_per_function(monkeypatch):
     """Symbolic steps of each refined function of call_chain(8): each steps
     its own body only, since every callee walk a caller needs is an exit path
-    of the callee's own exploration, recorded as a walk. Keys name symbols by
-    position, so the chain whose function k names its parameters `buf{k},
-    n{k}` takes the same steps. Before exit paths were recorded, each caller
-    took 1,094 steps (7,800 in all; 27,792 with distinct names), and before
-    walks were replayed it re-stepped the whole chain below it (27,792)."""
+    of the callee's own exploration, recorded as a walk. Keys hold the
+    callee and its arguments' ranges, not their names, so the chain whose
+    function k names its parameters `buf{k}, n{k}` takes the same steps.
+    Before exit paths were recorded, each caller took 1,094 steps (7,800 in
+    all; 27,792 with distinct names), and before walks were replayed it
+    re-stepped the whole chain below it (27,792)."""
     steps = Counter()
     run = refine._SymState.run
 
@@ -498,10 +499,10 @@ def test_replayed_walks_match_stepping(monkeypatch):
     """Reports with the run's memo of decided callee walks equal those of a
     reference that steps into every callee, on random call programs whose
     functions share parameter names and on the same programs naming them
-    apart, so walks are keyed across different names. The memo has one
-    writer, each refined function's decided exit paths, so every key passes
-    the callee's parameters as distinct symbols (`@0`, ..., `@k-1`): a call
-    that passes a literal or repeats a symbol steps in."""
+    apart, so walks replay across different names. The memo has one writer,
+    each refined function's decided exit paths, so every key is the callee
+    and one range per parameter: a call is looked up only when its arguments
+    are distinct symbols, and any other call steps in."""
     replays = Counter()
     replay = refine._SymState.call
     memos = {}  # id -> each memo of decided callee walks that a run shared
@@ -528,40 +529,89 @@ def test_replayed_walks_match_stepping(monkeypatch):
         replays.clear()
         for seed in range(60):
             text = random_call_program(random.Random(seed), distinct_names)
-            params = {f.name: tuple(("sym", f"@{i}") for i in range(len(f.params)))
-                      for f in parse_program(text).functions}
+            arity = {f.name: len(f.params) for f in parse_program(text).functions}
             for limits in CALL_LIMITS:
                 memos.clear()
                 assert report(text, limits, counting) == \
                     report(text, limits, lambda st, callee, args: None), (seed, limits)
-                assert all(args == params[callee] for walks in memos.values()
-                           for callee, args, _ in walks), (seed, limits)
+                assert all(len(ranges) == arity[callee] for walks in memos.values()
+                           for callee, ranges in walks), (seed, limits)
         assert replays["hit"] and replays["cap"], (distinct_names, replays)
 
 
-def test_argument_past_key_budget_is_stepped_into():
-    """A call argument of more than refine._KEY_NODES term nodes, counted as a
-    tree, is stepped into without building its key: x16 below is a tree of
-    2^17 nodes, which hashing a key would walk in full. Only main's own exit
-    path is recorded."""
+def replayed_calls(monkeypatch):
+    """Wrap _SymState.call: the returned list gains, per call, whether it
+    replayed a recorded walk (True) or stepped into the callee (False)."""
+    replayed = []
+    call = refine._SymState.call
+
+    def counting(st, callee, args):
+        ret = call(st, callee, args)
+        replayed.append(ret is not None)
+        return ret
+
+    monkeypatch.setattr(refine._SymState, "call", counting)
+    return replayed
+
+
+def explore_in_order(program, names, walks):
+    """Drain the path log of each named function in turn, sharing walks."""
+    functions = {f.name: f for f in program.functions}
+    for name in names:
+        paths = PathLog(functions[name], Limits(), functions=functions, walks=walks)
+        assert sum(e != "cap" for _, e in paths.events()) == 1, name
+
+
+def test_argument_past_key_budget_is_stepped_into(monkeypatch):
+    """A call whose argument is not a bare symbol steps in without a lookup,
+    even though g's exit path is recorded: x16 below is a tree of 2^17
+    nodes, which nothing may walk as a tree."""
     lines = ["fn main(a) {", "B1:", "  x0 = add a, 1"]
     lines += [f"  x{i} = add x{i - 1}, x{i - 1}" for i in range(1, 17)]
     lines += ["  r = call g(x16)", "  s = call g(x16)", "  ret", "}",
               "fn g(v) {", "B1:", "  transmit v", "  ret v", "}"]
     program = parse_program("\n".join(lines) + "\n")
+    replayed = replayed_calls(monkeypatch)
     walks = {}
-    paths = PathLog(program.functions[0], Limits(),
-                    functions={g.name: g for g in program.functions}, walks=walks)
-    exits = sum(e != "cap" for _, e in paths.events())
-    recorded = sum(key[0] == "g" for key in walks)  # a count: a failure must not print the term
-    assert (exits, recorded) == (1, 0)
+    start = time.perf_counter()
+    explore_in_order(program, ["g", "main"], walks)
+    assert time.perf_counter() - start < 1.0
+    assert replayed == [False, False]
+    assert sorted(key[0] for key in walks) == ["g", "main"]
+
+
+def test_walk_lookup_needs_distinct_symbol_arguments(monkeypatch):
+    """After g(p, q) is explored, main's g(a, b) under the same ranges
+    replays it, renaming its return term to a and b; g(a, a), g(a, 1) and
+    g(c, b) with c = add a, 1 step in."""
+    program = parse_program("""fn g(p, q) {
+B1:
+  d = sub p, q
+  ret d
+}
+fn main(a, b) {
+B1:
+  r = call g(a, b)
+  s = call g(a, a)
+  t = call g(a, 1)
+  c = add a, 1
+  u = call g(c, b)
+  ret r
+}
+""")
+    replayed = replayed_calls(monkeypatch)
+    walks = {}
+    explore_in_order(program, ["g", "main"], walks)
+    assert replayed == [True, False, False, False]
+    full = (0, 15)
+    assert walks[("g", (full, full))][0] == ("sub", ("sym", "p"), ("sym", "q"))
+    assert walks[("main", (full, full))][0] == ("sub", ("sym", "a"), ("sym", "b"))
 
 
 def test_large_return_term_renames_in_linear_time():
     """A return term of 22 doublings is a DAG of 24 nodes but a tree of 2^23:
-    recording it under positional names as g's exit path, renaming it back at
-    each replay in main and recording main's exit path stays linear in the
-    DAG."""
+    recording it as g's exit path, renaming it to main's symbol at each
+    replay in main and recording main's exit path stays linear in the DAG."""
     lines = ["fn g(a) {", "B1:", "  x0 = add a, 1"]
     lines += [f"  x{i} = add x{i - 1}, x{i - 1}" for i in range(1, 23)]
     lines += ["  ret x22", "}",
@@ -615,8 +665,7 @@ B3:
     for f in program.functions:
         paths = PathLog(f, Limits(), walks=walks)
         assert sum(e != "cap" for _, e in paths.events()) == 2
-    assert walks == {("hole", (("sym", "@0"),), ((3, 3),)): (1, ((("hole", "B1"), 1),
-                                                                  (("hole", "B2"), 1)))}
+    assert walks == {("hole", ((3, 3),)): (1, ((("hole", "B1"), 1), (("hole", "B2"), 1)))}
 
 
 @pytest.mark.parametrize("kwargs,message", [
