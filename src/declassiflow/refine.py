@@ -5,20 +5,21 @@ knowledge where transmission is inevitable.
 A bounded symbolic executor explores each function once, depth first, on
 the verifier's IR stepper (oracle.execute): `_SymState` is its domain of
 terms, counting block visits against loop_cap and forking at open branches.
-Each path carries an interval range per symbol, kept at the fixpoint of its
-path condition. A branch whose condition the intervals decide takes its one live
-arm without forking and adds nothing to the path condition, which so holds
-only the constraints left open when they were added. An open branch forks:
-each arm narrows only the symbol its condition compares with a literal,
-re-checks the other constraints only when that range moved, and is pruned
-when the intervals prove its condition unsatisfiable. A shared
-path log keeps what it finds: every loop_cap hit and, for every path that
-reaches the exit, its path condition, its symbols, the last visit to each
-block of the function and its ranges. A (region, variable) query replays the
-log and extends it only when it needs more paths. A path escapes when it
-visits the region header after the last visit to every transmitter block that
-knows the variable. Constraint solving is exact within the configured input
-domain: exhaustive enumeration over the exit's box of ranges, once per path.
+Each path keeps every constraint once: an interval range per symbol, the
+holes (`x != c`) that no range end sits on, and the complex constraints.
+A branch whose condition the intervals decide takes its one live arm
+without forking and adds no constraint. An open branch forks: each arm
+narrows only the symbol its condition compares with a literal, re-checks
+the complex constraints only when that range moved, and is pruned when the
+intervals prove its condition unsatisfiable. A shared path log keeps what it
+finds: every loop_cap hit and, for every path that reaches the exit, its
+complex constraints, its holes, the last visit to each block of the function
+and its ranges. A (region, variable) query replays the log and extends it
+only when it needs more paths. A path escapes when it visits the region
+header after the last visit to every transmitter block that knows the
+variable. Constraint solving is exact within the configured input domain:
+exhaustive enumeration over the exit's box of ranges less its holes,
+checking the complex constraints, once per path.
 Any cap hit degrades the verdict to Unknown, whose note names the caps;
 Unknown is treated like Escapable downstream (no knowledge upgrade).
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 
 from .cfg import DomInfo
 from .frontier import BlockKnowledge
-from .ir import Function
+from .ir import INT32_MAX, INT32_MIN, Function
 from .knowledge import AnalysisError
 from .oracle import Frame, eval_op, execute, load_value
 
@@ -72,7 +73,9 @@ _CAPS = ("loop_cap", "path_cap", "max_symbols", "enum_budget")
 class Limits:
     """Refinement caps and input domain, checked on construction: a negative
     cap or budget would end queries early (path_cap = -1 made them
-    `inevitable`), and an empty domain has nothing to solve over."""
+    `inevitable`), an empty domain has nothing to solve over, and a bound
+    outside signed 32 bits would make symbols, which compare raw integers,
+    disagree with the IR, which wraps them."""
 
     loop_cap: int = 32
     path_cap: int = 4096
@@ -85,6 +88,10 @@ class Limits:
         for name in _CAPS:
             if getattr(self, name) < 0:
                 raise AnalysisError(f"negative {name} {getattr(self, name)}")
+        for name in ("domain_min", "domain_max"):
+            if not INT32_MIN <= getattr(self, name) <= INT32_MAX:
+                raise AnalysisError(f"{name} {getattr(self, name)} outside signed 32 bits"
+                                    f" ({INT32_MIN}..{INT32_MAX})")
         if self.domain_min > self.domain_max:
             raise AnalysisError(f"empty domain {self.domain_min}..{self.domain_max}"
                                 " (domain_min > domain_max)")
@@ -169,7 +176,7 @@ def eval_term(t, assignment: dict[str, int]) -> int:
     return eval_op(t[0], [eval_term(a, assignment) for a in t[1:]])
 
 
-_FULL = (-(1 << 31), (1 << 31) - 1)
+_FULL = (INT32_MIN, INT32_MAX)
 _SAFE = 1 << 30  # stay far from the wrap boundary in the interval layer
 
 
@@ -206,64 +213,6 @@ def _interval(t, ranges: dict[str, tuple[int, int]]):
     return None
 
 
-def _refine_ranges(constraints, ranges: dict[str, tuple[int, int]]) -> bool:
-    """Narrow symbol ranges from sym-vs-const comparisons; False on conflict."""
-    changed = True
-    while changed:
-        changed = False
-        for term, truthy in constraints:
-            if isinstance(term, tuple) and term[0] in ("lt", "eq"):
-                a, b = term[1], term[2]
-                sym, const, flipped = None, None, False
-                if isinstance(a, tuple) and a[0] == "sym" and isinstance(b, int):
-                    sym, const = a[1], b
-                elif isinstance(b, tuple) and b[0] == "sym" and isinstance(a, int):
-                    sym, const, flipped = b[1], a, True
-                if sym is None:
-                    continue
-                lo, hi = ranges.get(sym, _FULL)
-                if term[0] == "lt":
-                    if truthy:  # sym < const, or const < sym when flipped
-                        lo, hi = (lo, min(hi, const - 1)) if not flipped else (max(lo, const + 1), hi)
-                    else:
-                        lo, hi = (max(lo, const), hi) if not flipped else (lo, min(hi, const))
-                else:  # eq
-                    if truthy:
-                        lo, hi = max(lo, const), min(hi, const)
-                    elif lo == hi == const:
-                        return False
-                    elif lo == const:
-                        lo += 1
-                    elif hi == const:
-                        hi -= 1
-                if (lo, hi) != ranges.get(sym, _FULL):
-                    ranges[sym] = (lo, hi)
-                    changed = True
-                if lo > hi:
-                    return False
-            elif isinstance(term, tuple) and term[0] == "sym":
-                lo, hi = ranges.get(sym := term[1], _FULL)
-                if not truthy:
-                    if lo > 0 or hi < 0:
-                        return False
-                    ranges[sym] = (0, 0)
-                elif lo == hi == 0:
-                    return False
-    return True
-
-
-def _narrowed_symbol(term):
-    """The symbol that a symbol-vs-literal comparison or a bare symbol
-    constrains, or None for any other term."""
-    if term[0] == "sym":
-        return term[1]
-    if term[0] in ("lt", "eq"):
-        for a, b in ((term[1], term[2]), (term[2], term[1])):
-            if isinstance(a, tuple) and a[0] == "sym" and isinstance(b, int):
-                return a[1]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Bounded symbolic execution
 # ---------------------------------------------------------------------------
@@ -271,18 +220,18 @@ def _narrowed_symbol(term):
 @dataclass
 class _SymState:
     """One path, and the symbolic domain of oracle.execute: an env binds each
-    variable to a term. pc holds only the branch and entry constraints that
-    the intervals left open when they were added; ranges is its fixpoint.
-    functions, limits and fname (the explored function) are the
-    exploration's, shared by every path; walks is the run's memo of decided
-    callee walks."""
+    variable to a term. The branch and entry constraints that the intervals
+    left open when they were added are each kept once: a symbol-vs-literal
+    one as its symbol's range, `x != c` as a hole c that neither end of x's
+    range sits on, and any other in complex. ranges lists the symbols in
+    creation order, the order of a witness's inputs. functions, limits and
+    fname (the explored function) are the exploration's, shared by every
+    path; walks is the run's memo of decided callee walks."""
 
     frames: list[Frame]
-    pc: list  # [(term, truthy)]
-    syms: list[str]
     ranges: dict[str, tuple[int, int]]  # symbol -> (lo, hi)
-    holes: dict[str, tuple] = field(default_factory=dict)  # x != c and truthy x
-    complex: tuple = ()  # the constraints that are not symbol-vs-literal
+    holes: dict[str, frozenset] = field(default_factory=dict)  # x -> each c of x != c
+    complex: tuple = ()  # every other (term, truthy), a truthy bare symbol included
     visits: dict[tuple[str, str], int] = field(default_factory=dict)
     last: dict[str, int] = field(default_factory=dict)  # block of f -> last visit
     clock: int = 0  # visits to blocks of f so far
@@ -298,8 +247,8 @@ class _SymState:
     def fork(self) -> "_SymState":
         """A copy of the path."""
         return _SymState(
-            [fr.copy() for fr in self.frames], list(self.pc), list(self.syms),
-            dict(self.ranges), dict(self.holes), self.complex, dict(self.visits),
+            [fr.copy() for fr in self.frames], dict(self.ranges), dict(self.holes),
+            self.complex, dict(self.visits),
             dict(self.last), self.clock, self.input_count, self.functions,
             self.limits, self.fname, self.walks)
 
@@ -356,10 +305,9 @@ class _SymState:
             name = f"#in{self.input_count}"  # no IR name starts with #
             self.input_count += 1
             lim = self.limits
-            if len(self.syms) >= lim.max_symbols:
+            if len(self.ranges) >= lim.max_symbols:
                 raise AnalysisError(
                     f"too many symbolic inputs (> max_symbols {lim.max_symbols})")
-            self.syms.append(name)
             self.ranges[name] = (lim.domain_min, lim.domain_max)
             env[ins.output] = ("sym", name)
             return None
@@ -396,28 +344,43 @@ class _SymState:
         return None if lo <= 0 <= hi and (lo, hi) != (0, 0) else hi != 0
 
     def assume(self, term, truthy: bool) -> bool:
-        """Add a constraint to pc; False when intervals prove pc unsatisfiable.
-        branch adds only what decide() leaves open, as a decided constraint
-        narrows nothing. The answer is that of narrowing all of pc from the
-        domain: each rule of _refine_ranges reads and narrows one symbol's own
-        range, only the holes are not plain intersections, so they alone need
-        re-running, and once narrowing succeeds no symbol-vs-literal
-        constraint fails its interval check."""
-        c = (term, truthy)
-        self.pc.append(c)
-        sym = _narrowed_symbol(term)
+        """Add an open constraint; False when the intervals prove the path
+        unsatisfiable. branch adds only what decide() leaves open, as a
+        decided constraint narrows nothing. A symbol-vs-literal comparison or
+        a falsy bare symbol narrows its symbol's range to the constraint's
+        solutions, `x != c` by adding the hole c; both ends then skip past
+        the symbol's holes. Only a moved range re-checks complex, since
+        decide reads nothing else."""
+        if term[0] == "sym" and not truthy:  # x == 0
+            term, truthy = ("eq", term, 0), True
+        sym = None
+        if term[0] in ("lt", "eq"):
+            for sym_term, c, flipped in ((term[1], term[2], False), (term[2], term[1], True)):
+                if isinstance(sym_term, tuple) and sym_term[0] == "sym" and isinstance(c, int):
+                    sym = sym_term[1]
+                    break
         if sym is None:
-            self.complex += (c,)
+            self.complex += ((term, truthy),)
             return self.decide(term) in (None, truthy)
-        before = self.ranges[sym]
-        # c first: a falsy bare symbol narrows without asking for another
-        # round, so the holes must come after it
-        if not _refine_ranges([c, *self.holes.get(sym, ())], self.ranges):
+        before = lo, hi = self.ranges[sym]
+        holes = self.holes.get(sym, frozenset())
+        if term[0] == "eq" and truthy:
+            lo, hi = max(lo, c), min(hi, c)
+        elif term[0] == "eq":
+            holes = self.holes[sym] = holes | {c}
+        elif truthy != flipped:  # x < c, or x <= c
+            hi = min(hi, c - truthy)
+        else:  # x >= c, or x > c
+            lo = max(lo, c + truthy)
+        while lo in holes:
+            lo += 1
+        while hi in holes:
+            hi -= 1
+        if lo > hi:
             return False
-        if term[0] == ("sym" if truthy else "eq"):
-            self.holes[sym] = self.holes.get(sym, ()) + (c,)
-        return self.ranges[sym] == before or all(
-            self.decide(t) in (None, tr) for t, tr in self.complex)
+        self.ranges[sym] = (lo, hi)
+        return (lo, hi) == before or all(self.decide(t) in (None, tr)
+                                         for t, tr in self.complex)
 
 
 def _rename(t, names: dict):
@@ -444,8 +407,8 @@ _TOO_DEEP = "symbolic term nested past the Python recursion limit"
 
 class PathLog:
     """The bounded paths of one function, explored lazily and shared by every
-    query on it. Events are "cap" (a loop_cap hit), (path condition, symbols,
-    last visits, ranges) for an exit, or the AnalysisError that ended
+    query on it. Events are "cap" (a loop_cap hit), (complex constraints,
+    holes, last visits, ranges) for an exit, or the AnalysisError that ended
     exploration. walks is the memo of decided callee walks, which the logs of
     one run may share."""
 
@@ -481,23 +444,25 @@ class PathLog:
             i += 1
 
     def solve(self, i: int):
-        """("sat", the first witness in lexicographic order), ("unsat", None)
-        or ("unknown", None) past enum_budget for exit event i, computed once.
-        Only the exit's box of ranges is enumerated: it holds every solution
-        in the domain."""
+        """("sat", the inputs of the first solution in lexicographic order),
+        ("unsat", None) or ("unknown", None) past enum_budget for exit event
+        i, computed once. The exit's box of ranges less its holes is exactly
+        the set of solutions of its symbol-vs-literal constraints, so only
+        the complex ones are checked."""
         if i not in self._solved:
-            pc, syms, _, ranges = self._events[i]
+            complex, holes, _, ranges = self._events[i]
             lim = self.limits
             answer = "unknown", None
-            if (lim.domain_max - lim.domain_min + 1) ** len(syms) <= lim.enum_budget:
+            if (lim.domain_max - lim.domain_min + 1) ** len(ranges) <= lim.enum_budget:
                 answer = "unsat", None
-                boxes = (range(ranges[s][0], ranges[s][1] + 1) for s in syms)
+                boxes = ([v for v in range(lo, hi + 1) if v not in holes.get(s, ())]
+                         for s, (lo, hi) in ranges.items())
                 try:
                     for combo in itertools.product(*boxes):
-                        assignment = dict(zip(syms, combo))
+                        assignment = dict(zip(ranges, combo))
                         if all(truthy == (eval_term(term, assignment) != 0)
-                               for term, truthy in pc):
-                            answer = "sat", assignment
+                               for term, truthy in complex):
+                            answer = "sat", list(combo)
                             break
                 except RecursionError:
                     raise AnalysisError(_TOO_DEEP) from None
@@ -527,12 +492,11 @@ def check_inevitable(paths: PathLog, region: Region, var: str,
         if exits > paths.limits.path_cap:
             caps.add("path_cap")
             break
-        _, syms, last, _ = event
+        last = event[2]
         if header in last and all(last.get(b, -1) < last[header] for b in knowing):
             status, witness = paths.solve(i)
             if status == "sat":
-                return RefinementResult(ESCAPABLE, region, var,
-                                        witness_inputs=[witness[s] for s in syms])
+                return RefinementResult(ESCAPABLE, region, var, witness_inputs=witness)
             if status == "unknown":
                 caps.add("enum_budget")
     if caps:
@@ -544,8 +508,8 @@ def check_inevitable(paths: PathLog, region: Region, var: str,
 def _explore(f: Function, limits: Limits, constraints: list[Constraint],
              functions: dict[str, Function], walks: dict):
     """Depth-first bounded symbolic execution of f: yields "cap" for each
-    loop_cap hit and (path condition, symbols, last visit of each block of f,
-    ranges) for each exit, and stops after path_cap + 1 exits."""
+    loop_cap hit and (complex constraints, holes, last visit of each block of
+    f, ranges) for each exit, and stops after path_cap + 1 exits."""
     entry_pc = []
     for c in constraints:
         if c.var not in f.params:
@@ -556,7 +520,6 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
     root = _SymState(
         frames=[Frame(f, f.block_map(), f.entry_block, None, 0, False,
                       {p: ("sym", p) for p in f.params}, None)],
-        pc=[], syms=list(f.params),
         ranges=dict.fromkeys(f.params, (limits.domain_min, limits.domain_max)),
         functions={name: (g, g.block_map()) for name, g in functions.items()},
         limits=limits, fname=f.name, walks=walks)
@@ -579,7 +542,7 @@ def _explore(f: Function, limits: Limits, constraints: list[Constraint],
             if not (st.input_count or st.complex or st.holes):  # ranges decide the path
                 walks.setdefault((f.name, tuple(st.ranges[p] for p in f.params)),
                                  (st.ret, tuple(st.visits.items())))
-            yield st.pc, st.syms, st.last, st.ranges
+            yield st.complex, st.holes, st.last, st.ranges
         else:  # the live children of a branch
             stack.extend(reversed(outcome))
 

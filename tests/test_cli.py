@@ -217,6 +217,39 @@ def test_config_empty_domain_exit_two(tmp_path, capsys):
                                        "(domain_min > domain_max)\n")
 
 
+WRAPPED_GUARD = """fn main() {
+B1:
+  q = input
+  x = input
+  c = lt q, 0
+  br c, B2, B3
+B2:
+  jmp B5
+B3:
+  transmit x
+  jmp B5
+B5:
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize("lines,message", [
+    ('domain = "2147483648..2147483649"', "domain_min 2147483648"),
+    ("domain_max = 2147483648", "domain_max 2147483648"),
+    ("domain_min = -2147483649", "domain_min -2147483649")])
+def test_config_domain_outside_int32_exit_two(tmp_path, capsys, lines, message):
+    # symbols compare raw integers while the IR wraps to 32 bits: under
+    # domain 2147483648..2147483649, protect used to call x `inevitable` at
+    # B1, though input q = 2147483648 wraps below 0 and skips the transmit
+    src, cfg = tmp_path / "prog.mir", tmp_path / "cfg.toml"
+    src.write_text(WRAPPED_GUARD)
+    cfg.write_text(f"[limits]\n{lines}\n")
+    assert run(["protect", str(src), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: {message} outside signed 32 bits "
+                                       "(-2147483648..2147483647)\n")
+
+
 def test_empty_verify_domain_exit_one(capsys):
     src = str(FIXTURES / "diamond_linked.mir")
     assert run(["verify", src, "--domain", "5..2"]) == 1

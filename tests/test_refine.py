@@ -13,7 +13,7 @@ from declassiflow import pipeline, refine
 from declassiflow.knowledge import AnalysisError, leak_model
 from declassiflow.oracle import input_grid, input_slots, interpret
 from declassiflow.refine import (ESCAPABLE, INEVITABLE, UNKNOWN, Limits, PathLog,
-                                 _interval, _refine_ranges, _SymState, eval_term,
+                                 _FULL, _interval, _SymState, eval_term,
                                  apply_refinement, candidate_regions, candidate_vars,
                                  check_inevitable, parse_constraint)
 from declassiflow.ir import Program, parse_program
@@ -312,6 +312,33 @@ def test_refinement_sound_against_interpreter():
     assert verdicts[INEVITABLE] > 1000 and verdicts[ESCAPABLE] > 50, verdicts
 
 
+def test_solve_excludes_holes():
+    """The escaping path B1 -> B3 -> B4 needs a != 1 (a hole inside a's
+    range) and a + 0 == 1 (a complex constraint the intervals leave open):
+    its box holds a = 1, which solving must skip, so b is inevitable."""
+    f = parse_program("""fn f(a, b) {
+B1:
+  c = eq a, 1
+  br c, B2, B3
+B2:
+  transmit b
+  jmp B5
+B3:
+  s = add a, 0
+  d = eq s, 1
+  br d, B4, B2
+B4:
+  jmp B5
+B5:
+  ret
+}
+""").functions[0]
+    _, _, kb, _ = dfa_blocks(f)
+    region = regions_of(f)[0]
+    assert region.header == "B1" and knowing(f, kb, "b") == {"B2"}
+    assert query(f, region, "b", kb, Limits(domain_min=0, domain_max=3)).verdict == INEVITABLE
+
+
 def test_input_symbols_do_not_alias_parameters():
     # x != in0 is satisfiable: the input's symbol must not share the name of
     # the parameter in0
@@ -337,13 +364,60 @@ B3:
     assert flag_escapes(trace, f.name, region.header, knowing(f, kb, "in0"))
 
 
+def reference_refine_ranges(constraints, ranges: dict[str, tuple[int, int]]) -> bool:
+    """Narrow symbol ranges from sym-vs-const comparisons over a whole path
+    condition, to a fixpoint; False on conflict."""
+    changed = True
+    while changed:
+        changed = False
+        for term, truthy in constraints:
+            if isinstance(term, tuple) and term[0] in ("lt", "eq"):
+                a, b = term[1], term[2]
+                sym, const, flipped = None, None, False
+                if isinstance(a, tuple) and a[0] == "sym" and isinstance(b, int):
+                    sym, const = a[1], b
+                elif isinstance(b, tuple) and b[0] == "sym" and isinstance(a, int):
+                    sym, const, flipped = b[1], a, True
+                if sym is None:
+                    continue
+                lo, hi = ranges.get(sym, _FULL)
+                if term[0] == "lt":
+                    if truthy:  # sym < const, or const < sym when flipped
+                        lo, hi = (lo, min(hi, const - 1)) if not flipped else (max(lo, const + 1), hi)
+                    else:
+                        lo, hi = (max(lo, const), hi) if not flipped else (lo, min(hi, const))
+                else:  # eq
+                    if truthy:
+                        lo, hi = max(lo, const), min(hi, const)
+                    elif lo == hi == const:
+                        return False
+                    elif lo == const:
+                        lo += 1
+                    elif hi == const:
+                        hi -= 1
+                if (lo, hi) != ranges.get(sym, _FULL):
+                    ranges[sym] = (lo, hi)
+                    changed = True
+                if lo > hi:
+                    return False
+            elif isinstance(term, tuple) and term[0] == "sym":
+                lo, hi = ranges.get(sym := term[1], _FULL)
+                if not truthy:
+                    if lo > 0 or hi < 0:
+                        return False
+                    ranges[sym] = (0, 0)
+                elif lo == hi == 0:
+                    return False
+    return True
+
+
 def reference_quick_unsat(constraints, syms, limits):
     """The per-fork check that incremental narrowing replaced: narrow every
     symbol from the full domain over the whole path condition, then check
     each constraint's interval."""
     d = (limits.domain_min, limits.domain_max)
     ranges = {s: d for s in syms}
-    if not _refine_ranges(constraints, ranges):
+    if not reference_refine_ranges(constraints, ranges):
         return True
     for term, truthy in constraints:
         iv = _interval(term, ranges)
@@ -382,7 +456,8 @@ def random_constraint(rng, lits):
 
 def test_assume_matches_reference_quick_unsat():
     """Differential gate: narrowing one symbol per constraint decides every
-    prefix of a path condition exactly as re-narrowing the whole prefix."""
+    prefix of a path condition exactly as re-narrowing the whole prefix,
+    which the test tracks itself since a path keeps no such list."""
     rng = random.Random(20261018)
     syms = ["x", "y", "z"]
     decided = {True: 0, False: 0}
@@ -390,21 +465,39 @@ def test_assume_matches_reference_quick_unsat():
         d = (limits.domain_min, limits.domain_max)
         lits = range(d[0] - 2, d[1] + 3)
         for _ in range(3000):
-            st = _SymState([], [], list(syms), dict.fromkeys(syms, d))
+            st, pc = _SymState([], dict.fromkeys(syms, d)), []
             for _ in range(rng.randint(1, 14)):
-                live = st.assume(*random_constraint(rng, lits))
-                assert live == (not reference_quick_unsat(st.pc, syms, limits)), st.pc
+                pc.append(random_constraint(rng, lits))
+                live = st.assume(*pc[-1])
+                assert live == (not reference_quick_unsat(pc, syms, limits)), pc
                 decided[live] += 1
                 if not live:
                     break
     assert decided[False] > 2000 and decided[True] > 10000, decided
 
 
+def satisfying(assignments, constraints):
+    return [a for a in assignments
+            if all((eval_term(t, a) != 0) == tr for t, tr in constraints)]
+
+
+def box_solutions(st):
+    """The points of st's box of ranges, less each symbol's holes, that
+    satisfy its complex constraints, in lexicographic order."""
+    boxes = ([v for v in range(lo, hi + 1) if v not in st.holes.get(s, ())]
+             for s, (lo, hi) in st.ranges.items())
+    return satisfying([dict(zip(st.ranges, p)) for p in itertools.product(*boxes)],
+                      st.complex)
+
+
 def test_decide_settles_exactly_the_arm_assume_rejects():
     """Property gate for the fork-free branch: whenever the intervals decide
     a condition, the other arm is infeasible, the live arm narrows nothing,
-    and dropping the constraint from pc changes neither the reference check
-    nor the solutions in the box."""
+    and dropping the constraint from the path condition changes neither the
+    reference check nor the solutions in the box. On every live path, the
+    box of ranges less each symbol's holes, filtered by the complex
+    constraints, is exactly the domain's solutions of the path condition the
+    test tracked, in the same order: what PathLog.solve enumerates."""
     seen = Counter()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=500)
@@ -413,12 +506,16 @@ def test_decide_settles_exactly_the_arm_assume_rejects():
         limits = Limits(domain_min=domain[0], domain_max=domain[1])
         lits = range(domain[0] - 2, domain[1] + 3)
         syms = ["x", "y", "z"]
-        st = _SymState([], [], list(syms), dict.fromkeys(syms, domain))
+        every = [dict(zip(syms, p)) for p in itertools.product(
+            range(domain[0], domain[1] + 1), repeat=len(syms))]
+        st, pc = _SymState([], dict.fromkeys(syms, domain)), []
         for _ in range(rng.randint(0, 6)):  # a live path, built as branch would
             term, truthy = random_constraint(rng, lits)
             child = st.fork()
             if st.decide(term) is None and child.assume(term, truthy):
                 st = child
+                pc.append((term, truthy))
+                assert box_solutions(st) == satisfying(every, pc), pc
         cond, _ = random_constraint(rng, lits)
         v = st.decide(cond)
         seen[v] += 1
@@ -427,13 +524,13 @@ def test_decide_settles_exactly_the_arm_assume_rejects():
         assert not st.fork().assume(cond, not v)
         live = st.fork()
         assert live.assume(cond, v) and live.ranges == st.ranges
-        assert reference_quick_unsat(st.pc + [(cond, v)], syms, limits) == \
-            reference_quick_unsat(st.pc, syms, limits)
+        assert reference_quick_unsat(pc + [(cond, v)], syms, limits) == \
+            reference_quick_unsat(pc, syms, limits)
         box = [dict(zip(syms, p)) for p in itertools.product(
             *(range(st.ranges[s][0], st.ranges[s][1] + 1) for s in syms))]
         assert all((eval_term(cond, a) != 0) == v for a in box)
-        sat = [a for a in box if all((eval_term(t, a) != 0) == tr for t, tr in st.pc)]
-        assert sat == [a for a in sat if (eval_term(cond, a) != 0) == v]
+        sat = satisfying(box, pc)
+        assert sat == satisfying(sat, [(cond, v)])
 
     check()
     assert min(seen.values()) > 20, seen
@@ -464,6 +561,24 @@ def test_exploration_counters(monkeypatch, name, exits, caps, runs):
     events = [e for _, e in paths.events()]
     assert (sum(e != "cap" for e in events), events.count("cap"), calls) == (
         exits, caps, runs)
+
+
+def test_solve_work_on_segments_3(monkeypatch):
+    """eval_term calls, recursive ones included, of a full `protect` run on
+    segments(3): solving checks only each exit's complex constraints on its
+    box less its holes. Re-checking the whole path condition at every point
+    of the box took 209,751 calls."""
+    calls = 0
+    evaluate = refine.eval_term
+
+    def counting(t, assignment):
+        nonlocal calls
+        calls += 1
+        return evaluate(t, assignment)
+
+    monkeypatch.setattr(refine, "eval_term", counting)
+    run_pipeline(parse_program(segments(3)), RunConfig())
+    assert calls == 23739
 
 
 def test_chain_steps_per_function(monkeypatch):
@@ -674,6 +789,12 @@ B3:
     ({"max_symbols": -2}, "negative max_symbols -2"),
     ({"enum_budget": -1}, "negative enum_budget -1"),
     ({"domain_min": 4, "domain_max": 3}, r"empty domain 4\.\.3 \(domain_min > domain_max\)"),
+    ({"domain_min": -(1 << 31) - 1},
+     r"domain_min -2147483649 outside signed 32 bits \(-2147483648\.\.2147483647\)"),
+    ({"domain_min": 1 << 31, "domain_max": (1 << 31) + 1},
+     r"domain_min 2147483648 outside signed 32 bits \(-2147483648\.\.2147483647\)"),
+    ({"domain_max": 1 << 31},
+     r"domain_max 2147483648 outside signed 32 bits \(-2147483648\.\.2147483647\)"),
 ])
 def test_limits_reject_invalid_values(kwargs, message):
     # Limits(path_cap=-1) used to turn segments(2)'s 17 escapable verdicts
@@ -682,5 +803,6 @@ def test_limits_reject_invalid_values(kwargs, message):
         Limits(**kwargs)
     limits = Limits(loop_cap=0, path_cap=0, domain_min=3, domain_max=3,
                     max_symbols=0, enum_budget=0)
+    Limits(domain_min=-(1 << 31), domain_max=(1 << 31) - 1)  # the int32 ends are in
     with pytest.raises(AttributeError):
         limits.path_cap = -1  # frozen: no caller can skip the check
