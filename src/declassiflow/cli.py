@@ -39,6 +39,16 @@ def _parse_domain(text: str) -> range:
     return domain
 
 
+def _verify_domain(text: str) -> range:
+    """--domain: a LO..HI domain whose bounds Limits accepts (signed 32 bits)."""
+    domain = _parse_domain(text)
+    try:
+        Limits(domain_min=domain.start, domain_max=domain.stop - 1)
+    except AnalysisError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return domain
+
+
 def _positive(text: str) -> int:
     try:
         value = int(text)
@@ -127,7 +137,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--text", action="store_true", help="human-readable summary")
         p.add_argument("--window", type=_positive, default=16)
         p.add_argument("--depth", type=_positive, default=1)
-        p.add_argument("--domain", type=_parse_domain, default=range(0, 4),
+        p.add_argument("--domain", type=_verify_domain, default=range(0, 4),
                        help="verification input domain, e.g. 0..3")
         p.add_argument("--dump-cfg", action="store_true")
         p.add_argument("--dump-expanded", action="store_true")
@@ -240,9 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.buffer.write(payload)
         verification = report.get("verification")
-        if verification is not None and not verification["passed"]:
-            return 3
-        return 0
+        return 3 if verification is not None and not verification["passed"] else 0
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,32 +18,30 @@ observation whose taint contains x counts as transmitting a function of x.
 
 Each speculative burst runs at its branch, as soon as the branch is reached,
 on a snapshot of the machine that lives only as long as the burst. The
-snapshot shares what no execution mutates: the program's IR (each frame's
-`Function` and label-to-block map) and the input list. It copies what a
-burst can change: each frame's position and its one `env` dict of (value,
-taint) pairs (immutable, so a shallow copy suffices). It also shares the two
-records that decide which input slots a run depends on: `slots_of`, the input
-slots bound to each (function, variable), and `observed`, the taint of every
-branch condition (real or speculative) and of every recorded observation.
+snapshot shares what no execution mutates, the IR and the input list, and
+copies each frame's position and its `env` dict of immutable (value, taint)
+pairs. It also shares `slots_of`, the input slots bound to each (function,
+variable), and `steered`, the taint of every branch condition, real or
+speculative.
 
-The frontier check runs one input per observational class. A run's live
-slots are the slots bound to a variable in `observed`; two inputs of one
-length that agree on a run's live slots are in its class, and the check
-copies the run's result to every other input of the class. The copy is
-exact: values enter a run only through its input slots, and taint
-over-approximates value dependence, so every branch condition and every
-observed value of the run is a function of its live slots alone. By
-induction over steps an input that agrees on them takes the same branches,
-stops every burst (window, barrier or return) at the same step, runs out of
-fuel or raises the same `OracleError` at the same point, and records the same
-observations with the same taints: its trace edges, speculative executions
-and violations are the representative's, with its own inputs.
+The frontier check runs one input per control-flow class: the inputs of one
+length that agree on a run's steering slots, those bound to a variable in
+`steered`. Values enter a run only through its input slots and taint
+over-approximates value dependence, so every branch condition is a function
+of the steering slots. By induction over steps every member of the class
+takes the same branches, stops every burst (window, barrier or return) at
+the same step, runs out of fuel or raises the same `OracleError` at the same
+point, and records each observation at the same time with the same taint:
+its speculative executions and violations, which depend on nothing else, are
+the run's. Only observed values differ. So a member of a violation-free
+class takes the executions without running, and every member of a class
+with a violation runs, to report its own observed values.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cfg import ENTRY, EXIT, VarIndex, build_cfg, natural_loops
 from .ir import OPCODES, Function, Program, callees_first, to_i32
@@ -254,8 +252,9 @@ class _Machine:
     `trace` (edges and observations). While it may still mispredict (`depth`
     above 0), each two-way branch runs a burst of at most `window` steps down
     the wrong edge and appends it, then the bursts it started, to `specs`.
-    The machine and its bursts' snapshots share `slots_of` and `observed`,
-    from which `live_slots` derives the input slots the run depends on."""
+    The machine and its bursts' snapshots share `slots_of` and `steered`, the
+    taint of every branch condition, real or speculative, from which
+    `live_slots` derives the input slots that steer the run."""
 
     error = OracleError
 
@@ -273,7 +272,7 @@ class _Machine:
         self.mispredicted: list[tuple[str, str, str]] = []
         self.specs: list[SpecExecution] = []
         self.slots_of: dict[tuple[str, str], set[int]] = {}
-        self.observed: set[tuple[str, str]] = set()
+        self.steered: set[tuple[str, str]] = set()
         f, blocks = functions[entry]
         missing = "input valuation does not cover all parameters"
         env = {p: self.next_input(f.name, p, missing) for p in f.params}
@@ -301,21 +300,17 @@ class _Machine:
 
     def live_slots(self) -> tuple[int, ...]:
         """The input slots bound to a variable that taints a branch condition
-        or an observation so far: the only slots the run's steps depend on."""
-        observed = self.observed
-        return tuple(sorted({c for var, cs in self.slots_of.items() if var in observed
+        so far: the only slots the run's control flow depends on."""
+        return tuple(sorted({c for var, cs in self.slots_of.items() if var in self.steered
                              for c in cs}))
 
     def snapshot(self) -> "_Machine":
         """The architectural state, without trace, speculation flag or burst
         bookkeeping: the burst that runs the snapshot sets those."""
         m = object.__new__(_Machine)
-        m.functions = self.functions
-        m.inputs = self.inputs
-        m.cursor = self.cursor
-        m.pad_inputs = self.pad_inputs
-        m.transmit_speculative = self.transmit_speculative
-        m.slots_of, m.observed = self.slots_of, self.observed
+        m.functions, m.inputs, m.cursor = self.functions, self.inputs, self.cursor
+        m.pad_inputs, m.transmit_speculative = self.pad_inputs, self.transmit_speculative
+        m.slots_of, m.steered = self.slots_of, self.steered
         m.frames = [fr.copy() for fr in self.frames]
         return m
 
@@ -358,7 +353,6 @@ class _Machine:
             spec = self.speculative  # a store is observed once it retires
             if not spec or opcode == "load" or (opcode == "transmit"
                                                 and self.transmit_speculative):
-                self.observed |= tnt
                 self.trace.observations.append(Observation(
                     fname, block.label, opcode, op, val, tnt, steps, spec))
             if opcode == "load":
@@ -376,7 +370,7 @@ class _Machine:
     def branch(self, frame: Frame, block, cond, then_l: str, else_l: str, steps: int):
         val, tnt = cond
         fname = frame.function.name
-        self.observed |= tnt
+        self.steered |= tnt
         if not self.speculative:
             self.trace.observations.append(Observation(
                 fname, block.label, "br", block.terminator.operands[0], val, tnt,
@@ -522,11 +516,14 @@ class Violation:
 
 @dataclass
 class Verdict:
+    """inputs_run counts the inputs that ran: one per violation-free
+    control-flow class and every member of a class with a violation."""
+
     passed: bool
     violations: list[Violation]
     executions: int
     inputs_checked: int
-    inputs_run: int  # one per observational class; the other inputs copy its result
+    inputs_run: int
 
 
 def _normalize_fn(name: str) -> str:
@@ -541,9 +538,10 @@ def check_frontier_property(program: Program, frontiers: dict[tuple[str, str], s
     happens strictly before the non-speculative prefix enters that variable's
     frontier. Protected clones are matched to their originals by name.
 
-    Runs one input per observational class (see the module docstring): an
-    input that agrees with an earlier run on that run's live slots takes its
-    executions and its violations, with its own inputs, without running."""
+    Runs one input per control-flow class (see the module docstring): an
+    input that agrees with an earlier run on that run's steering slots takes
+    its executions without running when that run had no violation, and runs
+    when it had one."""
     if window < 1 or depth < 1:
         raise OracleError("window and depth must be at least 1")
     violations: list[Violation] = []
@@ -553,30 +551,29 @@ def check_frontier_property(program: Program, frontiers: dict[tuple[str, str], s
         for block in fr:
             entering.setdefault((key[0], block), []).append(key)
     bodies, entry = _bodies(program), program.entry_function
-    # (input length, live slots, their values) -> (executions, violations)
-    classes: dict[tuple, tuple[int, list[Violation]]] = {}
-    lives: dict[int, dict[tuple[int, ...], None]] = {}  # input length -> live slots seen
+    # (input length, steering slots, their values) -> the executions of a
+    # violation-free class, or None for a class with a violation
+    classes: dict[tuple, int | None] = {}
+    lives: dict[int, dict[tuple[int, ...], None]] = {}  # input length -> steering slots seen
     for inputs in inputs_sample:
         inputs = list(inputs)
         n_inputs += 1
         n = len(inputs)
         seen = lives.setdefault(n, {})
-        for live in seen:
-            cls = classes.get((n, live, tuple(inputs[i] for i in live)))
-            if cls is not None:
-                n_exec += cls[0]
-                violations += [replace(v, inputs=inputs) for v in cls[1]]
-                break
-        else:
-            n_run += 1
-            m = _Machine(bodies, entry, inputs, pad_inputs, transmit_speculative, window,
-                         depth)
-            found = _violations(m.run(), m.specs, entering, frontiers, inputs)
+        keys = ((n, live, tuple(inputs[i] for i in live)) for live in seen)
+        key = next((k for k in keys if k in classes), None)
+        if key is not None and classes[key] is not None:
+            n_exec += classes[key]
+            continue
+        n_run += 1
+        m = _Machine(bodies, entry, inputs, pad_inputs, transmit_speculative, window, depth)
+        found = _violations(m.run(), m.specs, entering, frontiers, inputs)
+        n_exec += len(m.specs)
+        violations += found
+        if key is None:
             live = m.live_slots()
             seen[live] = None
-            classes[n, live, tuple(inputs[i] for i in live)] = len(m.specs), found
-            n_exec += len(m.specs)
-            violations += found
+            classes[n, live, tuple(inputs[i] for i in live)] = None if found else len(m.specs)
     return Verdict(not violations, violations, n_exec, n_inputs, n_run)
 
 

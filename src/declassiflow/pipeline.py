@@ -91,8 +91,8 @@ def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function],
     """Phase 2: region-by-variable inevitability queries, outermost first,
     all answered from one exploration of the function; Inevitable verdicts
     upgrade block knowledge immediately, then frontiers and summary are
-    rebuilt. Regions and candidates come from the speculative leak sites;
-    walks is the run's memo of decided callee walks."""
+    rebuilt if any did. Regions and candidates come from the speculative
+    leak sites; walks is the run's memo of decided callee walks."""
     tblocks = {t.block for t in fa.leaks if t.speculative}
     regions = candidate_regions(fa.simplified, tblocks, fa.km.cfg.dom)
     cands = sorted(candidate_vars(fa.kb, tblocks))
@@ -111,8 +111,9 @@ def refine_function(fa: FunctionAnalysis, bodies: dict[str, Function],
             fa.refinements.append(result)
             if result.verdict == INEVITABLE:
                 apply_refinement(fa.kb, result)
-    fa.frontiers = all_frontiers(fa.kb)
-    fa.summary = summarize(fa.expanded, fa.kb.bits, fa.frontiers, summaries, fa.leaks)
+    if any(r.verdict == INEVITABLE for r in fa.refinements):
+        fa.frontiers = all_frontiers(fa.kb)
+        fa.summary = summarize(fa.expanded, fa.kb.bits, fa.frontiers, summaries, fa.leaks)
     fa.phase2 = "ran"
 
 
@@ -272,16 +273,10 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
 
 
 def dump_cfgs(program: Program) -> str:
-    chunks = []
-    for f in program.functions:
-        chunks.append(f"// {f.name}")
-        chunks.append(to_dot(build_cfg(prune_dead_blocks(f))))
-    return "\n".join(chunks)
+    return "\n".join(f"// {f.name}\n{to_dot(build_cfg(prune_dead_blocks(f)))}"
+                     for f in program.functions)
 
 
 def dump_expanded(program: Program) -> str:
-    chunks = []
-    for f in program.functions:
-        ef = expand_loops(f)
-        chunks.append(pretty_print(Program([ef.function])))
-    return "\n".join(chunks)
+    return "\n".join(pretty_print(Program([expand_loops(f).function]))
+                     for f in program.functions)

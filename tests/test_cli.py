@@ -261,6 +261,19 @@ def test_empty_verify_domain_exit_one(capsys):
     assert run(["verify", src, "--domain", "2..2"]) == 0
 
 
+@pytest.mark.parametrize("domain,message", [
+    ("2147483647..2147483648", "domain_max 2147483648"),
+    ("-2147483649..0", "domain_min -2147483649")])
+def test_verify_domain_outside_int32_exit_one(capsys, domain, message):
+    # the machine wraps inputs to 32 bits: 2147483647..2147483648 used to
+    # exit 0 and report that domain, though 2147483648 ran as -2147483648
+    src = str(FIXTURES / "diamond_linked.mir")
+    assert run(["verify", src, f"--domain={domain}"]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"argument --domain: {message} outside signed 32 bits (-2147483648..2147483647)\n")
+    assert run(["verify", src, "--domain=-2147483648..-2147483647"]) == 0
+
+
 def test_config_negative_limit_exit_two(tmp_path, capsys):
     # path_cap = -1 used to end every refinement query `inevitable`
     code, err = _bad_config_exit(tmp_path, capsys, "path_cap = -1")

@@ -1,6 +1,7 @@
 import copy
 import random
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
@@ -390,7 +391,7 @@ def _deepcopy_snapshot(self):
     m.cursor = self.cursor
     m.pad_inputs = self.pad_inputs
     m.transmit_speculative = self.transmit_speculative
-    m.slots_of, m.observed = self.slots_of, self.observed
+    m.slots_of, m.steered = self.slots_of, self.steered
     m.frames = copy.deepcopy(self.frames)
     return m
 
@@ -793,9 +794,12 @@ def _check_every_input(program: Program, frontiers, inputs_sample, window: int =
 
 
 def test_class_sharing_check_matches_every_input_reference(monkeypatch):
-    """Running one input per observational class gives the Verdict that
-    running every input does: passed, every violation in order, executions
-    and inputs checked, on unprotected and protected programs alike.
+    """Running one input per violation-free control-flow class, and every
+    input of a class with a violation, gives the Verdict that running every
+    input does: passed, every violation in order, executions and inputs
+    checked, on unprotected and protected programs alike. Both sides of the
+    rule are exercised: some input is skipped, and some class with a
+    violation runs more than one member.
 
     The acyclic, tight and fixture grids are whole (at most 64 inputs). Call
     programs reach 9 slots, 262,144 inputs a grid, and step loops through
@@ -807,15 +811,17 @@ def test_class_sharing_check_matches_every_input_reference(monkeypatch):
     whole = len(texts)
     texts += [random_call_program(random.Random(seed)) for seed in range(60)]
     sampler = random.Random(11)
-    ran: list[tuple] = []  # the inputs of each run of the check under test
+    ran: list[tuple] = []  # (inputs, class) of each run of the check under test
     run = _Machine.run
 
     def recorded(self):
-        ran.append(tuple(self.inputs))
-        return run(self)
+        trace = run(self)
+        live = self.live_slots()
+        ran.append((tuple(self.inputs), (live, tuple(self.inputs[i] for i in live))))
+        return trace
 
     monkeypatch.setattr(_Machine, "run", recorded)
-    checked = run_total = copied = 0
+    checked = run_total = skipped = violated_classes_rerun = 0
     for n, text in enumerate(texts):
         program = parse_program(text)
         analyses, _, _, _ = analyze_program(program, RunConfig())
@@ -839,17 +845,22 @@ def test_class_sharing_check_matches_every_input_reference(monkeypatch):
                     assert got.inputs_run == len(ran) <= got.inputs_checked
                     checked += got.inputs_checked
                     run_total += got.inputs_run
-                    runs = set(ran)
-                    copied += sum(1 for v in got.violations if tuple(v.inputs) not in runs)
+                    runs = {inputs for inputs, _ in ran}
+                    skipped += sum(1 for inputs in grid if tuple(inputs) not in runs)
+                    violating = {tuple(v.inputs) for v in ref.violations}
+                    members = Counter(cls for inputs, cls in ran if inputs in violating)
+                    violated_classes_rerun += sum(1 for k in members.values() if k > 1)
     assert run_total < checked
-    assert copied > 0
+    assert skipped > 0  # members of violation-free classes that did not run
+    assert violated_classes_rerun > 0
 
 
 def test_class_sharing_runs_pinned():
-    """diamond_opaque's three input slots at domain 0..3. Unprotected, the
-    burst into B2 transmits x1 and its phi then selects a2, so every slot is
-    live and all 64 inputs run. Protected, the burst stops at B2's barrier
-    and only a1 is observed: one run per value of a1."""
+    """diamond_opaque's three input slots at domain 0..3. Its one branch
+    tests the literal 1, so no slot steers and all 64 inputs form one class.
+    Unprotected, the burst into B2 transmits x1 before its frontier: the
+    class has a violation and all 64 inputs run. Protected, the burst stops
+    at B2's barrier, the class is violation-free and one input runs."""
     program = fixture_program("diamond_opaque")
     analyses, _, _, _ = analyze_program(program, RunConfig())
     protected = parse_program(run_pipeline(program, RunConfig())["protected_program"])
@@ -858,4 +869,33 @@ def test_class_sharing_runs_pinned():
     runs = [(v.passed, v.inputs_checked, v.inputs_run)
             for v in (check_frontier_property(prog, fmap, grid, pad_inputs=True)
                       for prog in (program, protected))]
-    assert runs == [(False, 64, 64), (True, 64, 4)]
+    assert runs == [(False, 64, 64), (True, 64, 1)]
+
+
+def test_class_sharing_transmitted_slot_varies_in_a_class():
+    """Slot 0 steers the branch; slot 1 only reaches a transmit. Protected,
+    the burst into B2 stops at its barrier, so each value of k is one
+    violation-free class whose four members transmit four different values
+    of s, and one member of each runs."""
+    program = parse_program("""fn main(k, s) {
+B1:
+  c = lt k, 2
+  br c, B2, B3
+B2:
+  transmit s
+  ret
+B3:
+  ret
+}
+""")
+    analyses, _, _, _ = analyze_program(program, RunConfig())
+    protected = parse_program(run_pipeline(program, RunConfig())["protected_program"])
+    fmap = property_map(program, analyses)
+    grid = input_grid(input_slots(protected), range(0, 4))
+    got = check_frontier_property(protected, fmap, grid, pad_inputs=True)
+    ref = _check_every_input(protected, fmap, grid, pad_inputs=True)
+    assert (got.passed, got.executions, got.violations) == (True, ref.executions, [])
+    assert (got.inputs_checked, got.inputs_run) == (16, 4)
+    sent = {tuple(o.value for o in interpret(protected, [0, s]).observations
+                  if o.kind == "transmit") for s in range(4)}
+    assert sent == {(0,), (1,), (2,), (3,)}

@@ -606,6 +606,27 @@ def test_chain_steps_per_function(monkeypatch):
         assert sum(steps.values()) == 1136
 
 
+@pytest.mark.parametrize("name,calls", [
+    ("call_chain-8", 8), ("segments-2", 1), ("anticorrelated", 2)])
+def test_summarize_calls_per_protect_run(monkeypatch, name, calls):
+    """`summarize` calls of a `protect` run: one per function from phase 1,
+    and one more after refinement only where some verdict is `inevitable`
+    and so changed block knowledge. Rebuilding after every refinement made
+    16, 2 and 2 calls."""
+    generated = {"call_chain-8": call_chain(8), "segments-2": segments(2)}
+    made = 0
+    summarize = pipeline.summarize
+
+    def counting(*args):
+        nonlocal made
+        made += 1
+        return summarize(*args)
+
+    monkeypatch.setattr(pipeline, "summarize", counting)
+    run_pipeline(parse_program(generated.get(name) or fixture_text(name)), RunConfig())
+    assert made == calls
+
+
 CALL_LIMITS = [Limits(domain_max=3), Limits(loop_cap=4, domain_max=5),
                Limits(loop_cap=9, domain_max=3, path_cap=40)]
 
