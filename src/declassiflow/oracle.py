@@ -35,7 +35,9 @@ point, and records each observation at the same time with the same taint:
 its speculative executions and violations, which depend on nothing else, are
 the run's. Only observed values differ. So a member of a violation-free
 class takes the executions without running, and every member of a class
-with a violation runs, to report its own observed values.
+with a violation runs, to report its own observed values, until the check's
+`max_violations` are found: past that bound a member of any known class
+takes the executions without running.
 """
 
 from __future__ import annotations
@@ -517,7 +519,8 @@ class Violation:
 @dataclass
 class Verdict:
     """inputs_run counts the inputs that ran: one per violation-free
-    control-flow class and every member of a class with a violation."""
+    control-flow class and every member of a class with a violation, less
+    the members skipped once `max_violations` were found."""
 
     passed: bool
     violations: list[Violation]
@@ -532,18 +535,21 @@ def _normalize_fn(name: str) -> str:
 
 def check_frontier_property(program: Program, frontiers: dict[tuple[str, str], set[str]],
                             inputs_sample, window: int = 16, depth: int = 1,
-                            transmit_speculative: bool = True,
-                            pad_inputs: bool = False) -> Verdict:
+                            transmit_speculative: bool = True, pad_inputs: bool = False,
+                            max_violations: int | None = None) -> Verdict:
     """PASS iff no explored speculative observation tainted by a variable
     happens strictly before the non-speculative prefix enters that variable's
     frontier. Protected clones are matched to their originals by name.
 
     Runs one input per control-flow class (see the module docstring): an
     input that agrees with an earlier run on that run's steering slots takes
-    its executions without running when that run had no violation, and runs
-    when it had one."""
-    if window < 1 or depth < 1:
-        raise OracleError("window and depth must be at least 1")
+    its executions without running when that run had no violation or once
+    `max_violations` violations are found, and runs otherwise; past that
+    bound a new class runs for its executions alone. `violations` keeps the
+    first `max_violations` (every one for None)."""
+    limit = float("inf") if max_violations is None else max_violations
+    if min(window, depth, limit) < 1:
+        raise OracleError("window, depth and max_violations must be at least 1")
     violations: list[Violation] = []
     n_exec = n_inputs = n_run = 0
     entering: dict[tuple[str, str], list[tuple[str, str]]] = {}  # (fn, block) -> keys
@@ -551,30 +557,30 @@ def check_frontier_property(program: Program, frontiers: dict[tuple[str, str], s
         for block in fr:
             entering.setdefault((key[0], block), []).append(key)
     bodies, entry = _bodies(program), program.entry_function
-    # (input length, steering slots, their values) -> the executions of a
-    # violation-free class, or None for a class with a violation
-    classes: dict[tuple, int | None] = {}
-    lives: dict[int, dict[tuple[int, ...], None]] = {}  # input length -> steering slots seen
+    # input length -> steering slots -> their values -> (executions, violated)
+    classes: dict[int, dict[tuple[int, ...], dict[tuple, tuple[int, bool]]]] = {}
     for inputs in inputs_sample:
-        inputs = list(inputs)
         n_inputs += 1
-        n = len(inputs)
-        seen = lives.setdefault(n, {})
-        keys = ((n, live, tuple(inputs[i] for i in live)) for live in seen)
-        key = next((k for k in keys if k in classes), None)
-        if key is not None and classes[key] is not None:
-            n_exec += classes[key]
+        tables = classes.setdefault(len(inputs), {})
+        hit = None
+        for live, table in tables.items():
+            if (hit := table.get(tuple(map(inputs.__getitem__, live)))) is not None:
+                break
+        full = len(violations) >= limit
+        if hit is not None and (full or not hit[1]):
+            n_exec += hit[0]
             continue
         n_run += 1
         m = _Machine(bodies, entry, inputs, pad_inputs, transmit_speculative, window, depth)
-        found = _violations(m.run(), m.specs, entering, frontiers, inputs)
+        trace = m.run()
+        found = [] if full else _violations(trace, m.specs, entering, frontiers, m.inputs)
         n_exec += len(m.specs)
         violations += found
-        if key is None:
+        if hit is None:
             live = m.live_slots()
-            seen[live] = None
-            classes[n, live, tuple(inputs[i] for i in live)] = None if found else len(m.specs)
-    return Verdict(not violations, violations, n_exec, n_inputs, n_run)
+            tables.setdefault(live, {})[tuple(map(inputs.__getitem__, live))] = (
+                len(m.specs), bool(found))
+    return Verdict(not violations, violations[:max_violations], n_exec, n_inputs, n_run)
 
 
 def _violations(trace: Trace, specs: list[SpecExecution], entering: dict, frontiers: dict,

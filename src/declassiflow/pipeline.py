@@ -27,6 +27,8 @@ from .refine import (INEVITABLE, Constraint, Limits, PathLog, RefinementResult,
                      apply_refinement, candidate_regions, candidate_vars,
                      check_inevitable)
 
+REPORTED_VIOLATIONS = 20  # the report lists at most this many violations
+
 
 @dataclass
 class RunConfig:
@@ -217,7 +219,8 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
         verdict = check_frontier_property(
             protected, frontier_map, input_grid(slots, config.verify_domain),
             window=config.window, depth=config.depth,
-            transmit_speculative=config.transmit_speculative, pad_inputs=True)
+            transmit_speculative=config.transmit_speculative, pad_inputs=True,
+            max_violations=REPORTED_VIOLATIONS)
         report["verification"] = {
             "passed": verdict.passed,
             "window": config.window,
@@ -233,7 +236,7 @@ def run_pipeline(program: Program, config: RunConfig | None = None) -> dict:
                                  "kind": v.observation.kind,
                                  "value": v.observation.value},
                  "frontier": v.frontier}
-                for v in verdict.violations[:20]],
+                for v in verdict.violations],
         }
     report["timing"]["verify_s"] = round(time.perf_counter() - t3, 6)
 

@@ -25,7 +25,6 @@ class ProtectionPlan:
     barrier_blocks: set[str]
     mode: str  # "caller" or "callee"
     call_redirections: dict[tuple[str, int], str] = field(default_factory=dict)
-    fallback_blocks: set[str] = field(default_factory=set)
 
     def as_dict(self) -> dict:
         return {
@@ -49,17 +48,9 @@ def plan_protection(f: Function, leaks: list[Transmission],
     barrier unless it is top level.
     """
     barriers: set[str] = set()
-    fallback: set[str] = set()
     for t in leaks:
-        if not t.speculative or not isinstance(t.operand, str):
-            continue
-        fr = frontiers.get(t.operand, set())
-        if fr:
-            barriers |= fr
-        else:
-            fallback.add(t.block)
-
-    barriers |= fallback
+        if t.speculative and isinstance(t.operand, str):
+            barriers |= frontiers.get(t.operand) or {t.block}
     if own_summary.is_pseudo_transmitter and not is_top_level:
         barriers.discard(f.entry_block)
 
@@ -70,7 +61,7 @@ def plan_protection(f: Function, leaks: list[Transmission],
                 redirections[(b.label, idx)] = ins.callee + PROTECTED_SUFFIX
 
     mode = "caller" if own_summary.is_pseudo_transmitter else "callee"
-    return ProtectionPlan(f.name, barriers, mode, redirections, fallback)
+    return ProtectionPlan(f.name, barriers, mode, redirections)
 
 
 def emit_protected(program: Program, plans: dict[str, ProtectionPlan],

@@ -899,3 +899,58 @@ B3:
     sent = {tuple(o.value for o in interpret(protected, [0, s]).observations
                   if o.kind == "transmit") for s in range(4)}
     assert sent == {(0,), (1,), (2,), (3,)}
+
+
+@pytest.mark.parametrize("max_violations,counts", [
+    (None, (64, 64, 128)),
+    (1, (1, 64, 1)),
+    (20, (10, 64, 20)),
+])
+def test_max_violations_runs_pinned(max_violations, counts):
+    """Unprotected diamond_opaque at domain 0..3 is one class of 64 inputs,
+    each with two violations. Once `max_violations` are found the rest of
+    the class takes its executions without running, and the verdict keeps
+    the first `max_violations`."""
+    program = fixture_program("diamond_opaque")
+    analyses, _, _, _ = analyze_program(program, RunConfig())
+    fmap = property_map(program, analyses)
+    grid = input_grid(input_slots(program), range(0, 4))
+    got = check_frontier_property(program, fmap, grid, pad_inputs=True,
+                                  max_violations=max_violations)
+    assert not got.passed and got.inputs_checked == 64
+    assert (got.inputs_run, got.executions, len(got.violations)) == counts
+
+
+@pytest.mark.parametrize("max_violations", [0, -1])
+def test_max_violations_below_one_rejected(max_violations):
+    program = fixture_program("diamond_opaque")
+    with pytest.raises(OracleError):
+        check_frontier_property(program, {}, [[0, 0, 0]], max_violations=max_violations)
+
+
+def test_bounded_check_matches_unbounded_prefix():
+    """A check bounded to k violations gives the unbounded class check's
+    passed, executions and inputs checked, its first k violations, and runs
+    no more inputs; some program runs strictly fewer."""
+    texts = [random_acyclic_program(random.Random(seed)) for seed in range(100)]
+    texts += [random_tight_program(random.Random(seed)) for seed in range(50)]
+    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.mir"))]
+    fewer = 0
+    for text in texts:
+        program = parse_program(text)
+        analyses, _, _, _ = analyze_program(program, RunConfig())
+        fmap = property_map(program, analyses)
+        protected = parse_program(run_pipeline(program, RunConfig())["protected_program"])
+        grid = input_grid(input_slots(protected), range(0, 4))
+        for prog in (program, protected):
+            for depth in (1, 2):
+                ref = check_frontier_property(prog, fmap, grid, depth=depth, pad_inputs=True)
+                for k in (1, 20):
+                    got = check_frontier_property(prog, fmap, grid, depth=depth,
+                                                  pad_inputs=True, max_violations=k)
+                    assert (got.passed, got.executions, got.inputs_checked) == (
+                        ref.passed, ref.executions, ref.inputs_checked), (text, depth, k)
+                    assert got.violations == ref.violations[:k], (text, depth, k)
+                    assert got.inputs_run <= ref.inputs_run
+                    fewer += got.inputs_run < ref.inputs_run
+    assert fewer > 0

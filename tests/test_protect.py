@@ -128,7 +128,6 @@ def test_empty_frontier_falls_back_to_transmitter_block():
                           False, False)
     plan = plan_protection(f, leak_model(f, {}), {"a": set()}, own, is_top_level=True)
     assert plan.barrier_blocks == {"B1"}
-    assert plan.fallback_blocks == {"B1"}
 
 
 def test_emit_protected_structure():
