@@ -436,11 +436,14 @@ def _internal_leaks_rederivable(ef: ExpandedFunction, seed: set[str],
                                 revealed: dict[str, set[str]],
                                 internal_leaks: frozenset[str]) -> bool:
     """Check that knowledge of the leaked arguments alone re-derives every
-    internally leaked value at the blocks where it escapes."""
+    internally leaked value at the blocks where it escapes. The same seed on
+    every edge, leaked parameters and constants, holds no output of an
+    equation with variable inputs, so the least fixpoint is that seed closed
+    under R2/R3 on every edge."""
     ix = ef.index
     seeds = ix.mask(seed) | ix.mask(_const_outputs(ef.function))
-    km = propagate(KnowledgeMap(ef.cfg, ix, [seeds] * len(ef.cfg.edges)), ef)
-    proj = project_to_original(km, ef)
+    closed = close(seeds, equations(ef.function, ix))
+    proj = project_to_original(KnowledgeMap(ef.cfg, ix, [closed] * len(ef.cfg.edges)), ef)
     for v in internal_leaks:
         for b in revealed[v]:
             for e in proj.cfg.out_edges[b]:

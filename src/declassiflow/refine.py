@@ -17,9 +17,9 @@ complex constraints, its holes, the last visit to each block of the function
 and its ranges. A (region, variable) query replays the log and extends it
 only when it needs more paths. A path escapes when it visits the region
 header after the last visit to every transmitter block that knows the
-variable. Constraint solving is exact within the configured input domain:
-exhaustive enumeration over the exit's box of ranges less its holes,
-checking the complex constraints, once per path.
+variable. Constraint solving is exact within the configured input domain,
+once per path: a backtracking search, one independent group of symbols at a
+time, of the exit's box of ranges less its holes for the complex constraints.
 Any cap hit degrades the verdict to Unknown, whose note names the caps;
 Unknown is treated like Escapable downstream (no knowledge upgrade).
 
@@ -43,7 +43,6 @@ recorded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .cfg import DomInfo
@@ -446,28 +445,73 @@ class PathLog:
     def solve(self, i: int):
         """("sat", the inputs of the first solution in lexicographic order),
         ("unsat", None) or ("unknown", None) past enum_budget for exit event
-        i, computed once. The exit's box of ranges less its holes is exactly
-        the set of solutions of its symbol-vs-literal constraints, so only
-        the complex ones are checked."""
+        i, computed once; the budget bounds the domain's span to the power of
+        the symbol count, as when the whole box was enumerated. The box of
+        ranges less holes is exactly the set of solutions of the symbol-vs-
+        literal constraints, so backtracking checks only the complex ones."""
         if i not in self._solved:
             complex, holes, _, ranges = self._events[i]
             lim = self.limits
             answer = "unknown", None
             if (lim.domain_max - lim.domain_min + 1) ** len(ranges) <= lim.enum_budget:
-                answer = "unsat", None
-                boxes = ([v for v in range(lo, hi + 1) if v not in holes.get(s, ())]
-                         for s, (lo, hi) in ranges.items())
                 try:
-                    for combo in itertools.product(*boxes):
-                        assignment = dict(zip(ranges, combo))
-                        if all(truthy == (eval_term(term, assignment) != 0)
-                               for term, truthy in complex):
-                            answer = "sat", list(combo)
-                            break
+                    answer = _first_solution(complex, holes, ranges)
                 except RecursionError:
                     raise AnalysisError(_TOO_DEEP) from None
             self._solved[i] = answer
         return self._solved[i]
+
+
+def _first_solution(complex: tuple, holes: dict, ranges: dict) -> tuple:
+    """("sat", the first point of the box in ranges order that satisfies
+    every complex constraint) or ("unsat", None). Symbols share a group when
+    some constraint mentions both; a symbol in none takes its box's first
+    value. Each group is searched depth first on its own, binding its
+    symbols in ranges order, each over its box in ascending order, and
+    checking a constraint as soon as its last symbol is bound: it finds the
+    group's lexicographically first solution, and the groups share no
+    symbols, so together they form the box's. A group with none is unsat."""
+    order = {s: k for k, s in enumerate(ranges)}
+    checks: dict[str, list] = {}  # symbol -> the constraints whose last symbol it is
+    groups: list[set] = []  # disjoint: the symbols of connected constraints
+    for term, truthy in complex:
+        syms = _symbols(term)
+        checks.setdefault(max(syms, key=order.__getitem__), []).append((term, truthy))
+        for g in [g for g in groups if g & syms]:
+            groups.remove(g)
+            syms |= g
+        groups.append(syms)
+
+    def box(s):
+        lo, hi = ranges[s]
+        return (v for v in range(lo, hi + 1) if v not in holes.get(s, ()))
+
+    assignment = {s: next(box(s)) for s in ranges}
+    for group in groups:
+        syms = sorted(group, key=order.__getitem__)
+        values = [box(syms[0])]  # the rest of the box of each bound symbol
+        while values:
+            s = syms[len(values) - 1]
+            for assignment[s] in values[-1]:
+                if all(truthy == (eval_term(term, assignment) != 0)
+                       for term, truthy in checks.get(s, ())):
+                    break
+            else:  # s's box is used up: rebind the symbol before it
+                values.pop()
+                continue
+            if len(values) == len(syms):
+                break
+            values.append(box(syms[len(values)]))
+        else:
+            return "unsat", None
+    return "sat", [assignment[s] for s in ranges]
+
+
+def _symbols(t) -> set[str]:
+    """The names of the symbols in term t."""
+    if isinstance(t, int):
+        return set()
+    return {t[1]} if t[0] == "sym" else set().union(*map(_symbols, t[1:]))
 
 
 def check_inevitable(paths: PathLog, region: Region, var: str,

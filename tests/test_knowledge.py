@@ -6,8 +6,9 @@ import pytest
 
 from declassiflow.cfg import ENTRY, EXIT, CfgError, VarIndex, expand_loops
 from declassiflow.ir import OPCODES, parse_program
-from declassiflow.knowledge import (AnalysisError, KnowledgeMap, analyze_edges,
-                                    init_knowledge, project_to_original, propagate)
+from declassiflow.knowledge import (AnalysisError, KnowledgeMap, analyze_edges, close,
+                                    equations, init_knowledge, project_to_original,
+                                    propagate)
 from declassiflow.pipeline import RunConfig, analyze_program, run_pipeline
 
 from conftest import (FIXTURES, dfa, fixture_program, fixture_text, known_at,
@@ -456,7 +457,8 @@ def test_fixpoint_matches_reference_sweep():
 def test_fixpoint_from_unclosed_seeds_on_every_edge_matches_reference_sweep():
     """Seeded the way a pseudo-transmitter check seeds it, with leaked
     arguments and constants on every edge and no edge closed, the fixpoint
-    still equals the reference sweep's under every order seed."""
+    still equals the reference sweep's under every order seed, and so does
+    the seed closed under R2/R3 on every edge, which the check reads."""
     rng = random.Random(18)
     checked = grown = 0
     for ef, _ in _analyzed(_sweep_corpus()):
@@ -466,6 +468,9 @@ def test_fixpoint_from_unclosed_seeds_on_every_edge_matches_reference_sweep():
                                           if ins.opcode == "const")
         km = KnowledgeMap(ef.cfg, ix, [seeds] * len(ef.cfg.edges))
         expected = _reference_sweep(km.known, ef)
+        closed = close(seeds, equations(f, ix))  # what _internal_leaks_rederivable reads
+        assert km_by_key(KnowledgeMap(ef.cfg, ix, [closed] * len(ef.cfg.edges))) == expected, \
+            f.name
         for seed in (None, 0, 1, 2):
             km = KnowledgeMap(ef.cfg, ix, [seeds] * len(ef.cfg.edges))
             assert km_by_key(propagate(km, ef, order_seed=seed)) == expected, \
