@@ -7,9 +7,10 @@ Runs on the acyclic expanded function and is projected back onto the
 pre-expansion CFG.
 
 Propagation rules, applied to a fixpoint:
-  R1 (init)  transmitted operands join every out-edge of their block; constants
-             join every edge; arguments at call sites join the call block's
-             out-edges when the callee is known to reveal that parameter.
+  R1 (init)  transmitted operands join every out-edge of their block;
+             arguments at call sites join the call block's out-edges when the
+             callee is known to reveal that parameter. Constants are the
+             outputs of premise-free R2 rules and enter through the closure.
   R2         equations are global: on any single edge, all inputs known implies
              the output is known (phi counts as forward solvable here).
   R3         backward-solvable positions: output plus the other inputs known on
@@ -25,13 +26,17 @@ Each expanded function numbers its variables once, in a dense index
 (ExpandedFunction.index: the loop-simplified function's variables first), and
 an edge's knowledge is one int over it: bit i set means variable i is known.
 The R2/R3 equations are rules over the same index: an output bit, an input
-mask and, per backward-solvable position, its bit and the others' mask. The
-least fixpoint is computed in passes over the expanded CFG's reverse
-postorder (Cfg.dom.order), a topological order of the acyclic graph that
-covers every block (Kam and Ullman, "Global Data Flow Analysis and Iterative
-Algorithms", JACM 1976). The outputs of premise-free rules (no variable
-inputs, all-literal phis included) first join every edge, and the entry
-dummy edge is closed. Then the passes alternate until one adds no bit:
+mask and, per backward-solvable position, its bit and the others' mask.
+One closure (closure) fires them, for the fixpoint, the pseudo-transmitter
+check and the exact-knowledge oracle; closing a mask from scratch adds the
+outputs of premise-free rules (constants, all-literal phis). The least
+fixpoint is computed in passes over the expanded CFG's reverse postorder
+(Cfg.dom.order), a topological order of the acyclic graph that covers every
+block (Kam and Ullman, "Global Data Flow Analysis and Iterative Algorithms",
+JACM 1976). The entry dummy edge is closed from scratch, and the first
+forward pass carries its premise-free outputs to every edge, since each
+in-edge comes earlier in the order. Then the passes alternate until one adds
+no bit:
   forward    R4, R6: per block, each out-edge gains the AND of the in-edges
              and the phi outputs whose arms are all known on their in-edges;
   backward   R5, R7, from the last block up: each in-edge but the entry dummy
@@ -100,10 +105,6 @@ class FunctionSummary:
                          if p in self.fully_declassified_vars)
 
 
-def _const_outputs(f: Function) -> set[str]:
-    return {ins.output for _, ins in f.instructions() if ins.opcode == "const"}
-
-
 def _callee_summary(f: Function, ins, summaries: dict[str, FunctionSummary]) -> FunctionSummary:
     summary = summaries.get(ins.callee)
     if summary is None:
@@ -113,7 +114,7 @@ def _callee_summary(f: Function, ins, summaries: dict[str, FunctionSummary]) -> 
 
 def init_knowledge(ef: ExpandedFunction,
                    summaries: dict[str, FunctionSummary]) -> KnowledgeMap:
-    """Seed the edge sets: transmitter operands, constants, callee leaks."""
+    """Seed the edge sets: transmitter operands and callee leaks."""
     f, cfg, ix = ef.function, ef.cfg, ef.index
     revealed: dict[str, int] = {}  # block -> what it reveals on its out-edges
     for t in transmissions(f):
@@ -126,7 +127,7 @@ def init_knowledge(ef: ExpandedFunction,
             if isinstance(ins.operands[pos], str):
                 revealed[b.label] = revealed.get(b.label, 0) | ix.bit[ins.operands[pos]]
 
-    bits = [ix.mask(_const_outputs(f))] * len(cfg.edges)
+    bits = [0] * len(cfg.edges)
     for label, m in revealed.items():
         for e in cfg.out_edges[label]:
             bits[e.index] |= m
@@ -150,58 +151,34 @@ def equations(f: Function, ix: VarIndex) -> list[tuple[int, int, tuple]]:
     return rules
 
 
-def close(known: int, rules: list[tuple[int, int, tuple]]) -> int:
-    """One edge's mask closed under the R2/R3 rules."""
-    changed = True
-    while changed:
-        changed = False
-        for out, need, backward in rules:
-            if not known & out and known & need == need:
-                known |= out
-                changed = True
-            if known & out:
-                for target, others in backward:
-                    if not known & target and known & others == others:
-                        known |= target
-                        changed = True
-    return known
+def closure(f: Function, ix: VarIndex, order_seed: int | None = None):
+    """The one R2/R3 closure of f's equations over ix, as close(k, todo=None).
 
-
-def _bits_of(m: int):
-    """The single-bit masks of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low
-        m ^= low
-
-
-def propagate(km: KnowledgeMap, ef: ExpandedFunction,
-              order_seed: int | None = None) -> KnowledgeMap:
-    """Least fixpoint of R2-R7 over the initialized map, by alternating
-    forward and backward passes (see the module docstring). A forward pass
-    leaves R4 and R6 satisfied on every block, a backward pass R5 and R7, and
-    both leave every edge closed under R2/R3. The rules only grow the
-    per-edge sets, so the fixpoint is unique; the optional order_seed
-    shuffles the rule order, the order in which a new bit re-checks the
-    rules that mention it, to exercise that.
-    """
-    f, cfg, ix, known = ef.function, km.cfg, km.index, km.bits
+    close(k) is k closed under R2/R3, the premise-free outputs (constants,
+    all-literal phis) included. close(k, todo) is the same when every rule
+    that can still fire on k mentions a bit of todo, say k is closed but for
+    the new bits todo: semi-naively, a new bit re-checks only the rules that
+    mention it (as output or input). The optional order_seed shuffles the
+    rule order, the order in which a new bit re-checks them."""
     rules = equations(f, ix)
     if order_seed is not None:
         random.Random(order_seed).shuffle(rules)
-    # each R2/R3 rule, listed under every bit position it mentions
-    mentions: list[list] = [[] for _ in ix.names]
+    mentions: list[list] = [[] for _ in ix.names]  # per bit, the rules that mention it
     free = 0  # outputs of premise-free rules
     for rule in rules:
         out, need, _ = rule
         if not need:
             free |= out
-        for low in _bits_of(out | need):
+        m = out | need
+        while m:
+            low = m & -m
+            m ^= low
             mentions[low.bit_length() - 1].append(rule)
 
-    def grow(k: int, todo: int) -> int:
-        """k closed under R2/R3, when every rule that can still fire on it
-        mentions a bit of todo."""
+    def close(k: int, todo: int | None = None) -> int:
+        if todo is None:
+            k |= free
+            todo = k
         while todo:
             low = todo & -todo
             todo ^= low
@@ -215,6 +192,21 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
                             k |= target
                             todo |= target
         return k
+
+    return close
+
+
+def propagate(km: KnowledgeMap, ef: ExpandedFunction,
+              order_seed: int | None = None) -> KnowledgeMap:
+    """Least fixpoint of R2-R7 over the initialized map, by alternating
+    forward and backward passes (see the module docstring). A forward pass
+    leaves R4 and R6 satisfied on every block, a backward pass R5 and R7, and
+    both leave every edge closed under R2/R3. The rules only grow the
+    per-edge sets, so the fixpoint is unique; the optional order_seed
+    shuffles the closure's rule order to exercise that.
+    """
+    f, cfg, ix, known = ef.function, km.cfg, km.index, km.bits
+    grow = closure(f, ix, order_seed)
 
     # per reachable block: in-edges, out-edges (it has both), in-edges that R5
     # may fill (the entry dummy keeps its seeds), definitions and phis, each
@@ -276,10 +268,8 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
                     grew = True
         return grew
 
-    for i in range(len(known)):
-        known[i] |= free
     dummy = cfg.entry_dummy().index
-    known[dummy] = grow(known[dummy], known[dummy])
+    known[dummy] = grow(known[dummy])
     forward(True)
     while backward() and forward(False):
         pass
@@ -437,12 +427,11 @@ def _internal_leaks_rederivable(ef: ExpandedFunction, seed: set[str],
                                 internal_leaks: frozenset[str]) -> bool:
     """Check that knowledge of the leaked arguments alone re-derives every
     internally leaked value at the blocks where it escapes. The same seed on
-    every edge, leaked parameters and constants, holds no output of an
-    equation with variable inputs, so the least fixpoint is that seed closed
-    under R2/R3 on every edge."""
+    every edge, the leaked parameters, holds no output of an equation, so the
+    least fixpoint is that seed closed from scratch by the fixpoint's own
+    R2/R3 closure (constants included) on every edge."""
     ix = ef.index
-    seeds = ix.mask(seed) | ix.mask(_const_outputs(ef.function))
-    closed = close(seeds, equations(ef.function, ix))
+    closed = closure(ef.function, ix)(ix.mask(seed))
     proj = project_to_original(KnowledgeMap(ef.cfg, ix, [closed] * len(ef.cfg.edges)), ef)
     for v in internal_leaks:
         for b in revealed[v]:

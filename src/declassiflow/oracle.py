@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from .cfg import ENTRY, EXIT, VarIndex, build_cfg, natural_loops
 from .ir import OPCODES, Function, Program, callees_first, to_i32
-from .knowledge import KnowledgeMap, close, equations
+from .knowledge import KnowledgeMap, closure
 from .protect import PROTECTED_SUFFIX
 
 DEFAULT_FUEL = 200_000
@@ -430,19 +430,18 @@ def exact_knowledge(f: Function, domain: range) -> KnowledgeMap:
         if ins.opcode == "call":
             raise OracleError("exact knowledge requires a call-free function")
 
-    slots = len(f.params) + sum(1 for _, i in f.instructions() if i.opcode == "input")
+    program = Program([f])
+    slots = input_slots(program)
     count = len(domain) ** slots
     if count > ENUM_LIMIT:
         raise OracleError(f"enumeration budget exceeded ({count} executions)")
 
     names = sorted(f.defined_vars())
     ix = VarIndex(names, (1 << len(names)) - 1)  # every name is f's own
-    rules = equations(f, ix)
+    close = closure(f, ix)
     phis = [(b.label, ins) for b, ins in f.instructions() if ins.opcode == "phi"]
     per_edge: dict[tuple[str, str], int] = {}  # AND of the closures crossing it
     closures: dict[tuple, int] = {}
-
-    program = Program([f])
     for vals in itertools.product(domain, repeat=slots) if slots else [()]:
         tr = interpret(program, list(vals))
         revealed = ix.mask(o.operand for o in tr.observations
@@ -453,18 +452,18 @@ def exact_knowledge(f: Function, domain: range) -> KnowledgeMap:
                 pred_of[dst] = src
         key = (revealed, tuple(sorted(pred_of.items())))
         if key not in closures:
-            closures[key] = _closure(rules, phis, ix, revealed, pred_of)
+            closures[key] = _closure(close, phis, ix, revealed, pred_of)
         cl = closures[key]
         for fn, src, dst in tr.edges:
             per_edge[src, dst] = per_edge.get((src, dst), cl) & cl
 
-    public = _closure(rules, phis, ix, 0, {})  # known from the program text alone
+    public = _closure(close, phis, ix, 0, {})  # known from the program text alone
     bits = [public if e.src == ENTRY else per_edge.get(e.key, ix.original) for e in cfg.edges]
     return KnowledgeMap(cfg, ix, bits)
 
 
-def _closure(rules, phis, ix: VarIndex, known: int, pred_of: dict[str, str]) -> int:
-    """Close a revealed-variable mask under the R2/R3 rules (phi forward
+def _closure(close, phis, ix: VarIndex, known: int, pred_of: dict[str, str]) -> int:
+    """Close a revealed-variable mask under f's R2/R3 closure (phi forward
     included: vacuous when the phi never ran) and the phis' selected arms."""
     selected = []
     for label, phi in phis:
@@ -472,15 +471,15 @@ def _closure(rules, phis, ix: VarIndex, known: int, pred_of: dict[str, str]) -> 
         if pred is not None and pred in phi.phi_labels:
             arm = phi.operands[phi.phi_labels.index(pred)]
             selected.append((ix.bit[phi.output], ix.bit[arm] if isinstance(arm, str) else 0))
-    changed = True
-    while changed:
-        known = close(known, rules)
-        changed = False
+    known = close(known)
+    while True:
+        new = 0
         for out, arm in selected:  # a literal arm (0) is known: the output is public
             if (known & out == out) != (known & arm == arm):
-                known |= out | arm
-                changed = True
-    return known
+                new |= (out | arm) & ~known
+        if not new:
+            return known
+        known = close(known | new, new)
 
 
 # ---------------------------------------------------------------------------

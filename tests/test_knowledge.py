@@ -6,9 +6,8 @@ import pytest
 
 from declassiflow.cfg import ENTRY, EXIT, CfgError, VarIndex, expand_loops
 from declassiflow.ir import OPCODES, parse_program
-from declassiflow.knowledge import (AnalysisError, KnowledgeMap, analyze_edges, close,
-                                    equations, init_knowledge, project_to_original,
-                                    propagate)
+from declassiflow.knowledge import (AnalysisError, KnowledgeMap, analyze_edges, closure,
+                                    init_knowledge, project_to_original, propagate)
 from declassiflow.pipeline import RunConfig, analyze_program, run_pipeline
 
 from conftest import (FIXTURES, dfa, fixture_program, fixture_text, known_at,
@@ -468,7 +467,7 @@ def test_fixpoint_from_unclosed_seeds_on_every_edge_matches_reference_sweep():
                                           if ins.opcode == "const")
         km = KnowledgeMap(ef.cfg, ix, [seeds] * len(ef.cfg.edges))
         expected = _reference_sweep(km.known, ef)
-        closed = close(seeds, equations(f, ix))  # what _internal_leaks_rederivable reads
+        closed = closure(f, ix)(seeds)  # what _internal_leaks_rederivable reads
         assert km_by_key(KnowledgeMap(ef.cfg, ix, [closed] * len(ef.cfg.edges))) == expected, \
             f.name
         for seed in (None, 0, 1, 2):
@@ -478,6 +477,34 @@ def test_fixpoint_from_unclosed_seeds_on_every_edge_matches_reference_sweep():
         checked += 1
         grown += any(s != ix.decode(seeds) for s in expected.values())
     assert checked >= 420 and grown >= 150, (checked, grown)
+
+
+def test_closure_matches_reference_close():
+    """The R2/R3 closure, called directly on every function of the sweep
+    corpus with seeded random masks and shuffled rule orders: closing from
+    scratch equals the reference close on the decoded names, and closing a
+    closed mask plus new bits, re-checking only the new bits (as the
+    fixpoint's passes and the exact-knowledge oracle do), equals closing the
+    union from scratch."""
+    rng = random.Random(33)
+    checked = grown = regrown = 0
+    for ef, _ in _analyzed(_sweep_corpus()):
+        f, ix = ef.function, ef.index
+        eqs = _reference_equations(f)
+        for seed in (None, 0, 1):
+            close = closure(f, ix, order_seed=seed)
+            names = rng.sample(ix.names, rng.randint(0, len(ix.names) // 4))
+            expected = set(names)
+            _reference_close(expected, eqs)
+            closed = close(ix.mask(names))
+            assert ix.decode(closed) == expected, (f.name, seed)
+            new = ix.mask(rng.sample(ix.names, min(3, len(ix.names)))) & ~closed
+            again = close(closed | new, new)
+            assert again == close(closed | new), (f.name, seed)
+            grown += closed != ix.mask(names)
+            regrown += again != closed | new
+        checked += 1
+    assert checked >= 420 and grown >= 800 and regrown >= 600, (checked, grown, regrown)
 
 
 def _reference_project(km, ef):

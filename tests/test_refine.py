@@ -94,7 +94,7 @@ def test_candidate_vars_empty_without_knowledge():
     assert candidate_vars(empty, spec_tblocks(f)) == set()
 
 
-def test_instrument_flags_both_transmitter_blocks():
+def test_anticorrelated_knowing_blocks_are_the_transmitter_blocks():
     f = fixture_program("anticorrelated").functions[0]
     _, _, kb, _ = dfa_blocks(f)
     regions = regions_of(f)
@@ -102,7 +102,7 @@ def test_instrument_flags_both_transmitter_blocks():
     assert knowing(f, kb, "x") == {"B2", "B4"}  # not the header B1
 
 
-def test_instrument_flags_single_block_region():
+def test_single_block_region_with_knowing_header_is_inevitable():
     f = parse_program("fn f(a) {\nB1:\n  transmit a\n  ret\n}").functions[0]
     _, _, kb, _ = dfa_blocks(f)
     region = regions_of(f)[0]
