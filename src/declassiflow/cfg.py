@@ -19,6 +19,7 @@ preserves data-flow relationships between variables, not computed values.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -335,6 +336,7 @@ class ExpandedFunction:
     edge_subst: dict[tuple[str, str], dict[str, str]]
     cfg: Cfg
     original_cfg: Cfg
+    close: Callable[..., int] | None = None  # the R2/R3 closure knowledge.propagate built
 
     @cached_property
     def index(self) -> VarIndex:

@@ -297,7 +297,7 @@ class _Line:
 
 
 def parse_program(text: str) -> Program:
-    """Parse mini-IR source. Raises IRError with line/column on bad syntax."""
+    """Parse and validate (validate_ssa) mini-IR source; IRError names the line of a fault."""
     functions: list[Function] = []
     fn: Function | None = None  # the function whose `}` is still to come
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -206,7 +206,7 @@ def propagate(km: KnowledgeMap, ef: ExpandedFunction,
     shuffles the closure's rule order to exercise that.
     """
     f, cfg, ix, known = ef.function, km.cfg, km.index, km.bits
-    grow = closure(f, ix, order_seed)
+    grow = ef.close = closure(f, ix, order_seed)
 
     # per reachable block: in-edges, out-edges (it has both), in-edges that R5
     # may fill (the entry dummy keeps its seeds), definitions and phis, each
@@ -289,7 +289,13 @@ def project_to_original(km: KnowledgeMap, ef: ExpandedFunction) -> KnowledgeMap:
     a variable on an edge no run through that edge could ever define is kept
     but flagged vacuous.
     """
-    ocfg, ix = ef.original_cfg, km.index
+    bits = _projected_bits(km, ef)
+    return KnowledgeMap(ef.original_cfg, km.index, bits, _vacuous_flags(ef, bits, km.index))
+
+
+def _projected_bits(km: KnowledgeMap, ef: ExpandedFunction) -> list[int]:
+    """The bits of project_to_original, per edge of ef.original_cfg."""
+    ix = km.index
     by_key = {e.key: e.index for e in km.cfg.edges}
     masks: dict[tuple[str, str], int] = {}  # original edge -> AND of counterparts
     for ekey, origins in ef.edge_origin.items():
@@ -303,9 +309,7 @@ def project_to_original(km: KnowledgeMap, ef: ExpandedFunction) -> KnowledgeMap:
                 m = m | b if k & ix.bit.get(rep, 0) else m & ~b
         for ok in origins:
             masks[ok] = masks.get(ok, m) & m
-
-    bits = [masks.get(oe.key, 0) for oe in ocfg.edges]
-    return KnowledgeMap(ocfg, ix, bits, _vacuous_flags(ef, bits, ix))
+    return [masks.get(oe.key, 0) for oe in ef.original_cfg.edges]
 
 
 def _vacuous_flags(ef: ExpandedFunction, bits: list[int],
@@ -428,14 +432,13 @@ def _internal_leaks_rederivable(ef: ExpandedFunction, seed: set[str],
     """Check that knowledge of the leaked arguments alone re-derives every
     internally leaked value at the blocks where it escapes. The same seed on
     every edge, the leaked parameters, holds no output of an equation, so the
-    least fixpoint is that seed closed from scratch by the fixpoint's own
-    R2/R3 closure (constants included) on every edge."""
+    least fixpoint is that seed closed from scratch on every edge by the
+    fixpoint's own R2/R3 closure, constants included (ef.close, or a new one
+    when ef never went through propagate). Only the projected bits are read:
+    no vacuous flags are computed."""
     ix = ef.index
-    closed = closure(ef.function, ix)(ix.mask(seed))
-    proj = project_to_original(KnowledgeMap(ef.cfg, ix, [closed] * len(ef.cfg.edges)), ef)
-    for v in internal_leaks:
-        for b in revealed[v]:
-            for e in proj.cfg.out_edges[b]:
-                if not proj.bits[e.index] & ix.bit[v]:
-                    return False
-    return True
+    closed = (ef.close or closure(ef.function, ix))(ix.mask(seed))
+    bits = _projected_bits(KnowledgeMap(ef.cfg, ix, [closed] * len(ef.cfg.edges)), ef)
+    out_edges = ef.original_cfg.out_edges
+    return all(bits[e.index] & ix.bit[v] for v in internal_leaks
+               for b in revealed[v] for e in out_edges[b])

@@ -167,8 +167,8 @@ def execute(st, limit: int):
             stop = enter(frame, block, steps)
             if stop is not None:
                 break
-            phis = block.phis()
-            if phis:
+            if block.instructions and block.instructions[0].opcode == "phi":  # phis come first
+                phis = block.phis()
                 if frame.prev_block is None:
                     raise st.error(f"phi in entry block '{block.label}'")
                 fname = frame.function.name
@@ -345,11 +345,19 @@ class _Machine:
     def instruction(self, frame: Frame, block, ins, steps: int):
         opcode, out, env = ins.opcode, ins.output, frame.env
         fname = frame.function.name
-        if opcode == "specbarr":
+        if opcode in _EVAL:
+            args = []
+            tnt_all = _UNTAINTED
+            for op in ins.operands:
+                v, tnt = self.operand(frame, op)
+                args.append(v)
+                tnt_all |= tnt
+            env[out] = _EVAL[opcode](args), tnt_all | {(fname, out)}
+        elif opcode == "specbarr":
             return "barrier" if self.speculative else None
-        if opcode == "input":
+        elif opcode == "input":
             env[out] = self.next_input(fname, out)
-        elif opcode in ("load", "store", "transmit"):  # observe the address or value
+        else:  # load, store or transmit: observe the address or value
             op = ins.operands[1 if opcode == "store" else 0]
             val, tnt = self.operand(frame, op)
             spec = self.speculative  # a store is observed once it retires
@@ -359,14 +367,6 @@ class _Machine:
                     fname, block.label, opcode, op, val, tnt, steps, spec))
             if opcode == "load":
                 env[out] = load_value(val), tnt | {(fname, out)}
-        else:
-            args = []
-            tnt_all = _UNTAINTED
-            for op in ins.operands:
-                v, tnt = self.operand(frame, op)
-                args.append(v)
-                tnt_all |= tnt
-            env[out] = eval_op(opcode, args), tnt_all | {(fname, out)}
         return None
 
     def branch(self, frame: Frame, block, cond, then_l: str, else_l: str, steps: int):
@@ -442,7 +442,7 @@ def exact_knowledge(f: Function, domain: range) -> KnowledgeMap:
     phis = [(b.label, ins) for b, ins in f.instructions() if ins.opcode == "phi"]
     per_edge: dict[tuple[str, str], int] = {}  # AND of the closures crossing it
     closures: dict[tuple, int] = {}
-    for vals in itertools.product(domain, repeat=slots) if slots else [()]:
+    for vals in itertools.product(domain, repeat=slots):
         tr = interpret(program, list(vals))
         revealed = ix.mask(o.operand for o in tr.observations
                            if isinstance(o.operand, str))
@@ -608,8 +608,6 @@ def _violations(trace: Trace, specs: list[SpecExecution], entering: dict, fronti
 
 def input_grid(slots: int, domain: range):
     """All valuations of `slots` input slots over the domain."""
-    if slots == 0:
-        return [[]]
     return [list(v) for v in itertools.product(domain, repeat=slots)]
 
 

@@ -17,8 +17,7 @@ from operator import or_
 
 from .cfg import ENTRY, ExpandedFunction, build_cfg, expand_loops, prune_dead_blocks, to_dot
 from .frontier import BlockKnowledge, all_frontiers, block_knowledge
-from .ir import (Function, Program, Transmission, callees_first, pretty_print,
-                 validate_ssa)
+from .ir import Function, Program, Transmission, callees_first, pretty_print
 from .knowledge import (AnalysisError, FunctionSummary, KnowledgeMap, analyze_edges,
                         leak_model, project_to_original, summarize)
 from .oracle import check_frontier_property, input_grid, input_slots
@@ -134,12 +133,10 @@ def analyze_program(program: Program, config: RunConfig | None = None):
     """Phases 1 and 2 for each function in one pass, callees first: a
     function is analyzed and, unless data flow already declassified all of
     it, refined before any caller, so callers read final summaries. Returns
-    the analyses, the summaries, the order and the time of each phase."""
+    the analyses, the summaries, the order and the time of each phase. The
+    program is taken as parse_program returns it, already validated."""
     config = config or RunConfig()
     t0 = time.perf_counter()
-    issues = validate_ssa(program).issues
-    if issues:
-        raise AnalysisError("; ".join(i.message for i in issues[:5]))
     check_constraints(program, config.constraints)
 
     summaries: dict[str, FunctionSummary] = {}

@@ -8,6 +8,7 @@ import pytest
 
 import declassiflow
 from declassiflow import cfg as cfg_module
+from declassiflow import knowledge as knowledge_module
 from declassiflow.cfg import (ENTRY, EXIT, MAX_LOOP_DEPTH, Cfg, CfgError, DomInfo,
                               ExpandedFunction, NaturalLoop, _compose, _fresh, _retarget,
                               _rewrite_multi_merge_uses, build_cfg, dominators, expand_loops,
@@ -1056,6 +1057,26 @@ def test_expansion_dominator_computations(name, builds, monkeypatch):
     assert (made["dominator_tree"], made["build_cfg"]) == (builds, builds)
 
 
+def _count_calls(monkeypatch, *fns) -> Counter:
+    """Replace each of fns in every declassiflow module that holds it by a
+    wrapper counting its calls per (function name, calling module)."""
+    calls: Counter = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__, sys._getframe(1).f_globals["__name__"]] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [declassiflow] + [importlib.import_module(f"declassiflow.{m.name}")
+                                for m in pkgutil.iter_modules(declassiflow.__path__)]
+    for fn in fns:
+        for module in modules:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    return calls
+
+
 @pytest.mark.parametrize("name,builds", [
     pytest.param(name, builds, id=name) for name, builds in [
         ("segments-2", 3), ("call_chain-4", 8), ("aes_analog", 6), ("diamond_linked", 1)]])
@@ -1065,20 +1086,7 @@ def test_graph_builds_per_run(name, builds, monkeypatch):
     ones ExpandedFunction carries."""
     generated = {"segments-2": segments(2), "call_chain-4": call_chain(4)}
     program = parse_program(generated.get(name) or fixture_text(name))
-    calls: Counter = Counter()
-
-    def counting(fn):
-        def wrapper(*args):
-            calls[fn.__name__, sys._getframe(1).f_globals["__name__"]] += 1
-            return fn(*args)
-        return wrapper
-
-    modules = [declassiflow] + [importlib.import_module(f"declassiflow.{m.name}")
-                                for m in pkgutil.iter_modules(declassiflow.__path__)]
-    for fn in (build_cfg, dominator_tree):
-        for module in modules:
-            if getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    calls = _count_calls(monkeypatch, build_cfg, dominator_tree)
     run_pipeline(program, RunConfig())
     assert {caller for fn, caller in calls if fn == "build_cfg"} == {"declassiflow.cfg"}, calls
     assert calls["build_cfg", "declassiflow.cfg"] == builds
@@ -1092,3 +1100,19 @@ def test_graph_builds_per_run(name, builds, monkeypatch):
         assert ef.original_cfg.edges == build_cfg(ef.original).edges
         assert ef.cfg.dom == build_cfg(ef.function).dom
         assert ef.original_cfg.dom == build_cfg(ef.original).dom
+
+
+@pytest.mark.parametrize("name,functions", [
+    pytest.param(name, functions, id=name) for name, functions in [
+        ("aes_analog", 5), ("segments-2", 1), ("call_chain-4", 4)]])
+def test_validations_and_equation_tables_per_run(name, functions, monkeypatch):
+    """Parsing and a run configured like verify validate the program once, in
+    parse_program, and build one equation table per analyzed function, in
+    the closure propagate builds: the pseudo-transmitter check reuses it."""
+    generated = {"segments-2": segments(2), "call_chain-4": call_chain(4)}
+    calls = _count_calls(monkeypatch, validate_ssa, knowledge_module.equations)
+    program = parse_program(generated.get(name) or fixture_text(name))
+    assert len(program.functions) == functions
+    run_pipeline(program, RunConfig(verify=True))
+    assert calls == {("validate_ssa", "declassiflow.ir"): 1,
+                     ("equations", "declassiflow.knowledge"): functions}, calls

@@ -1,10 +1,12 @@
+import inspect
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from declassiflow import cli
+from declassiflow import cli, ir
 from declassiflow.cli import load_config, main
 
 from conftest import FIXTURES, fixture_text
@@ -44,6 +46,62 @@ def test_long_integer_literal(tmp_path, capsys, digits, code):
     if code:
         assert capsys.readouterr().err == \
             "error: line 3, col 13: integer literal of more than 4300 digits\n"
+
+
+# One minimal program per kind of issue validate_ssa reports, with the
+# message the CLI prints for it: the issue's message after its line, if any.
+VALIDATION_ERRORS = {
+    "duplicate-function": ("fn f() {\nB1:\n  ret\n}\nfn f() {\nB1:\n  ret\n}\n",
+                           "line 5: duplicate function 'f'"),
+    "unknown-callee": ("fn f() {\nB1:\n  r = call g()\n  ret\n}\n",
+                       "line 3: unknown callee 'g'"),
+    "call-arity": ("fn f() {\nB1:\n  r = call g(1)\n  ret\n}\nfn g(a, b) {\nB1:\n  ret\n}\n",
+                   "line 3: call to 'g' passes 1 args, expected 2"),
+    "recursion": ("fn f() {\nB1:\n  r = call f()\n  ret\n}\n",
+                  "call graph has a cycle (recursion is rejected)"),
+    "duplicate-label": ("fn f() {\nB1:\n  jmp B2\nB1:\n  ret\nB2:\n  ret\n}\n",
+                        "line 4: duplicate block label 'B1'"),
+    "duplicate-definition": ("fn f(a) {\nB1:\n  a = const 1\n  ret\n}\n",
+                             "line 3: duplicate definition of 'a'"),
+    "unknown-label": ("fn f() {\nB1:\n  jmp B9\n}\n", "line 3: unknown label 'B9'"),
+    "entry-has-preds": ("fn f() {\nB1:\n  jmp B1\n}\n",
+                        "line 2: entry block 'B1' has predecessors ['B1']"),
+    "phi-not-prefix": ("fn f() {\nB1:\n  jmp B2\nB2:\n  a = const 1\n  x = phi [a, B1]\n  ret\n}\n",
+                       "line 6: phi after non-phi instruction"),
+    "phi-arity": ("fn f() {\nB1:\n  jmp B2\nB2:\n  x = phi [1, B1], [2, B9]\n  ret\n}\n",
+                  "line 5: phi incoming labels ['B1', 'B9'] do not match predecessors ['B1']"),
+    "undefined-use": ("fn f() {\nB1:\n  transmit x\n  ret\n}\n", "line 3: use of undefined 'x'"),
+    "phi-input-not-prior": (
+        "fn f() {\nB1:\n  c = input\n  br c, B2, B3\nB2:\n  jmp B3\n"
+        "B3:\n  y = phi [c, B1], [z, B2]\n  z = add y, 1\n  ret\n}\n",
+        "line 8: phi input 'z' not defined prior to block 'B3' (via predecessor 'B2')"),
+    "use-not-dominated": ("fn f() {\nB1:\n  x = add y, 1\n  y = const 2\n  ret\n}\n",
+                          "line 3: use of 'y' before its definition"),
+}
+
+
+def test_validation_error_cases_cover_every_issue_kind():
+    source = inspect.getsource(ir.validate_ssa) + inspect.getsource(ir._validate_function)
+    assert set(re.findall(r'\.add\(\s*"([a-z-]+)"', source)) == set(VALIDATION_ERRORS)
+
+
+@pytest.mark.parametrize("kind", sorted(VALIDATION_ERRORS))
+def test_verify_reports_validation_error(kind, tmp_path, monkeypatch, capsys):
+    """parse_program is the run's only validation: each issue kind ends
+    `verify` with exit 2 and the issue's message, without a traceback."""
+    text, message = VALIDATION_ERRORS[kind]
+    reports, validate = [], ir.validate_ssa
+
+    def recorded(program):
+        reports.append(validate(program))
+        return reports[-1]
+
+    monkeypatch.setattr(ir, "validate_ssa", recorded)
+    src = tmp_path / "bad.mir"
+    src.write_text(text)
+    assert run(["verify", str(src)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [r.issues[0].kind for r in reports] == [kind]
 
 
 TEXT = hst.text(hst.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\U0001f600') | hst.characters())
